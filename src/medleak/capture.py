@@ -34,9 +34,6 @@ _MAGICS = {
     b"\xa1\xb2\x3c\x4d": (">", 1000),   # big-endian, nanoseconds
 }
 
-_MAC_PATTERN = re.compile(r"^[0-9a-f]{2}(?::[0-9a-f]{2}){5}$")
-
-
 class MalformedCapture(Exception):
     """The capture cannot be read at all (bad magic, truncated global header,
     or an unsupported link type)."""
@@ -111,12 +108,8 @@ def normalize_mac(mac: str) -> str:
     return ":".join(digits[i : i + 2] for i in range(0, 12, 2))
 
 
-def is_valid_mac(mac: str) -> bool:
-    return bool(_MAC_PATTERN.match(mac))
-
-
 def _format_mac(raw: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in raw)
+    return raw.hex(":")
 
 
 def _decode_ipv4(body: bytes) -> tuple[IpInfo, bytes] | None:
@@ -183,11 +176,13 @@ def _decode_frame(index: int, ts_us: int, frame: bytes) -> tuple[RawPacket | Non
 
     ip: IpInfo | None = None
     payload = body
+    fragment_offset = 0
     if ethertype == ETHERTYPE_IPV4:
         decoded = _decode_ipv4(body)
         if decoded is None:
             return None, f"frame {index}: truncated or invalid IPv4 header"
         ip, payload = decoded
+        fragment_offset = int.from_bytes(body[6:8], "big") & 0x1FFF
     elif ethertype == ETHERTYPE_IPV6:
         decoded = _decode_ipv6(body)
         if decoded is None:
@@ -195,7 +190,8 @@ def _decode_frame(index: int, ts_us: int, frame: bytes) -> tuple[RawPacket | Non
         ip, payload = decoded
 
     transport: TransportInfo | None = None
-    if ip is not None and ip.protocol in (6, 17):
+    # only the first fragment of a datagram starts with the transport header
+    if ip is not None and ip.protocol in (6, 17) and not fragment_offset:
         decoded_t = _decode_transport(ip.protocol, payload)
         if decoded_t is None:
             kind = "TCP" if ip.protocol == 6 else "UDP"

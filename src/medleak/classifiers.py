@@ -20,6 +20,7 @@ if TYPE_CHECKING:
 DEFAULT_ENTROPY_THRESHOLD = 7.5
 DEFAULT_CHI_THRESHOLD = 1000.0
 DEFAULT_MIN_STAT_LEN = 64
+DEFAULT_DECISION_METHOD = "chi_squared"
 
 METHODS = ("ascii", "entropy", "chi_squared")
 DECISION_METHODS = METHODS + ("majority",)
@@ -44,23 +45,7 @@ class ClassifierConfig:
     # Below this length the statistics are unreliable (expected bin counts
     # fall far below 1), so the ASCII test decides instead.
     min_stat_len: int = DEFAULT_MIN_STAT_LEN
-    decision_method: str = "chi_squared"
-
-
-@dataclass(frozen=True)
-class ByteHistogram:
-    """256-bin frequency table over payload byte values."""
-
-    counts: tuple[int, ...]
-    total: int
-
-    @property
-    def probabilities(self) -> list[float]:
-        return [c / self.total for c in self.counts]
-
-    @property
-    def expected_uniform(self) -> float:
-        return self.total / 256.0
+    decision_method: str = DEFAULT_DECISION_METHOD
 
 
 @dataclass(frozen=True)
@@ -99,25 +84,33 @@ class MethodReport:
     total: int
 
 
-def _require_nonempty(data: bytes) -> None:
+def histogram(data: bytes) -> np.ndarray:
+    """256-bin count array of the payload's byte values, from which the
+    ASCII, entropy and chi-squared tests are all derived."""
     if not data:
         raise EmptyPayload("payload is empty")
-
-
-def _bincount(data: bytes) -> np.ndarray:
     return np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
 
 
-def histogram(data: bytes) -> ByteHistogram:
-    _require_nonempty(data)
-    counts = _bincount(data)
-    return ByteHistogram(counts=tuple(int(c) for c in counts), total=len(data))
+def _is_ascii(counts: np.ndarray) -> bool:
+    return not counts[128:].any()
+
+
+def _entropy(counts: np.ndarray, n: int) -> float:
+    p = counts[counts > 0] / n
+    value = float(-(p * np.log2(p)).sum())
+    return value + 0.0  # fold -0.0 from the single-symbol case
+
+
+def _chi_squared(counts: np.ndarray, n: int) -> float:
+    expected = n / 256.0
+    deviation = counts - expected
+    return float((deviation * deviation / expected).sum())
 
 
 def classify_ascii(data: bytes) -> bool:
     """True when every byte is in the 128-value ASCII set."""
-    _require_nonempty(data)
-    return bool(np.frombuffer(data, dtype=np.uint8).max() < 128)
+    return _is_ascii(histogram(data))
 
 
 def shannon_entropy(data: bytes) -> float:
@@ -126,11 +119,7 @@ def shannon_entropy(data: bytes) -> float:
     0 for a single repeated value, 8 when all 256 values are equally
     frequent.
     """
-    _require_nonempty(data)
-    counts = _bincount(data)
-    p = counts[counts > 0] / len(data)
-    value = float(-(p * np.log2(p)).sum())
-    return value + 0.0  # fold -0.0 from the single-symbol case
+    return _entropy(histogram(data), len(data))
 
 
 def classify_entropy(data: bytes, threshold: float = DEFAULT_ENTROPY_THRESHOLD) -> bool:
@@ -142,11 +131,7 @@ def classify_entropy(data: bytes, threshold: float = DEFAULT_ENTROPY_THRESHOLD) 
 def chi_squared(data: bytes) -> float:
     """Chi-squared statistic of byte frequencies against a uniform
     expectation over all 256 bins. Zero iff every bin count is equal."""
-    _require_nonempty(data)
-    counts = _bincount(data)
-    expected = len(data) / 256.0
-    deviation = counts - expected
-    return float((deviation * deviation / expected).sum())
+    return _chi_squared(histogram(data), len(data))
 
 
 def classify_chi(data: bytes, threshold: float = DEFAULT_CHI_THRESHOLD) -> bool:
@@ -163,10 +148,10 @@ def classify(payload: AppPayload, config: ClassifierConfig = ClassifierConfig())
     marked indeterminate when that test fails too.
     """
     data = payload.data
-    _require_nonempty(data)
-    ascii_verdict = classify_ascii(data)
-    entropy_bits = shannon_entropy(data)
-    chi = chi_squared(data)
+    counts = histogram(data)
+    ascii_verdict = _is_ascii(counts)
+    entropy_bits = _entropy(counts, len(data))
+    chi = _chi_squared(counts, len(data))
     entropy_verdict = entropy_bits < config.entropy_threshold
     chi_verdict = chi > config.chi_threshold
 
@@ -212,10 +197,11 @@ def compare_methods(
     for item in corpus:
         total += 1
         is_cleartext = item.label == CLEARTEXT
+        counts = histogram(item.data)
         flags = {
-            "ascii": classify_ascii(item.data),
-            "entropy": shannon_entropy(item.data) < config.entropy_threshold,
-            "chi_squared": chi_squared(item.data) > config.chi_threshold,
+            "ascii": _is_ascii(counts),
+            "entropy": _entropy(counts, len(item.data)) < config.entropy_threshold,
+            "chi_squared": _chi_squared(counts, len(item.data)) > config.chi_threshold,
         }
         for method, flagged in flags.items():
             tally = tallies[method]

@@ -9,7 +9,15 @@ import sys
 from pathlib import Path
 
 from .capture import MalformedCapture
-from .classifiers import METHODS, ClassifierConfig, MethodReport, compare_methods
+from .classifiers import (
+    DECISION_METHODS,
+    DEFAULT_CHI_THRESHOLD,
+    DEFAULT_ENTROPY_THRESHOLD,
+    METHODS,
+    ClassifierConfig,
+    MethodReport,
+    compare_methods,
+)
 from .config import ConfigError, RunConfig, load_config, load_registry, merge_cli_overrides, save_registry
 from .corpus import (
     SCENARIOS,
@@ -46,7 +54,7 @@ def _build_parser() -> _Parser:
     p_analyze.add_argument("--entropy-threshold", type=float, dest="entropy_threshold")
     p_analyze.add_argument("--chi-threshold", type=float, dest="chi_threshold")
     p_analyze.add_argument("--min-stat-len", type=int, dest="min_stat_len")
-    p_analyze.add_argument("--decision-method", choices=("ascii", "entropy", "chi_squared", "majority"),
+    p_analyze.add_argument("--decision-method", choices=DECISION_METHODS,
                            dest="decision_method")
     p_analyze.add_argument("--gap-threshold", type=float, dest="gap_threshold")
     p_analyze.add_argument("--image-window", type=float, dest="image_window")
@@ -73,8 +81,8 @@ def _build_parser() -> _Parser:
     p_compare.add_argument("--n-encrypted", type=int, default=5000)
     p_compare.add_argument("--min-len", type=int, default=64)
     p_compare.add_argument("--max-len", type=int, default=2048)
-    p_compare.add_argument("--entropy-threshold", type=float, default=7.5)
-    p_compare.add_argument("--chi-threshold", type=float, default=1000.0)
+    p_compare.add_argument("--entropy-threshold", type=float, default=DEFAULT_ENTROPY_THRESHOLD)
+    p_compare.add_argument("--chi-threshold", type=float, default=DEFAULT_CHI_THRESHOLD)
     p_compare.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 

@@ -15,8 +15,16 @@ from importlib import resources
 from pathlib import Path
 
 from .capture import normalize_mac
-from .classifiers import DECISION_METHODS, ClassifierConfig
-from .leaks import DEFAULT_IDENTIFIER_KEYS, DICTIONARY_NAMES, Dictionary
+from .classifiers import (
+    DECISION_METHODS,
+    DEFAULT_CHI_THRESHOLD,
+    DEFAULT_DECISION_METHOD,
+    DEFAULT_ENTROPY_THRESHOLD,
+    DEFAULT_MIN_STAT_LEN,
+    ClassifierConfig,
+)
+from .leaks import DEFAULT_IDENTIFIER_KEYS, DEFAULT_IMAGE_WINDOW, DICTIONARY_NAMES, Dictionary, normalize_text
+from .metadata import DEFAULT_GAP_THRESHOLD
 
 ENV_DICT_DIR = "MEDLEAK_DICT_DIR"
 
@@ -31,12 +39,12 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    entropy_threshold: float = 7.5
-    chi_threshold: float = 1000.0
-    min_stat_len: int = 64
-    gap_threshold: float = 60.0
-    image_window: float = 30.0
-    decision_method: str = "chi_squared"
+    entropy_threshold: float = DEFAULT_ENTROPY_THRESHOLD
+    chi_threshold: float = DEFAULT_CHI_THRESHOLD
+    min_stat_len: int = DEFAULT_MIN_STAT_LEN
+    gap_threshold: float = DEFAULT_GAP_THRESHOLD
+    image_window: float = DEFAULT_IMAGE_WINDOW
+    decision_method: str = DEFAULT_DECISION_METHOD
     dict_dir: Path | None = None
     vendor_patterns: tuple[str, ...] = DEFAULT_VENDOR_PATTERNS
     identifier_keys: frozenset[str] = DEFAULT_IDENTIFIER_KEYS
@@ -141,7 +149,8 @@ def save_registry(registry: dict[str, str], path) -> None:
 def parse_dictionary_text(text: str, name: str, source_note: str = "") -> Dictionary:
     entries = set()
     for line in text.splitlines():
-        line = line.split("#", 1)[0].strip().lower()
+        # entries live in the same normalized space as the text they match
+        line = normalize_text(line.split("#", 1)[0]).strip()
         if line:
             entries.add(line)
     if not entries:

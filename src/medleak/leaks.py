@@ -34,6 +34,7 @@ CATEGORIES = (
 
 DEFAULT_IDENTIFIER_KEYS = frozenset({"current_user", "userid", "uid"})
 IMAGE_EXTENSIONS = (".jpg", ".jpeg", ".png", ".gif")
+DEFAULT_IMAGE_WINDOW = 30.0  # seconds an image GET may trail other traffic
 
 # Two-letter tokens ("al", "jo") produce floods of bogus name hits.
 MIN_NAME_TOKEN_LEN = 3
@@ -134,21 +135,51 @@ def tokenize(data: bytes) -> list[str]:
     return tokens
 
 
-def _evidence(normalized_payload: str, matched: str) -> tuple[str, str]:
-    """Clamp matched text and cut a context window that contains it."""
-    matched = matched[:_MATCH_TEXT_CAP]
+def _normalized_payload(data: bytes) -> str:
+    return normalize_text(payload_text(data)) if data else ""
+
+
+def _finding(
+    packet_index: int, category: str, severity: str, matched: str, normalized_payload: str
+) -> LeakFinding:
+    """Normalize and clamp the matched text, and cut a context window of the
+    normalized payload that contains it."""
+    matched = normalize_text(matched)[:_MATCH_TEXT_CAP]
     at = normalized_payload.find(matched)
     if at < 0:
-        return matched, matched
-    start = max(0, at - (CONTEXT_LEN - len(matched)) // 2)
-    if start + CONTEXT_LEN < at + len(matched):
-        start = at
-    return matched, normalized_payload[start : start + CONTEXT_LEN]
+        context = matched
+    else:
+        start = max(0, at - (CONTEXT_LEN - len(matched)) // 2)
+        if start + CONTEXT_LEN < at + len(matched):
+            start = at
+        context = normalized_payload[start : start + CONTEXT_LEN]
+    return LeakFinding(
+        packet_index=packet_index,
+        category=category,
+        matched_text=matched,
+        context=context,
+        severity=severity,
+    )
 
 
 def relocate(finding: LeakFinding, data: bytes) -> bool:
     """Independently re-locate a finding's evidence in its payload."""
     return normalize_text(finding.matched_text) in normalize_text(payload_text(data))
+
+
+def _dictionary_hits(tokens: list[str], dictionaries: list[Dictionary]):
+    """Yield each distinct (token, dictionary name) hit, dictionary by
+    dictionary and in token order. Name matching skips tokens shorter than
+    MIN_NAME_TOKEN_LEN."""
+    seen: set[tuple[str, str]] = set()
+    for dictionary in dictionaries:
+        min_len = MIN_NAME_TOKEN_LEN if dictionary.name == "first-names" else 0
+        for token in tokens:
+            if len(token) < min_len or token not in dictionary.entries:
+                continue
+            if (token, dictionary.name) not in seen:
+                seen.add((token, dictionary.name))
+                yield token, dictionary.name
 
 
 def dictionary_match(
@@ -162,27 +193,11 @@ def dictionary_match(
     Medical-term hits are high severity; name and PII hits warn. Name
     matching skips tokens shorter than MIN_NAME_TOKEN_LEN.
     """
-    normalized = normalize_text(payload_text(payload)) if payload else ""
-    findings: list[LeakFinding] = []
-    seen: set[tuple[str, str]] = set()
-    for dictionary in dictionaries:
-        for token in tokens:
-            if dictionary.name == "first-names" and len(token) < MIN_NAME_TOKEN_LEN:
-                continue
-            if token not in dictionary.entries or (token, dictionary.name) in seen:
-                continue
-            seen.add((token, dictionary.name))
-            matched, context = _evidence(normalized, token)
-            findings.append(
-                LeakFinding(
-                    packet_index=packet_index,
-                    category=_CATEGORY_BY_DICT[dictionary.name],
-                    matched_text=matched,
-                    context=context,
-                    severity=_SEVERITY_BY_DICT[dictionary.name],
-                )
-            )
-    return findings
+    normalized = _normalized_payload(payload)
+    return [
+        _finding(packet_index, _CATEGORY_BY_DICT[name], _SEVERITY_BY_DICT[name], token, normalized)
+        for token, name in _dictionary_hits(tokens, dictionaries)
+    ]
 
 
 def scan_cleartext_payload(
@@ -230,42 +245,18 @@ def http_leak_scan(
     - vendor-identifier: host or URL matches a vendor pattern
     - user-identifier: cookie/query key is a configured identifier key
     """
-    normalized = normalize_text(payload_text(payload)) if payload else ""
+    normalized = _normalized_payload(payload)
     findings: list[LeakFinding] = []
 
     def add(category: str, matched: str, severity: str) -> None:
-        matched_text, context = _evidence(normalized, normalize_text(matched))
-        findings.append(
-            LeakFinding(
-                packet_index=packet_index,
-                category=category,
-                matched_text=matched_text,
-                context=context,
-                severity=severity,
-            )
-        )
+        findings.append(_finding(packet_index, category, severity, matched, normalized))
 
     url = message.url or ""
-    if url:
-        seen: set[tuple[str, str]] = set()
-        for dictionary in dictionaries:
-            for token in tokenize(url.encode("latin-1")):
-                if dictionary.name == "first-names" and len(token) < MIN_NAME_TOKEN_LEN:
-                    continue
-                if token in dictionary.entries and (token, dictionary.name) not in seen:
-                    seen.add((token, dictionary.name))
-                    add("url-leak", token, _SEVERITY_BY_DICT[dictionary.name])
-
     cookie_blob = " ".join(f"{k}={v}" for k, v in message.cookies)
-    if cookie_blob:
-        seen = set()
-        for dictionary in dictionaries:
-            for token in tokenize(cookie_blob.encode("latin-1")):
-                if dictionary.name == "first-names" and len(token) < MIN_NAME_TOKEN_LEN:
-                    continue
-                if token in dictionary.entries and (token, dictionary.name) not in seen:
-                    seen.add((token, dictionary.name))
-                    add("cookie-leak", token, _SEVERITY_BY_DICT[dictionary.name])
+    for category, text in (("url-leak", url), ("cookie-leak", cookie_blob)):
+        if text:
+            for token, name in _dictionary_hits(tokenize(text.encode("latin-1")), dictionaries):
+                add(category, token, _SEVERITY_BY_DICT[name])
 
     if matches_vendor(message.host, vendor_patterns):
         add("vendor-identifier", message.host or "", SEVERITY_WARN)
@@ -283,7 +274,7 @@ def http_leak_scan(
     return findings
 
 
-def image_get_signature(messages: list[TimedMessage], window_s: float = 30.0) -> list[LeakFinding]:
+def image_get_signature(messages: list[TimedMessage], window_s: float = DEFAULT_IMAGE_WINDOW) -> list[LeakFinding]:
     """Flag outbound GETs for image files that trail other device traffic.
 
     A GET whose URL path ends in an image extension within ``window_s``
@@ -306,15 +297,6 @@ def image_get_signature(messages: list[TimedMessage], window_s: float = 30.0) ->
         )
         if not preceded:
             continue
-        normalized = normalize_text(payload_text(timed.payload)) if timed.payload else ""
-        matched, context = _evidence(normalized, normalize_text(path))
-        findings.append(
-            LeakFinding(
-                packet_index=timed.packet_index,
-                category="image-get-signature",
-                matched_text=matched,
-                context=context,
-                severity=SEVERITY_WARN,
-            )
-        )
+        normalized = _normalized_payload(timed.payload)
+        findings.append(_finding(timed.packet_index, "image-get-signature", SEVERITY_WARN, path, normalized))
     return findings

@@ -17,6 +17,8 @@ from .capture import DeviceStream, RawPacket
 from .leaks import matches_vendor
 from .payload import AppPayload, parse_http
 
+DEFAULT_GAP_THRESHOLD = 60.0  # seconds of silence that end an activity period
+
 
 @dataclass
 class ActivityPeriod:
@@ -51,7 +53,7 @@ def remote_address(packet: RawPacket, device_mac: str) -> str | None:
 
 def activity_periods(
     stream: DeviceStream,
-    gap_threshold: float = 60.0,
+    gap_threshold: float = DEFAULT_GAP_THRESHOLD,
     hostnames: dict[str, str] | None = None,
 ) -> list[ActivityPeriod]:
     """Greedy segmentation of a time-sorted stream into usage sessions.

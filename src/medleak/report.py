@@ -8,9 +8,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .capture import DeviceStream, parse_capture, split_by_device
-from .classifiers import ENCRYPTED, INDETERMINATE, MethodReport, classify, compare_methods
+from .classifiers import ENCRYPTED, INDETERMINATE, classify
 from .config import RunConfig, load_dictionaries
-from .corpus import LabeledPayload
 from .leaks import (
     LeakFinding,
     SEVERITY_HIGH,
@@ -67,7 +66,6 @@ class DeviceReport:
 @dataclass
 class AnalysisResult:
     reports: list[DeviceReport]
-    method_report: MethodReport | None
     warnings: list[str]
 
     @property
@@ -172,15 +170,10 @@ def analyze_stream(
     )
 
 
-def analyze(
-    captures,
-    config: RunConfig,
-    corpus: list[LabeledPayload] | None = None,
-) -> AnalysisResult:
+def analyze(captures, config: RunConfig) -> AnalysisResult:
     """Run the full pipeline over capture files and build device reports.
 
-    Reports are deterministic for identical inputs; an optional labeled
-    corpus additionally produces a classifier-method comparison.
+    Reports are deterministic for identical inputs.
     """
     config.validate()
     dictionaries = load_dictionaries(config.dict_dir)
@@ -197,8 +190,7 @@ def analyze(
         for stream in streams:
             reports.append(analyze_stream(path.name, stream, dns_answers, config, dictionaries))
 
-    method_report = compare_methods(corpus, config.classifier_config()) if corpus else None
-    return AnalysisResult(reports=reports, method_report=method_report, warnings=warnings)
+    return AnalysisResult(reports=reports, warnings=warnings)
 
 
 # --- rendering -----------------------------------------------------------------

@@ -19,6 +19,7 @@ from medleak.capture import (
     split_by_device,
 )
 from medleak.corpus import generate_random_capture, reserialize
+from medleak.payload import extract_payloads
 
 DEV_MAC = bytes.fromhex("0024e41b2031")
 AP_MAC = bytes.fromhex("b827eb5a1004")
@@ -94,6 +95,30 @@ def test_truncated_second_frame_yields_one_packet_one_warning(three_frame_captur
     assert len(result.packets) == 1
     assert len(result.warnings) == 1
     assert "caplen" in result.warnings[0]
+
+
+def _ipv4_fragment_by_hand(flags_fragment: int, body: bytes) -> bytes:
+    """A device-sent IPv4/TCP datagram piece whose flags and fragment offset
+    are set by hand; ``body`` is whatever follows the IPv4 header."""
+    ip = struct.pack("!BBHHHBBH", 0x45, 0, 20 + len(body), 9, flags_fragment, 64, 6, 0)
+    return AP_MAC + DEV_MAC + b"\x08\x00" + ip + b"\xc0\xa8\x01\x15" + b"\x59\x1e\x79\x34" + body
+
+
+def test_non_first_ipv4_fragment_has_ip_but_no_transport():
+    tcp = struct.pack("!HHIIBBHHH", 43211, 80, 1, 0, 5 << 4, 0x18, 4096, 0, 0)
+    first = _ipv4_fragment_by_hand(0x2000, tcp + b"POST /sync HTTP/1.1\r\n")  # MF set, offset 0
+    later = _ipv4_fragment_by_hand(185, b"lo" + b"od" + b"\x00" * 16 + b"body text, not a TCP header")
+    data = _global_header(b"\xd4\xc3\xb2\xa1") + _record(10, 0, first) + _record(11, 0, later)
+    result = parse_capture(data)
+    assert result.warnings == []
+    head, tail = result.packets
+    assert (head.transport.src_port, head.transport.dst_port) == (43211, 80)
+    assert head.payload == b"POST /sync HTTP/1.1\r\n"
+    assert tail.ip is not None and tail.ip.protocol == 6
+    assert tail.transport is None
+
+    streams, _ = split_by_device(result.packets, {DEV_MAC.hex(): "dev"})
+    assert [p.packet_index for p in extract_payloads(streams[0])] == [head.index]
 
 
 def test_bad_magic_raises():

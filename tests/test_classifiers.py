@@ -35,24 +35,23 @@ def _payload(data, index=0):
 class TestHistogram:
     def test_single_value(self):
         h = histogram(b"AAAA")
-        assert h.counts[65] == 4
-        assert h.total == 4
-        assert sum(h.counts) == 4
+        assert h.shape == (256,)
+        assert h[65] == 4
+        assert h.sum() == 4
 
     def test_uniform(self):
         h = histogram(ALL_256_ONCE)
-        assert all(c == 1 for c in h.counts)
-        assert h.total == 256
-        assert h.expected_uniform == 1.0
+        assert all(c == 1 for c in h)
+        assert h.sum() == 256
 
     def test_two_symbols(self):
         h = histogram(b"abab")
-        assert h.counts[97] == 2
-        assert h.counts[98] == 2
+        assert h[97] == 2
+        assert h[98] == 2
 
     def test_probabilities_sum_to_one(self):
         h = histogram(b"some arbitrary payload \x00\xff")
-        assert abs(sum(h.probabilities) - 1.0) < 1e-12
+        assert abs((h / h.sum()).sum() - 1.0) < 1e-12
 
     def test_empty_raises(self):
         with pytest.raises(EmptyPayload):
@@ -261,8 +260,8 @@ def test_permutation_invariance(data, seed):
 def test_chi_nonnegative_and_zero_iff_uniform(data):
     chi = chi_squared(data)
     assert chi >= 0.0
-    counts = histogram(data).counts
-    all_equal = len(set(counts)) == 1
+    counts = histogram(data)
+    all_equal = len(set(counts.tolist())) == 1
     assert (chi == 0.0) == all_equal
 
 
@@ -286,3 +285,11 @@ def test_ascii_flips_false_with_high_byte_and_never_back(data, high_byte):
 @given(data=st.binary(min_size=1, max_size=1024))
 def test_self_concatenation_keeps_entropy(data):
     assert shannon_entropy(data + data) == shannon_entropy(data)
+
+
+@given(data=st.binary(min_size=1, max_size=2048))
+def test_classify_equals_the_three_public_tests_exactly(data):
+    result = classify(_payload(data))
+    assert result.ascii_verdict == classify_ascii(data)
+    assert result.entropy_bits == shannon_entropy(data)
+    assert result.chi_squared == chi_squared(data)

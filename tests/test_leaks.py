@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medleak.classifiers import ClassificationResult, classify
+from medleak.config import parse_dictionary_text
 from medleak.corpus import deterministic_bytes
 from medleak.leaks import (
     Dictionary,
@@ -113,6 +114,16 @@ class TestDictionaryMatch:
         assert base <= result
 
 
+    def test_custom_entry_with_joiner_is_matched_in_normalized_space(self):
+        pii = parse_dictionary_text("user_id  # account key\n", "pii-fields")
+        assert pii.entries == frozenset({"user id"})
+        raw = b"POST /sync HTTP/1.1\r\n\r\nuser_id=42&weight=81.5"
+        findings = dictionary_match(tokenize(raw), [pii], packet_index=3, payload=raw)
+        assert [(f.category, f.matched_text) for f in findings] == [("dictionary-pii", "user id")]
+        assert "user id=42&weight" in findings[0].context
+        assert relocate(findings[0], raw)
+
+
 class TestScanBoundary:
     def test_rejects_tls_payload(self):
         payload = AppPayload(0, "outbound", (40000, 443), b"\x17\x03\x03\x00\x10" + b"\x00" * 16, "TCP")
@@ -178,6 +189,28 @@ class TestHttpLeakScan:
         findings = http_leak_scan(_request("/p", cookies=[("name", "alice")]), (), dictionaries=DICTS, payload=raw)
         assert [f.category for f in findings] == ["cookie-leak"]
         assert findings[0].severity == "warn"
+
+    def test_tokens_hitting_two_dictionaries_give_one_finding_each_in_dictionary_order(self):
+        medical = Dictionary("medical-terms", frozenset({"glucose", "insulin"}), "test")
+        pii = Dictionary("pii-fields", frozenset({"glucose", "insulin"}), "test")
+        raw = b"GET /m?glucose=glucose HTTP/1.1\r\nCookie: insulin=4\r\n\r\n"
+        message = _request("/m?glucose=glucose", cookies=[("insulin", "4")])
+        findings = http_leak_scan(message, (), dictionaries=[medical, pii], payload=raw)
+        expected = [
+            ("url-leak", "glucose", "high"),
+            ("url-leak", "glucose", "warn"),
+            ("cookie-leak", "insulin", "high"),
+            ("cookie-leak", "insulin", "warn"),
+        ]
+        assert [(f.category, f.matched_text, f.severity) for f in findings] == expected
+        # the report's sort key ties on these, so emission order is what lands in the report
+        ordered = sorted(findings, key=lambda f: (f.packet_index, f.category, f.matched_text))
+        assert [(f.category, f.severity) for f in ordered] == [
+            ("cookie-leak", "high"),
+            ("cookie-leak", "warn"),
+            ("url-leak", "high"),
+            ("url-leak", "warn"),
+        ]
 
     def test_vendor_identifier_from_url_when_host_clean(self):
         raw = b"GET /q?withings_mobile_app=ios_healthmate HTTP/1.1\r\nHost: proxy.example\r\n\r\n"

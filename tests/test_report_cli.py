@@ -6,7 +6,13 @@ import jsonschema
 import pytest
 
 from medleak.capture import parse_capture
-from medleak.cli import main
+from medleak.classifiers import (
+    DECISION_METHODS,
+    DEFAULT_CHI_THRESHOLD,
+    DEFAULT_ENTROPY_THRESHOLD,
+    ClassifierConfig,
+)
+from medleak.cli import _build_parser, main
 from medleak.config import (
     ConfigError,
     RunConfig,
@@ -228,6 +234,15 @@ class TestConfigFiles:
         by_name = {d.name: d for d in dictionaries}
         assert by_name["medical-terms"].entries == frozenset({"custom medical term"})
         assert by_name["first-names"].entries == frozenset({"zelda"})
+
+    def test_defaults_have_one_home(self):
+        assert RunConfig().classifier_config() == ClassifierConfig()
+        compare = _build_parser().parse_args(["compare-methods", "--seed", "0"])
+        assert compare.entropy_threshold == DEFAULT_ENTROPY_THRESHOLD
+        assert compare.chi_threshold == DEFAULT_CHI_THRESHOLD
+        for method in DECISION_METHODS:
+            args = ["analyze", "--capture", "x.pcap", "--decision-method", method]
+            assert _build_parser().parse_args(args).decision_method == method
 
     def test_missing_dict_dir_errors(self, tmp_path):
         with pytest.raises(ConfigError):
