@@ -33,6 +33,11 @@ _MAGICS = {
     b"\x4d\x3c\xb2\xa1": ("<", 1000),   # little-endian, nanoseconds
     b"\xa1\xb2\x3c\x4d": (">", 1000),   # big-endian, nanoseconds
 }
+# record header per byte order: ts_sec, ts_frac, incl_len, orig_len
+_RECORD_HEADERS = {endian: struct.Struct(endian + "IIII") for endian in "<>"}
+_PORTS = struct.Struct("!HH")
+_UDP_HEADER = struct.Struct("!HHH")  # src port, dst port, length
+
 
 class MalformedCapture(Exception):
     """The capture cannot be read at all (bad magic, truncated global header,
@@ -125,8 +130,8 @@ def _decode_ipv4(body: bytes) -> tuple[IpInfo, bytes] | None:
     # total_length bounds the datagram so Ethernet trailer padding is dropped
     end = min(total_len, len(body)) if total_len >= header_len else len(body)
     info = IpInfo(
-        src_addr=str(ipaddress.IPv4Address(body[12:16])),
-        dst_addr=str(ipaddress.IPv4Address(body[16:20])),
+        src_addr="%d.%d.%d.%d" % (body[12], body[13], body[14], body[15]),
+        dst_addr="%d.%d.%d.%d" % (body[16], body[17], body[18], body[19]),
         protocol=body[9],
     )
     return info, body[header_len:end]
@@ -154,12 +159,12 @@ def _decode_transport(protocol: int, segment: bytes) -> tuple[TransportInfo, byt
         data_offset = (segment[12] >> 4) * 4
         if data_offset < 20 or len(segment) < data_offset:
             return None
-        sport, dport = struct.unpack("!HH", segment[:4])
+        sport, dport = _PORTS.unpack_from(segment)
         return TransportInfo(sport, dport, "TCP"), segment[data_offset:]
     if protocol == 17:  # UDP
         if len(segment) < 8:
             return None
-        sport, dport, udp_len = struct.unpack("!HHH", segment[:6])
+        sport, dport, udp_len = _UDP_HEADER.unpack_from(segment)
         if udp_len < 8:
             return None
         return TransportInfo(sport, dport, "UDP"), segment[8 : min(udp_len, len(segment))]
@@ -229,6 +234,7 @@ def parse_capture(data: bytes) -> CaptureParse:
     if network != LINKTYPE_ETHERNET:
         raise MalformedCapture(f"unsupported link type {network} (only Ethernet is supported)")
 
+    record_header = _RECORD_HEADERS[endian]
     packets: list[RawPacket] = []
     warnings: list[str] = []
     offset = GLOBAL_HEADER_LEN
@@ -237,9 +243,7 @@ def parse_capture(data: bytes) -> CaptureParse:
         if offset + RECORD_HEADER_LEN > len(data):
             warnings.append(f"frame {index}: truncated record header at offset {offset}")
             break
-        ts_sec, ts_frac, incl_len, _ = struct.unpack(
-            endian + "IIII", data[offset : offset + RECORD_HEADER_LEN]
-        )
+        ts_sec, ts_frac, incl_len, _ = record_header.unpack_from(data, offset)
         offset += RECORD_HEADER_LEN
         if offset + incl_len > len(data):
             warnings.append(

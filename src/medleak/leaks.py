@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fnmatch import fnmatchcase
+from fnmatch import translate
+from functools import lru_cache
 
 from .classifiers import CLEARTEXT, ClassificationResult
 from .payload import AppPayload, HttpMessage, detect_tls
@@ -122,16 +123,17 @@ def tokenize(data: bytes) -> list[str]:
     tokens: list[str] = []
     for word in _WORD.findall(text):
         tokens.append(word)
-        if "_" in word or "-" in word:
+        # A _WORD match holds only [a-z0-9_-], so isalnum() means no joiner,
+        # and an all-letter or all-digit part is a single run.
+        if word.isalnum():
+            parts = (word,)
+        else:
             tokens.append(_JOINERS.sub(" ", word))
             parts = _JOINERS.split(word)
             tokens.extend(parts)
-        else:
-            parts = [word]
         for part in parts:
-            runs = _ALPHA_OR_DIGIT_RUN.findall(part)
-            if len(runs) > 1:
-                tokens.extend(runs)
+            if not (part.isalpha() or part.isdigit()):
+                tokens.extend(_ALPHA_OR_DIGIT_RUN.findall(part))
     return tokens
 
 
@@ -171,14 +173,19 @@ def _dictionary_hits(tokens: list[str], dictionaries: list[Dictionary]):
     """Yield each distinct (token, dictionary name) hit, dictionary by
     dictionary and in token order. Name matching skips tokens shorter than
     MIN_NAME_TOKEN_LEN."""
-    seen: set[tuple[str, str]] = set()
+    present = set(tokens)
+    yielded: dict[str, set[str]] = {}
     for dictionary in dictionaries:
+        hits = present.intersection(dictionary.entries)
+        if not hits:
+            continue
+        # two dictionaries may share a name; a token is yielded once per name
+        hits -= yielded.setdefault(dictionary.name, set())
         min_len = MIN_NAME_TOKEN_LEN if dictionary.name == "first-names" else 0
         for token in tokens:
-            if len(token) < min_len or token not in dictionary.entries:
-                continue
-            if (token, dictionary.name) not in seen:
-                seen.add((token, dictionary.name))
+            if token in hits and len(token) >= min_len:
+                hits.discard(token)
+                yielded[dictionary.name].add(token)
                 yield token, dictionary.name
 
 
@@ -193,10 +200,13 @@ def dictionary_match(
     Medical-term hits are high severity; name and PII hits warn. Name
     matching skips tokens shorter than MIN_NAME_TOKEN_LEN.
     """
+    hits = list(_dictionary_hits(tokens, dictionaries))
+    if not hits:
+        return []
     normalized = _normalized_payload(payload)
     return [
         _finding(packet_index, _CATEGORY_BY_DICT[name], _SEVERITY_BY_DICT[name], token, normalized)
-        for token, name in _dictionary_hits(tokens, dictionaries)
+        for token, name in hits
     ]
 
 
@@ -216,11 +226,22 @@ def scan_cleartext_payload(
     )
 
 
+@lru_cache(maxsize=16)
+def _vendor_regex(patterns: tuple[str, ...]) -> re.Pattern[str] | None:
+    """One compiled alternation of the lowercased shell patterns, or None for
+    no patterns (an empty alternation would match everything)."""
+    if not patterns:
+        return None
+    return re.compile("|".join(translate(pattern.lower()) for pattern in patterns))
+
+
 def matches_vendor(subject: str | None, vendor_patterns) -> bool:
+    """Case-insensitive shell-pattern match of a host or URL, as
+    ``fnmatchcase`` against any of the patterns."""
     if not subject:
         return False
-    lowered = subject.lower()
-    return any(fnmatchcase(lowered, pattern.lower()) for pattern in vendor_patterns)
+    regex = _vendor_regex(tuple(vendor_patterns))
+    return regex is not None and regex.match(subject.lower()) is not None
 
 
 def _query_keys(url: str) -> list[str]:
@@ -245,23 +266,18 @@ def http_leak_scan(
     - vendor-identifier: host or URL matches a vendor pattern
     - user-identifier: cookie/query key is a configured identifier key
     """
-    normalized = _normalized_payload(payload)
-    findings: list[LeakFinding] = []
-
-    def add(category: str, matched: str, severity: str) -> None:
-        findings.append(_finding(packet_index, category, severity, matched, normalized))
-
+    hits: list[tuple[str, str, str]] = []  # (category, matched text, severity)
     url = message.url or ""
     cookie_blob = " ".join(f"{k}={v}" for k, v in message.cookies)
     for category, text in (("url-leak", url), ("cookie-leak", cookie_blob)):
         if text:
             for token, name in _dictionary_hits(tokenize(text.encode("latin-1")), dictionaries):
-                add(category, token, _SEVERITY_BY_DICT[name])
+                hits.append((category, token, _SEVERITY_BY_DICT[name]))
 
     if matches_vendor(message.host, vendor_patterns):
-        add("vendor-identifier", message.host or "", SEVERITY_WARN)
+        hits.append(("vendor-identifier", message.host or "", SEVERITY_WARN))
     elif matches_vendor(url, vendor_patterns):
-        add("vendor-identifier", url, SEVERITY_WARN)
+        hits.append(("vendor-identifier", url, SEVERITY_WARN))
 
     candidate_keys = [key for key, _ in message.cookies] + _query_keys(url)
     reported: set[str] = set()
@@ -269,9 +285,15 @@ def http_leak_scan(
         lowered = key.lower()
         if lowered in identifier_keys and lowered not in reported:
             reported.add(lowered)
-            add("user-identifier", key, SEVERITY_WARN)
+            hits.append(("user-identifier", key, SEVERITY_WARN))
 
-    return findings
+    if not hits:
+        return []
+    normalized = _normalized_payload(payload)
+    return [
+        _finding(packet_index, category, severity, matched, normalized)
+        for category, matched, severity in hits
+    ]
 
 
 def image_get_signature(messages: list[TimedMessage], window_s: float = DEFAULT_IMAGE_WINDOW) -> list[LeakFinding]:
@@ -283,20 +305,25 @@ def image_get_signature(messages: list[TimedMessage], window_s: float = DEFAULT_
     """
     ordered = sorted(messages, key=lambda m: (m.timestamp, m.packet_index))
     findings: list[LeakFinding] = []
-    for position, timed in enumerate(ordered):
+    # Timestamp of the latest earlier outbound or vendor message. The list is
+    # time-sorted and subtraction is monotone, so if any earlier such message
+    # lies within the window, this one does.
+    latest: float | None = None
+    for timed in ordered:
         message = timed.message
-        if not (timed.outbound and message.kind == "request" and message.method == "GET"):
-            continue
-        path = (message.url or "").split("?", 1)[0]
-        if not path.lower().endswith(IMAGE_EXTENSIONS):
-            continue
-        preceded = any(
-            (prior.outbound or prior.vendor_endpoint)
-            and timed.timestamp - prior.timestamp <= window_s
-            for prior in ordered[:position]
-        )
-        if not preceded:
-            continue
-        normalized = _normalized_payload(timed.payload)
-        findings.append(_finding(timed.packet_index, "image-get-signature", SEVERITY_WARN, path, normalized))
+        if (
+            latest is not None
+            and timed.outbound
+            and message.kind == "request"
+            and message.method == "GET"
+            and timed.timestamp - latest <= window_s
+        ):
+            path = (message.url or "").split("?", 1)[0]
+            if path.lower().endswith(IMAGE_EXTENSIONS):
+                normalized = _normalized_payload(timed.payload)
+                findings.append(
+                    _finding(timed.packet_index, "image-get-signature", SEVERITY_WARN, path, normalized)
+                )
+        if timed.outbound or timed.vendor_endpoint:
+            latest = timed.timestamp
     return findings

@@ -138,6 +138,8 @@ def _parse_dns_response(data: bytes) -> dict[str, str]:
         if offset + 10 > len(data):
             break
         rtype, _, _, rdlength = struct.unpack("!HHIH", data[offset : offset + 10])
+        if offset + 10 + rdlength > len(data):
+            break  # rdata cut off (e.g. by the snap length)
         offset += 10
         rdata = data[offset : offset + rdlength]
         offset += rdlength

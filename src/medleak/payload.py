@@ -14,6 +14,9 @@ HTTP_METHODS = ("GET", "POST", "PUT", "DELETE", "HEAD", "OPTIONS", "PATCH", "TRA
 
 _REQUEST_LINE = re.compile(r"^(%s) (\S+) HTTP/" % "|".join(HTTP_METHODS))
 _STATUS_LINE = re.compile(r"^HTTP/\S+ (\d{3})(?: |$)")
+# Both start-line patterns are anchored, so a payload can match one only if
+# it begins with one of these byte strings.
+_START_LINE_PREFIXES = tuple(f"{method} ".encode() for method in HTTP_METHODS) + (b"HTTP/",)
 _LINE_SPLIT = re.compile(r"\r\n|\n")
 _HEADERISH_LINE = re.compile(r"^[A-Za-z][A-Za-z0-9-]*:\s")
 
@@ -107,6 +110,8 @@ def parse_http(payload: AppPayload) -> HttpMessage | None:
     malformed header lines are skipped instead of rejecting the message.
     Only the first segment of a message is seen (no reassembly).
     """
+    if not payload.data.startswith(_START_LINE_PREFIXES):
+        return None
     text = payload.data.decode("latin-1")
     lines = _LINE_SPLIT.split(text)
     first = lines[0] if lines else ""

@@ -21,6 +21,8 @@ from medleak.capture import (
 from medleak.corpus import generate_random_capture, reserialize
 from medleak.payload import extract_payloads
 
+from _oracles import ipv4_oracle
+
 DEV_MAC = bytes.fromhex("0024e41b2031")
 AP_MAC = bytes.fromhex("b827eb5a1004")
 
@@ -82,6 +84,14 @@ def test_parse_three_hand_built_frames(three_frame_capture):
 
     assert third.transport.dst_port == 8080
     assert len(third.payload) == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(min_size=4, max_size=4), st.binary(min_size=4, max_size=4))
+def test_ipv4_addresses_format_as_ipaddress_does(src_ip, dst_ip):
+    frame = _tcp_frame_by_hand(DEV_MAC, AP_MAC, src_ip, dst_ip, 1, 2, b"x")
+    (packet,) = parse_capture(_global_header(b"\xd4\xc3\xb2\xa1") + _record(1, 0, frame)).packets
+    assert (packet.ip.src_addr, packet.ip.dst_addr) == (ipv4_oracle(src_ip), ipv4_oracle(dst_ip))
 
 
 def test_truncated_second_frame_yields_one_packet_one_warning(three_frame_capture):

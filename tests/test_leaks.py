@@ -9,17 +9,22 @@ from medleak.classifiers import ClassificationResult, classify
 from medleak.config import parse_dictionary_text
 from medleak.corpus import deterministic_bytes
 from medleak.leaks import (
+    DICTIONARY_NAMES,
     Dictionary,
     LeakFinding,
     TimedMessage,
+    _dictionary_hits,
     dictionary_match,
     http_leak_scan,
     image_get_signature,
+    matches_vendor,
     relocate,
     scan_cleartext_payload,
     tokenize,
 )
 from medleak.payload import AppPayload, HttpMessage
+
+from _oracles import dictionary_hits_oracle, image_get_signature_oracle, matches_vendor_oracle, tokenize_oracle
 
 MEDICAL = Dictionary("medical-terms", frozenset({"blood pressure", "heart pulse", "glucose"}), "test")
 NAMES = Dictionary("first-names", frozenset({"alice", "bob", "amy"}), "test")
@@ -49,6 +54,12 @@ class TestTokenize:
     def test_tokens_are_lowercase(self):
         assert all(t == t.lower() for t in tokenize(b"MiXeD CaSe TEXT_here"))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="aZk09_- .=&\r\n\xe9\xc9\xff", max_size=60))
+    def test_equals_the_unshortcut_loop(self, text):
+        data = text.encode("latin-1")
+        assert tokenize(data) == tokenize_oracle(data)
+
 
 class TestDictionaryValidation:
     def test_unknown_name_rejected(self):
@@ -66,6 +77,9 @@ class TestDictionaryValidation:
     def test_padded_entry_rejected(self):
         with pytest.raises(ValueError):
             Dictionary("medical-terms", frozenset({" asthma"}))
+
+
+_VOCABULARY = ("al", "amy", "alice", "bob", "glucose", "ssn", "x", "blood pressure", "heart")
 
 
 class TestDictionaryMatch:
@@ -113,6 +127,17 @@ class TestDictionaryMatch:
         result = {(f.category, f.matched_text) for f in dictionary_match(tokens, [grown], payload=data)}
         assert base <= result
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(_VOCABULARY), max_size=12),
+        st.lists(
+            st.tuples(st.sampled_from(DICTIONARY_NAMES), st.sets(st.sampled_from(_VOCABULARY), min_size=1)),
+            max_size=4,
+        ),
+    )
+    def test_hits_equal_the_per_dictionary_lookup(self, tokens, specs):
+        dictionaries = [Dictionary(name, frozenset(entries)) for name, entries in specs]
+        assert list(_dictionary_hits(tokens, dictionaries)) == dictionary_hits_oracle(tokens, dictionaries)
 
     def test_custom_entry_with_joiner_is_matched_in_normalized_space(self):
         pii = parse_dictionary_text("user_id  # account key\n", "pii-fields")
@@ -219,6 +244,42 @@ class TestHttpLeakScan:
         assert [f.category for f in findings] == ["vendor-identifier"]
 
 
+class TestMatchesVendor:
+    def test_no_patterns_match_nothing(self):
+        assert matches_vendor("api.vendor.example", ()) is False
+        assert matches_vendor("", ()) is False
+
+    def test_patterns_may_be_a_list(self):
+        assert matches_vendor("API.Vendor.example", ["*.other.example", "*vendor*"]) is True
+        assert matches_vendor("api.other.net", ["*.other.example", "*vendor*"]) is False
+
+    @pytest.mark.parametrize(
+        "subject, pattern, expected",
+        [
+            ("axbyc", "a*b*c", True),
+            ("axyc", "a*b*c", False),
+            ("xaxbyc", "a*b*c", False),
+            ("scale1.example", "scale?.example", True),
+            ("scale12.example", "scale?.example", False),
+            ("scale7.example", "scale[0-9].example", True),
+            ("scalex.example", "scale[0-9].example", False),
+            ("scalex.example", "scale[!0-9].example", True),
+            ("Scale.Example", "SCALE.*", True),
+        ],
+    )
+    def test_wildcards_match_as_fnmatch(self, subject, pattern, expected):
+        assert matches_vendor(subject, (pattern,)) is expected
+        assert matches_vendor_oracle(subject, (pattern,)) is expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.none(), st.text(alphabet="aB.-x1", max_size=8)),
+        st.lists(st.text(alphabet="aB.*?[]!-x1", max_size=6), max_size=4),
+    )
+    def test_equals_fnmatchcase_over_each_pattern(self, subject, patterns):
+        assert matches_vendor(subject, patterns) == matches_vendor_oracle(subject, patterns)
+
+
 class TestImageGetSignature:
     def _timed(self, t, index, method, url, outbound=True, vendor=False):
         raw = f"{method} {url} HTTP/1.1\r\n\r\n".encode()
@@ -265,6 +326,26 @@ class TestImageGetSignature:
             self._timed(11.0, 2, "GET", "/img/photo.jpeg?cache=1"),
         ]
         assert len(image_get_signature(messages)) == 1
+
+
+_TIMED = st.builds(
+    lambda t, index, method, url, outbound, vendor: TimedMessage(
+        t, index, HttpMessage(kind="request", method=method, url=url),
+        outbound=outbound, vendor_endpoint=vendor, payload=f"{method} {url} HTTP/1.1".encode(),
+    ),
+    st.one_of(st.integers(0, 60).map(float), st.floats(0, 60)),
+    st.integers(0, 5),
+    st.sampled_from(("GET", "POST")),
+    st.sampled_from(("/a.jpg", "/b.PNG?x=1", "/c.txt", "/d")),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TIMED, max_size=12), st.sampled_from((0.0, 1.0, 5.0, 30.0)))
+def test_image_get_signature_equals_the_scan_of_every_earlier_message(messages, window_s):
+    assert image_get_signature(messages, window_s) == image_get_signature_oracle(messages, window_s)
 
 
 def test_bundled_dictionaries_cover_spec_anchors(dictionaries):

@@ -1,5 +1,8 @@
 """Activity segmentation, endpoint profiling, DNS extraction, periodicity."""
 
+import ipaddress
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,6 +167,27 @@ class TestDnsExtraction:
         frame = udp_frame(DEV, AP, "192.168.4.21", "192.168.4.1", 9999, 9999, b"\x00" * 30)
         packets = parse_capture(write_pcap([(1_000_000, frame)])).packets
         assert extract_dns_answers(packets) == {}
+
+    @staticmethod
+    def _answers(payload):
+        frame = udp_frame(AP, DEV, "192.168.4.1", "192.168.4.21", 53, 42333, payload)
+        return extract_dns_answers(parse_capture(write_pcap([(1_000_000, frame)])).packets)
+
+    def test_truncated_a_answer_is_skipped_and_earlier_answers_kept(self):
+        payload = dns_response_payload(7, "multi.example", ["198.51.100.1", "198.51.100.2"])
+        assert self._answers(payload[:-2]) == {"198.51.100.1": "multi.example"}
+        assert self._answers(dns_response_payload(7, "one.example", ["198.51.100.1"])[:-2]) == {}
+
+    def test_truncated_aaaa_answer_is_skipped_and_earlier_answers_kept(self):
+        question = b"\x02v6\x07example\x00" + struct.pack("!HH", 28, 1)
+        answers = b"".join(
+            struct.pack("!HHHIH", 0xC00C, 28, 1, 300, 16) + ipaddress.IPv6Address(address).packed
+            for address in ("2001:db8::1", "2001:db8::2")
+        )
+        for count, body in ((1, answers[:22]), (2, answers[:-6])):
+            payload = struct.pack("!HHHHHH", 7, 0x8180, 1, count, 0, 0) + question + body
+            expected = {} if count == 1 else {"2001:db8::1": "v6.example"}
+            assert self._answers(payload) == expected
 
     def test_multiple_answers(self):
         payload = dns_response_payload(7, "multi.example", ["198.51.100.1", "198.51.100.2"])

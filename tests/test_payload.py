@@ -6,6 +6,11 @@ from hypothesis import strategies as st
 
 from medleak.capture import DeviceStream, IpInfo, RawPacket, TransportInfo
 from medleak.payload import (
+    _LINE_SPLIT,
+    _REQUEST_LINE,
+    _START_LINE_PREFIXES,
+    _STATUS_LINE,
+    HTTP_METHODS,
     AppPayload,
     HttpMessage,
     detect_tls,
@@ -165,6 +170,31 @@ class TestParseHttp:
         serialized += "\r\n"
         reparsed = parse_http(_payload(serialized.encode("latin-1")))
         assert reparsed == message
+
+
+_NON_SPACE = st.text(st.characters(min_codepoint=0x21, max_codepoint=0xFF), min_size=1, max_size=8)
+_START_LINE = st.one_of(
+    st.builds(lambda m, url: f"{m} {url} HTTP/1.1", st.sampled_from(HTTP_METHODS), _NON_SPACE),
+    st.builds(lambda v, code: f"HTTP/{v} {code:03d} OK", _NON_SPACE, st.integers(0, 999)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=40),
+        st.tuples(_START_LINE, st.sampled_from(("\r\n", "\n", "")), st.binary(max_size=20)).map(
+            lambda t: (t[0] + t[1]).encode("latin-1") + t[2]
+        ),
+    )
+)
+def test_start_line_gate_never_rejects_a_start_line(data):
+    """parse_http rejects anything that does not start with one of the
+    prefixes; that is exact only if every start line the two regexes accept
+    starts with one."""
+    first = _LINE_SPLIT.split(data.decode("latin-1"))[0]
+    if _REQUEST_LINE.match(first) or _STATUS_LINE.match(first):
+        assert data.startswith(_START_LINE_PREFIXES)
 
 
 class TestContinuationHeuristic:

@@ -22,9 +22,11 @@ from medleak.config import (
 )
 from medleak.corpus import (
     build_fixture_capture,
+    dns_response_payload,
     fixture_registry,
     generate_random_capture,
     tcp_frame,
+    udp_frame,
     write_pcap,
 )
 from medleak.leaks import relocate
@@ -287,6 +289,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2
         assert "LEAK" in captured.out
+
+    def test_truncated_dns_answer_still_gives_a_report(self, tmp_path):
+        dev, ap = "00:24:e4:1b:20:31", "b8:27:eb:5a:10:04"
+        cut_answer = dns_response_payload(7, "one.example", ["198.51.100.1"])[:-2]
+        frames = [
+            udp_frame(ap, dev, "192.168.4.1", "192.168.4.21", 53, 42333, cut_answer),
+            tcp_frame(dev, ap, "192.168.4.21", "198.51.100.1", 40000, 80, b"GET / HTTP/1.1\r\n\r\n"),
+        ]
+        capture = tmp_path / "cut-dns.pcap"
+        capture.write_bytes(write_pcap([(1_000_000 + i, frame) for i, frame in enumerate(frames)]))
+        registry = tmp_path / "reg.conf"
+        registry.write_text(f"[devices]\n{dev} = monitor\n")
+        out = tmp_path / "report.json"
+        code = main(["analyze", "--capture", str(capture), "--registry", str(registry), "--out", str(out)])
+        assert code != 3
+        doc = json.loads(out.read_text())
+        assert [d["device_id"] for d in doc["devices"]] == ["monitor"]
 
     def test_missing_capture_file_is_operational_error(self, tmp_path, capsys):
         registry = tmp_path / "reg.conf"
