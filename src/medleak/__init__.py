@@ -5,7 +5,7 @@ content, vendor and user identifiers, image-GET signatures) and profiles
 traffic metadata (activity periods, endpoints, periodicity) per device.
 """
 
-from .capture import DeviceStream, MalformedCapture, RawPacket, parse_capture, parse_capture_file, split_by_device
+from .capture import DeviceStream, MalformedCapture, RawPacket, parse_capture, split_by_device
 from .classifiers import (
     ClassificationResult,
     ClassifierConfig,

@@ -17,7 +17,6 @@ log = logging.getLogger(__name__)
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_IPV6 = 0x86DD
-ETHERTYPE_ARP = 0x0806
 
 LINKTYPE_ETHERNET = 1
 
@@ -264,11 +263,6 @@ def parse_capture(data: bytes) -> CaptureParse:
 
     packets.sort(key=lambda p: p.timestamp_us)  # stable: capture order kept on ties
     return CaptureParse(packets=packets, warnings=warnings)
-
-
-def parse_capture_file(path) -> CaptureParse:
-    with open(path, "rb") as fh:
-        return parse_capture(fh.read())
 
 
 def split_by_device(

@@ -52,8 +52,8 @@ class RunConfig:
 
     def validate(self) -> None:
         for name in ("entropy_threshold", "chi_threshold", "min_stat_len", "gap_threshold", "image_window"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise ConfigError(f"{name} must be a positive number")
         if self.decision_method not in DECISION_METHODS:
             raise ConfigError(
                 f"unknown decision method {self.decision_method!r} (expected one of {DECISION_METHODS})"
@@ -146,7 +146,7 @@ def save_registry(registry: dict[str, str], path) -> None:
         parser.write(fh)
 
 
-def parse_dictionary_text(text: str, name: str, source_note: str = "") -> Dictionary:
+def parse_dictionary_text(text: str, name: str) -> Dictionary:
     entries = set()
     for line in text.splitlines():
         # entries live in the same normalized space as the text they match
@@ -155,33 +155,23 @@ def parse_dictionary_text(text: str, name: str, source_note: str = "") -> Dictio
             entries.add(line)
     if not entries:
         raise ConfigError(f"dictionary {name!r} has no entries")
-    return Dictionary(name=name, entries=frozenset(entries), source_note=source_note)
-
-
-def load_dictionary(path, name: str) -> Dictionary:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read dictionary {path}: {exc}") from None
-    return parse_dictionary_text(text, name, source_note=str(path))
+    return Dictionary(name=name, entries=frozenset(entries))
 
 
 def load_dictionaries(dict_dir: Path | None = None) -> list[Dictionary]:
     """Load the three dictionaries from dict_dir, $MEDLEAK_DICT_DIR, or the
     bundled data files, in that order of preference."""
     if dict_dir is None:
-        env = os.environ.get(ENV_DICT_DIR, "").strip()
-        if env:
-            dict_dir = Path(env)
-    if dict_dir is not None:
-        return [load_dictionary(Path(dict_dir) / filename, name) for name, filename in DICTIONARY_FILES.items()]
-    data = resources.files("medleak") / "data"
-    return [
-        parse_dictionary_text(
-            (data / filename).read_text(encoding="utf-8"), name, source_note=f"bundled:{filename}"
-        )
-        for name, filename in DICTIONARY_FILES.items()
-    ]
+        dict_dir = os.environ.get(ENV_DICT_DIR, "").strip() or None
+    root = Path(dict_dir) if dict_dir is not None else resources.files("medleak") / "data"
+    dictionaries = []
+    for name, filename in DICTIONARY_FILES.items():
+        try:
+            text = (root / filename).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read dictionary {root / filename}: {exc}") from None
+        dictionaries.append(parse_dictionary_text(text, name))
+    return dictionaries
 
 
 def merge_cli_overrides(config: RunConfig, **overrides) -> RunConfig:

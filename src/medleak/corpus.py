@@ -52,6 +52,10 @@ class InvalidCorpusSpec(ValueError):
     pass
 
 
+class MalformedCorpus(ValueError):
+    """A saved corpus line that is not a valid labeled-payload record."""
+
+
 @dataclass(frozen=True)
 class LabeledPayload:
     data: bytes
@@ -244,18 +248,27 @@ def load_corpus(path) -> list[LabeledPayload]:
         path = path / "corpus.jsonl"
     items: list[LabeledPayload] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            items.append(
-                LabeledPayload(
-                    data=base64.b64decode(obj["data_b64"]),
-                    label=obj["label"],
-                    generator_note=obj.get("generator_note", ""),
-                    seed_record=int(obj.get("seed_record", 0)),
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("record is not a JSON object")
+                if obj["label"] not in (CLEARTEXT, ENCRYPTED):
+                    raise ValueError(f"unknown label {obj['label']!r}")
+                items.append(
+                    LabeledPayload(
+                        data=base64.b64decode(obj["data_b64"], validate=True),
+                        label=obj["label"],
+                        generator_note=obj.get("generator_note", ""),
+                        seed_record=int(obj.get("seed_record", 0)),
+                    )
                 )
-            )
+            except KeyError as exc:
+                raise MalformedCorpus(f"{path}:{line_number}: missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise MalformedCorpus(f"{path}:{line_number}: {exc}") from None
     return items
 
 

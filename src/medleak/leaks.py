@@ -18,20 +18,8 @@ from .payload import AppPayload, HttpMessage, detect_tls
 
 DICTIONARY_NAMES = ("medical-terms", "first-names", "pii-fields")
 
-SEVERITY_INFO = "info"
 SEVERITY_WARN = "warn"
 SEVERITY_HIGH = "high"
-
-CATEGORIES = (
-    "dictionary-medical",
-    "dictionary-name",
-    "dictionary-pii",
-    "url-leak",
-    "cookie-leak",
-    "vendor-identifier",
-    "image-get-signature",
-    "user-identifier",
-)
 
 DEFAULT_IDENTIFIER_KEYS = frozenset({"current_user", "userid", "uid"})
 IMAGE_EXTENSIONS = (".jpg", ".jpeg", ".png", ".gif")
@@ -64,7 +52,6 @@ class Dictionary:
 
     name: str
     entries: frozenset[str]
-    source_note: str = ""
 
     def __post_init__(self) -> None:
         if self.name not in DICTIONARY_NAMES:

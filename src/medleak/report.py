@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 from .capture import DeviceStream, parse_capture, split_by_device
@@ -77,6 +78,9 @@ class AnalysisResult:
         return EXIT_OK
 
 
+_finding_order = attrgetter("packet_index", "category", "matched_text")
+
+
 def _status(findings: list[LeakFinding]) -> str:
     if any(f.severity == SEVERITY_HIGH for f in findings):
         return STATUS_LEAK
@@ -142,7 +146,7 @@ def analyze_stream(
         )
 
     findings.extend(image_get_signature(timed_messages, config.image_window))
-    findings.sort(key=lambda f: (f.packet_index, f.category, f.matched_text))
+    findings.sort(key=_finding_order)
 
     if continuation_count:
         log.info(
@@ -195,62 +199,36 @@ def analyze(captures, config: RunConfig) -> AnalysisResult:
 
 # --- rendering -----------------------------------------------------------------
 
-def _finding_dict(finding: LeakFinding) -> dict:
-    return {
-        "packet_index": finding.packet_index,
-        "category": finding.category,
-        "severity": finding.severity,
-        "matched_text": finding.matched_text,
-        "context": finding.context,
-    }
+# Scalar JSON keys in output order, read by render and reports_from_json; a device's
+# are followed by findings, activity, endpoints and periodicity, a period's by its
+# endpoints. EndpointProfile and PeriodicityHint declare their fields in key order.
+DEVICE_KEYS = (
+    "capture", "device_id", "mac", "status", "packet_count", "payload_count",
+    "cleartext_count", "tls_count", "encrypted_count", "indeterminate_count",
+)
+FINDING_KEYS = ("packet_index", "category", "severity", "matched_text", "context")
+PERIOD_KEYS = ("start", "end", "packet_count", "bytes_total")
+ENDPOINT_KEYS = tuple(f.name for f in fields(EndpointProfile))
+PERIODICITY_KEYS = tuple(f.name for f in fields(PeriodicityHint))
+
+
+def _attrs(record, keys) -> dict:
+    return {key: getattr(record, key) for key in keys}
 
 
 def _period_dict(period: ActivityPeriod) -> dict:
-    return {
-        "start": period.start,
-        "end": period.end,
-        "packet_count": period.packet_count,
-        "bytes_total": period.bytes_total,
-        "endpoints": [
-            [address, hostname]
-            for address, hostname in sorted(period.endpoints, key=lambda e: (e[0], e[1] or ""))
-        ],
-    }
-
-
-def _endpoint_dict(profile: EndpointProfile) -> dict:
-    return {
-        "address": profile.address,
-        "hostname": profile.hostname,
-        "packet_count": profile.packet_count,
-        "vendor_flag": profile.vendor_flag,
-    }
+    doc = _attrs(period, PERIOD_KEYS)
+    doc["endpoints"] = [list(e) for e in sorted(period.endpoints, key=lambda e: (e[0], e[1] or ""))]
+    return doc
 
 
 def _device_dict(report: DeviceReport) -> dict:
-    return {
-        "capture": report.capture,
-        "device_id": report.device_id,
-        "mac": report.mac,
-        "status": report.status,
-        "packet_count": report.packet_count,
-        "payload_count": report.payload_count,
-        "cleartext_count": report.cleartext_count,
-        "tls_count": report.tls_count,
-        "encrypted_count": report.encrypted_count,
-        "indeterminate_count": report.indeterminate_count,
-        "findings": [
-            _finding_dict(f)
-            for f in sorted(report.findings, key=lambda f: (f.packet_index, f.category, f.matched_text))
-        ],
-        "activity": [_period_dict(p) for p in report.activity],
-        "endpoints": [_endpoint_dict(e) for e in sorted(report.endpoints, key=lambda e: e.address)],
-        "periodicity": (
-            {"median_interval": report.periodicity.median_interval, "dispersion": report.periodicity.dispersion}
-            if report.periodicity
-            else None
-        ),
-    }
+    doc = _attrs(report, DEVICE_KEYS)
+    doc["findings"] = [_attrs(f, FINDING_KEYS) for f in sorted(report.findings, key=_finding_order)]
+    doc["activity"] = [_period_dict(p) for p in report.activity]
+    doc["endpoints"] = [_attrs(e, ENDPOINT_KEYS) for e in sorted(report.endpoints, key=lambda e: e.address)]
+    doc["periodicity"] = _attrs(report.periodicity, PERIODICITY_KEYS) if report.periodicity else None
+    return doc
 
 
 def render(reports: list[DeviceReport], format: str = "json") -> bytes:
@@ -266,10 +244,8 @@ def render(reports: list[DeviceReport], format: str = "json") -> bytes:
 
 
 def _render_text(reports: list[DeviceReport]) -> str:
-    lines = []
     header = f"{'CAPTURE':<20} {'DEVICE':<14} {'MAC':<18} {'STATUS':<6} {'PKTS':>5} {'CLEAR':>5} {'TLS':>4} {'FINDINGS':>8}"
-    lines.append(header)
-    lines.append("-" * len(header))
+    lines = [header, "-" * len(header)]
     for r in reports:
         lines.append(
             f"{r.capture:<20} {r.device_id:<14} {r.mac:<18} {r.status:<6} "
@@ -282,63 +258,26 @@ def _render_text(reports: list[DeviceReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _items(doc: dict, keys) -> dict:
+    return {key: doc[key] for key in keys}
+
+
 def reports_from_json(data: bytes | str | dict) -> list[DeviceReport]:
     """Rebuild DeviceReports from rendered JSON (render -> parse -> render
     must be byte-identical)."""
     doc = json.loads(data) if not isinstance(data, dict) else data
-    reports: list[DeviceReport] = []
-    for device in doc.get("devices", []):
-        periodicity = device.get("periodicity")
-        reports.append(
-            DeviceReport(
-                capture=device["capture"],
-                device_id=device["device_id"],
-                mac=device["mac"],
-                packet_count=device["packet_count"],
-                payload_count=device["payload_count"],
-                cleartext_count=device["cleartext_count"],
-                tls_count=device["tls_count"],
-                encrypted_count=device["encrypted_count"],
-                indeterminate_count=device["indeterminate_count"],
-                findings=[
-                    LeakFinding(
-                        packet_index=f["packet_index"],
-                        category=f["category"],
-                        matched_text=f["matched_text"],
-                        context=f["context"],
-                        severity=f["severity"],
-                    )
-                    for f in device["findings"]
-                ],
-                activity=[
-                    ActivityPeriod(
-                        device_id=device["device_id"],
-                        start=p["start"],
-                        end=p["end"],
-                        packet_count=p["packet_count"],
-                        bytes_total=p["bytes_total"],
-                        endpoints={(a, h) for a, h in p["endpoints"]},
-                    )
-                    for p in device["activity"]
-                ],
-                endpoints=[
-                    EndpointProfile(
-                        address=e["address"],
-                        hostname=e["hostname"],
-                        packet_count=e["packet_count"],
-                        vendor_flag=e["vendor_flag"],
-                    )
-                    for e in device["endpoints"]
-                ],
-                periodicity=(
-                    PeriodicityHint(
-                        median_interval=periodicity["median_interval"],
-                        dispersion=periodicity["dispersion"],
-                    )
-                    if periodicity
-                    else None
-                ),
-                status=device["status"],
-            )
+    return [
+        DeviceReport(
+            **_items(device, DEVICE_KEYS),
+            findings=[LeakFinding(**_items(f, FINDING_KEYS)) for f in device["findings"]],
+            activity=[
+                ActivityPeriod(device["device_id"], **_items(p, PERIOD_KEYS), endpoints={(a, h) for a, h in p["endpoints"]})
+                for p in device["activity"]
+            ],
+            endpoints=[EndpointProfile(**_items(e, ENDPOINT_KEYS)) for e in device["endpoints"]],
+            periodicity=(
+                PeriodicityHint(**_items(device["periodicity"], PERIODICITY_KEYS)) if device.get("periodicity") else None
+            ),
         )
-    return reports
+        for device in doc.get("devices", [])
+    ]

@@ -8,6 +8,7 @@ from medleak.corpus import (
     SCENARIOS,
     CorpusSpec,
     InvalidCorpusSpec,
+    MalformedCorpus,
     build_fixture_capture,
     deterministic_bytes,
     fixture_registry,
@@ -66,6 +67,21 @@ class TestGenerateCorpus:
         assert path.name == "corpus.jsonl"
         assert load_corpus(tmp_path / "corpus") == items
         assert load_corpus(path) == items
+
+    @pytest.mark.parametrize("record, reason", [
+        ('{"label": "cleartext", "generator_note": "x"}', "missing key 'data_b64'"),
+        ('{"data_b64": "aGk="}', "missing key 'label'"),
+        ('{"label": "cleartext", "data_b64": "aGk"}', "padding"),
+        ('{"label": "cleartext", "data_b64": "a$Gk="}', "base64"),
+        ('{"label": "Cleartext", "data_b64": "aGk="}', "unknown label 'Cleartext'"),
+        ('["cleartext", "aGk="]', "not a JSON object"),
+        ("{not json", "Expecting"),
+    ])
+    def test_malformed_record_names_its_line(self, tmp_path, record, reason):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"label": "encrypted", "data_b64": "aGk="}\n\n' + record + "\n")
+        with pytest.raises(MalformedCorpus, match=f"corpus.jsonl:3: .*{reason}"):
+            load_corpus(path)
 
 
 class TestDeterministicBytes:

@@ -26,9 +26,9 @@ from medleak.payload import AppPayload, HttpMessage
 
 from _oracles import dictionary_hits_oracle, image_get_signature_oracle, matches_vendor_oracle, tokenize_oracle
 
-MEDICAL = Dictionary("medical-terms", frozenset({"blood pressure", "heart pulse", "glucose"}), "test")
-NAMES = Dictionary("first-names", frozenset({"alice", "bob", "amy"}), "test")
-PII = Dictionary("pii-fields", frozenset({"passport", "user id", "ssn"}), "test")
+MEDICAL = Dictionary("medical-terms", frozenset({"blood pressure", "heart pulse", "glucose"}))
+NAMES = Dictionary("first-names", frozenset({"alice", "bob", "amy"}))
+PII = Dictionary("pii-fields", frozenset({"passport", "user id", "ssn"}))
 DICTS = [MEDICAL, NAMES, PII]
 
 
@@ -102,7 +102,7 @@ class TestDictionaryMatch:
         assert dictionary_match([], DICTS) == []
 
     def test_short_tokens_do_not_match_names(self):
-        short_names = Dictionary("first-names", frozenset({"al", "jo", "amy"}), "test")
+        short_names = Dictionary("first-names", frozenset({"al", "jo", "amy"}))
         findings = dictionary_match(["al", "jo", "amy"], [short_names])
         assert {f.matched_text for f in findings} == {"amy"}
 
@@ -123,7 +123,7 @@ class TestDictionaryMatch:
         data = b"glucose level for alice, passport on file"
         tokens = tokenize(data)
         base = {(f.category, f.matched_text) for f in dictionary_match(tokens, [MEDICAL], payload=data)}
-        grown = Dictionary("medical-terms", MEDICAL.entries | frozenset(extra), "test")
+        grown = Dictionary("medical-terms", MEDICAL.entries | frozenset(extra))
         result = {(f.category, f.matched_text) for f in dictionary_match(tokens, [grown], payload=data)}
         assert base <= result
 
@@ -216,8 +216,8 @@ class TestHttpLeakScan:
         assert findings[0].severity == "warn"
 
     def test_tokens_hitting_two_dictionaries_give_one_finding_each_in_dictionary_order(self):
-        medical = Dictionary("medical-terms", frozenset({"glucose", "insulin"}), "test")
-        pii = Dictionary("pii-fields", frozenset({"glucose", "insulin"}), "test")
+        medical = Dictionary("medical-terms", frozenset({"glucose", "insulin"}))
+        pii = Dictionary("pii-fields", frozenset({"glucose", "insulin"}))
         raw = b"GET /m?glucose=glucose HTTP/1.1\r\nCookie: insulin=4\r\n\r\n"
         message = _request("/m?glucose=glucose", cookies=[("insulin", "4")])
         findings = http_leak_scan(message, (), dictionaries=[medical, pii], payload=raw)

@@ -30,7 +30,17 @@ from medleak.corpus import (
     write_pcap,
 )
 from medleak.leaks import relocate
-from medleak.report import analyze, render, reports_from_json
+from medleak.metadata import PeriodicityHint
+from medleak.report import (
+    DEVICE_KEYS,
+    ENDPOINT_KEYS,
+    FINDING_KEYS,
+    PERIOD_KEYS,
+    PERIODICITY_KEYS,
+    analyze,
+    render,
+    reports_from_json,
+)
 
 
 def _config(scenario):
@@ -134,11 +144,51 @@ class TestRender:
     def test_empty_reports_render_exact_json(self):
         assert render([], "json").rstrip(b"\n") == b'{"schema":1,"devices":[]}'
 
-    def test_round_trip_is_byte_identical(self, fixture_results):
-        reports = fixture_results["mixed-home"].reports
+    @staticmethod
+    def _assert_round_trip(reports):
         first = render(reports, "json")
-        second = render(reports_from_json(first), "json")
-        assert first == second
+        parsed = reports_from_json(first)
+        assert render(parsed, "json") == first
+        assert {r.mac: r.periodicity for r in parsed} == {r.mac: r.periodicity for r in reports}
+
+    def test_round_trip_is_byte_identical(self, fixture_results):
+        for result in fixture_results.values():
+            self._assert_round_trip(result.reports)
+        # the bp monitor's daily uploads give the one non-null periodicity
+        assert all(isinstance(r.periodicity, PeriodicityHint) for r in fixture_results["bp-monitor-leaky"].reports)
+
+    def test_round_trip_is_byte_identical_for_random_captures(self, tmp_path):
+        for seed in range(10):
+            data, registry = generate_random_capture(seed)
+            path = tmp_path / f"random_{seed}.pcap"
+            path.write_bytes(data)
+            self._assert_round_trip(analyze([path], RunConfig(registry=registry)).reports)
+
+    def test_parse_requires_every_key_and_ignores_extra_ones(self, fixture_results):
+        doc = json.loads(render(fixture_results["bp-monitor-leaky"].reports))
+        device = doc["devices"][0]
+        records = (device, device["findings"][0], device["activity"][0], device["endpoints"][0])
+        for record in (*records, device["periodicity"]):
+            record["extra"] = 1
+        assert render(reports_from_json(doc)) == render(fixture_results["bp-monitor-leaky"].reports)
+        for record in (*records, device["periodicity"]):
+            for key in [k for k in record if k not in ("extra", "periodicity")]:
+                value = record.pop(key)
+                with pytest.raises(KeyError):
+                    reports_from_json(doc)
+                record[key] = value
+        # the one optional key: a device without periodicity reads as null
+        del device["periodicity"]
+        assert reports_from_json(doc)[0].periodicity is None
+
+    def test_schema_required_keys_are_the_renderers_keys(self, report_schema):
+        definitions = report_schema["definitions"]
+        periodicity = definitions["device"]["properties"]["periodicity"]["oneOf"][1]
+        assert definitions["device"]["required"] == [*DEVICE_KEYS, "findings", "activity", "endpoints", "periodicity"]
+        assert definitions["finding"]["required"] == list(FINDING_KEYS)
+        assert definitions["activity_period"]["required"] == [*PERIOD_KEYS, "endpoints"]
+        assert definitions["endpoint"]["required"] == list(ENDPOINT_KEYS)
+        assert periodicity["required"] == list(PERIODICITY_KEYS)
 
     def test_text_table_mentions_leak(self, fixture_results):
         text = render(fixture_results["bp-monitor-leaky"].reports, "text").decode()
@@ -211,6 +261,15 @@ class TestConfigFiles:
     def test_bad_threshold_rejected(self, tmp_path):
         path = tmp_path / "bad.conf"
         path.write_text("[thresholds]\nentropy_threshold = -1\n")
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize("name", ["entropy_threshold", "chi_threshold", "gap_threshold", "image_window"])
+    def test_nan_threshold_rejected(self, tmp_path, name):
+        with pytest.raises(ConfigError):
+            RunConfig(**{name: float("nan")}).validate()
+        path = tmp_path / "nan.conf"
+        path.write_text(f"[thresholds]\n{name} = nan\n")
         with pytest.raises(ConfigError):
             load_config(path)
 
@@ -355,6 +414,25 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"ascii", "entropy", "chi_squared"}
+
+    def test_nan_threshold_flag_is_operational_error(self, fixture_dir, tmp_path, capsys):
+        registry = tmp_path / "reg.conf"
+        registry.write_text("[devices]\n00:24:e4:1b:20:31 = bp_monitor\n")
+        code = main([
+            "analyze", "--capture", str(fixture_dir / "bp-monitor-leaky.pcap"),
+            "--registry", str(registry), "--chi-threshold", "nan",
+        ])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "chi_threshold must be a positive number" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("record", ['{"label": "cleartext"}', '{"label": "plaintext", "data_b64": "aGk="}'])
+    def test_malformed_corpus_record_is_operational_error(self, tmp_path, capsys, record):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"label": "encrypted", "data_b64": "aGk="}\n' + record + "\n")
+        assert main(["compare-methods", "--corpus", str(path)]) == 3
+        assert f"{path}:2:" in capsys.readouterr().err
 
     def test_cli_flag_overrides_config(self, fixture_dir, tmp_path, capsys):
         registry = tmp_path / "reg.conf"
