@@ -280,7 +280,8 @@ def split_by_device(
         return [], list(packets)
     streams: dict[str, DeviceStream] = {}
     for mac, device_id in registry.items():
-        streams[normalize_mac(mac)] = DeviceStream(device_id=device_id, mac=normalize_mac(mac), packets=[])
+        mac = normalize_mac(mac)
+        streams[mac] = DeviceStream(device_id=device_id, mac=mac, packets=[])
     unattributed: list[RawPacket] = []
     for packet in packets:
         if packet.src_mac in streams:

@@ -8,7 +8,7 @@ labeled corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -46,6 +46,15 @@ class ClassifierConfig:
     # fall far below 1), so the ASCII test decides instead.
     min_stat_len: int = DEFAULT_MIN_STAT_LEN
     decision_method: str = DEFAULT_DECISION_METHOD
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            if field.name != "decision_method" and not getattr(self, field.name) > 0:  # also rejects NaN
+                raise ValueError(f"{field.name} must be a positive number")
+        if self.decision_method not in DECISION_METHODS:
+            raise ValueError(
+                f"unknown decision method {self.decision_method!r} (expected one of {DECISION_METHODS})"
+            )
 
 
 @dataclass(frozen=True)
@@ -164,11 +173,7 @@ def classify(payload: AppPayload, config: ClassifierConfig = ClassifierConfig())
             "chi_squared": chi_verdict,
             "majority": (ascii_verdict + entropy_verdict + chi_verdict) >= 2,
         }
-        try:
-            decided = votes[config.decision_method]
-        except KeyError:
-            raise ValueError(f"unknown decision method: {config.decision_method!r}") from None
-        consensus = CLEARTEXT if decided else ENCRYPTED
+        consensus = CLEARTEXT if votes[config.decision_method] else ENCRYPTED
 
     return ClassificationResult(
         packet_index=payload.packet_index,

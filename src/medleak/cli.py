@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .capture import MalformedCapture
@@ -18,7 +19,7 @@ from .classifiers import (
     MethodReport,
     compare_methods,
 )
-from .config import ConfigError, RunConfig, load_config, load_registry, merge_cli_overrides, save_registry
+from .config import THRESHOLDS, ConfigError, RunConfig, load_config, load_registry, save_registry
 from .corpus import (
     SCENARIOS,
     CorpusSpec,
@@ -51,13 +52,9 @@ def _build_parser() -> _Parser:
     p_analyze.add_argument("--config", metavar="INI", help="run configuration file")
     p_analyze.add_argument("--format", choices=("json", "text"), default="json")
     p_analyze.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-    p_analyze.add_argument("--entropy-threshold", type=float, dest="entropy_threshold")
-    p_analyze.add_argument("--chi-threshold", type=float, dest="chi_threshold")
-    p_analyze.add_argument("--min-stat-len", type=int, dest="min_stat_len")
-    p_analyze.add_argument("--decision-method", choices=DECISION_METHODS,
-                           dest="decision_method")
-    p_analyze.add_argument("--gap-threshold", type=float, dest="gap_threshold")
-    p_analyze.add_argument("--image-window", type=float, dest="image_window")
+    for name, kind in THRESHOLDS.items():
+        p_analyze.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
+    p_analyze.add_argument("--decision-method", choices=DECISION_METHODS, dest="decision_method")
     p_analyze.add_argument("--dict-dir", type=Path, dest="dict_dir")
 
     p_corpus = sub.add_parser("gen-corpus", help="generate a labeled synthetic corpus")
@@ -93,17 +90,9 @@ def _cmd_analyze(args) -> int:
         config.registry = load_registry(args.registry)
     if not config.registry:
         raise ConfigError("empty device registry: pass --registry or a config with a [devices] section")
-    config = merge_cli_overrides(
-        config,
-        entropy_threshold=args.entropy_threshold,
-        chi_threshold=args.chi_threshold,
-        min_stat_len=args.min_stat_len,
-        decision_method=args.decision_method,
-        gap_threshold=args.gap_threshold,
-        image_window=args.image_window,
-        dict_dir=args.dict_dir,
-    )
-    result = analyze(args.capture, config)
+    overrides = {name: getattr(args, name) for name in (*THRESHOLDS, "decision_method", "dict_dir")}
+    config = replace(config, **{name: value for name, value in overrides.items() if value is not None})
+    result = analyze(args.capture, config)  # validates the merged config
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     output = render(result.reports, args.format)
@@ -145,16 +134,14 @@ def _format_method_table(report: MethodReport) -> str:
 
 
 def _cmd_compare_methods(args) -> int:
+    config = ClassifierConfig(entropy_threshold=args.entropy_threshold, chi_threshold=args.chi_threshold)
     if args.corpus:
         corpus = load_corpus(args.corpus)
     else:
         corpus = generate_corpus(
             CorpusSpec(args.n_cleartext, args.n_encrypted, (args.min_len, args.max_len), args.seed)
         )
-    report = compare_methods(
-        corpus,
-        ClassifierConfig(entropy_threshold=args.entropy_threshold, chi_threshold=args.chi_threshold),
-    )
+    report = compare_methods(corpus, config)
     if args.format == "json":
         doc = {
             method: {
@@ -182,10 +169,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, MalformedCapture, ValueError) as exc:
-        print(f"medleak: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (ConfigError, MalformedCapture, ValueError, OSError) as exc:
         print(f"medleak: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -10,31 +10,40 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
 from .capture import normalize_mac
 from .classifiers import (
-    DECISION_METHODS,
     DEFAULT_CHI_THRESHOLD,
     DEFAULT_DECISION_METHOD,
     DEFAULT_ENTROPY_THRESHOLD,
     DEFAULT_MIN_STAT_LEN,
     ClassifierConfig,
 )
-from .leaks import DEFAULT_IDENTIFIER_KEYS, DEFAULT_IMAGE_WINDOW, DICTIONARY_NAMES, Dictionary, normalize_text
+from .leaks import DEFAULT_IDENTIFIER_KEYS, DEFAULT_IMAGE_WINDOW, DICTIONARIES, Dictionary, normalize_text
 from .metadata import DEFAULT_GAP_THRESHOLD
 
 ENV_DICT_DIR = "MEDLEAK_DICT_DIR"
-
-DICTIONARY_FILES = {name: f"{name}.txt" for name in DICTIONARY_NAMES}
 
 DEFAULT_VENDOR_PATTERNS = ("*withings*", "*ihealth*", "*1byone*")
 
 
 class ConfigError(Exception):
     pass
+
+
+# The numeric knobs: RunConfig field -> type. Each is a [thresholds] key and
+# an analyze flag (--entropy-threshold for entropy_threshold).
+THRESHOLDS = {
+    "entropy_threshold": float,
+    "chi_threshold": float,
+    "min_stat_len": int,
+    "gap_threshold": float,
+    "image_window": float,
+}
+_CLASSIFIER_FIELDS = tuple(f.name for f in fields(ClassifierConfig))
 
 
 @dataclass
@@ -51,13 +60,13 @@ class RunConfig:
     registry: dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:
-        for name in ("entropy_threshold", "chi_threshold", "min_stat_len", "gap_threshold", "image_window"):
-            if not getattr(self, name) > 0:  # also rejects NaN
+        try:
+            self.classifier_config()  # ClassifierConfig checks its own fields
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        for name in THRESHOLDS:
+            if name not in _CLASSIFIER_FIELDS and not getattr(self, name) > 0:  # also rejects NaN
                 raise ConfigError(f"{name} must be a positive number")
-        if self.decision_method not in DECISION_METHODS:
-            raise ConfigError(
-                f"unknown decision method {self.decision_method!r} (expected one of {DECISION_METHODS})"
-            )
         normalized: dict[str, str] = {}
         for mac, device_id in self.registry.items():
             try:
@@ -70,17 +79,13 @@ class RunConfig:
         self.registry = normalized
 
     def classifier_config(self) -> ClassifierConfig:
-        return ClassifierConfig(
-            entropy_threshold=self.entropy_threshold,
-            chi_threshold=self.chi_threshold,
-            min_stat_len=self.min_stat_len,
-            decision_method=self.decision_method,
-        )
+        return ClassifierConfig(**{name: getattr(self, name) for name in _CLASSIFIER_FIELDS})
 
 
 def _read_ini(path) -> configparser.ConfigParser:
-    # '=' only: the default ':' delimiter would split MAC-address keys
-    parser = configparser.ConfigParser(delimiters=("=",))
+    # '=' only: the default ':' delimiter would split MAC-address keys; no
+    # interpolation, so a '%' in a value is literal
+    parser = configparser.ConfigParser(delimiters=("=",), interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -109,11 +114,9 @@ def load_config(path) -> RunConfig:
     if parser.has_section("thresholds"):
         section = parser["thresholds"]
         try:
-            config.entropy_threshold = section.getfloat("entropy_threshold", config.entropy_threshold)
-            config.chi_threshold = section.getfloat("chi_threshold", config.chi_threshold)
-            config.min_stat_len = section.getint("min_stat_len", config.min_stat_len)
-            config.gap_threshold = section.getfloat("gap_threshold", config.gap_threshold)
-            config.image_window = section.getfloat("image_window", config.image_window)
+            for name, kind in THRESHOLDS.items():
+                if name in section:
+                    setattr(config, name, kind(section[name]))
         except ValueError as exc:
             raise ConfigError(f"{path}: bad threshold value: {exc}") from None
     if parser.has_section("analysis"):
@@ -140,7 +143,7 @@ def load_config(path) -> RunConfig:
 
 
 def save_registry(registry: dict[str, str], path) -> None:
-    parser = configparser.ConfigParser(delimiters=("=",))
+    parser = configparser.ConfigParser(delimiters=("=",), interpolation=None)
     parser["devices"] = dict(registry)
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
@@ -165,20 +168,12 @@ def load_dictionaries(dict_dir: Path | None = None) -> list[Dictionary]:
         dict_dir = os.environ.get(ENV_DICT_DIR, "").strip() or None
     root = Path(dict_dir) if dict_dir is not None else resources.files("medleak") / "data"
     dictionaries = []
-    for name, filename in DICTIONARY_FILES.items():
+    for name in DICTIONARIES:
+        path = root / f"{name}.txt"
         try:
-            text = (root / filename).read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8")
         except OSError as exc:
-            raise ConfigError(f"cannot read dictionary {root / filename}: {exc}") from None
+            raise ConfigError(f"cannot read dictionary {path}: {exc}") from None
         dictionaries.append(parse_dictionary_text(text, name))
     return dictionaries
 
-
-def merge_cli_overrides(config: RunConfig, **overrides) -> RunConfig:
-    """Apply non-None CLI flag values over a config."""
-    updates = {key: value for key, value in overrides.items() if value is not None}
-    if not updates:
-        return config
-    merged = replace(config, **updates)
-    merged.validate()
-    return merged

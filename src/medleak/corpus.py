@@ -24,8 +24,6 @@ from pathlib import Path
 from .capture import normalize_mac
 from .classifiers import CLEARTEXT, ENCRYPTED
 
-SCENARIOS = ("bp-monitor-leaky", "scale-encrypted", "mixed-home")
-
 # Fixture network: device MACs carry vendor-style OUIs, the gateway is the
 # capture point, and the laptop is deliberately absent from registries.
 BP_MONITOR_MAC = "00:24:e4:1b:20:31"
@@ -158,10 +156,6 @@ def _gen_http_response(rng: random.Random, length: int, accents: bool) -> str:
     return text
 
 
-def _gen_english_text(rng: random.Random, length: int, accents: bool) -> str:
-    return _text_block(rng, length, accents)
-
-
 def _gen_keyvalue_form(rng: random.Random, length: int, accents: bool) -> str:
     pairs: list[str] = []
     size = 0
@@ -175,7 +169,7 @@ def _gen_keyvalue_form(rng: random.Random, length: int, accents: bool) -> str:
 _CLEARTEXT_BUILDERS = (
     ("http-request", _gen_http_request),
     ("http-response", _gen_http_response),
-    ("english-text", _gen_english_text),
+    ("english-text", _text_block),
     ("keyvalue-form", _gen_keyvalue_form),
 )
 
@@ -542,40 +536,47 @@ _FIXTURE_BASE_US = 1_481_800_000_000_000
 _DAY_US = 86_400_000_000
 
 
-def fixture_registry(scenario: str) -> dict[str, str]:
-    if scenario == "bp-monitor-leaky":
-        return {BP_MONITOR_MAC: "bp_monitor"}
-    if scenario == "scale-encrypted":
-        return {SCALE_MAC: "scale"}
-    if scenario == "mixed-home":
-        return {BP_MONITOR_MAC: "bp_monitor", SCALE_MAC: "scale"}
-    raise ValueError(f"unknown fixture scenario: {scenario!r}")
-
-
-def build_fixture_capture(scenario: str) -> bytes:
-    """Emit one of the named fixture scenarios as capture bytes.
-
-    bp-monitor-leaky: three daily measurement sessions, each leaking health
-    terms, vendor and user identifiers, and a trailing image GET.
-    scale-encrypted: a single TLS-only upload session on port 443.
-    mixed-home: both devices interleaved with unregistered background traffic.
-    """
-    if scenario == "bp-monitor-leaky":
-        records = (
+# scenario -> (registry, records). bp-monitor-leaky: three daily measurement
+# sessions, each leaking health terms, vendor and user identifiers, and a
+# trailing image GET. scale-encrypted: a single TLS-only upload session on
+# port 443. mixed-home: both devices interleaved with unregistered background
+# traffic.
+_FIXTURES = {
+    "bp-monitor-leaky": (
+        {BP_MONITOR_MAC: "bp_monitor"},
+        lambda: (
             _bp_burst(_FIXTURE_BASE_US, full=True)
             + _bp_burst(_FIXTURE_BASE_US + _DAY_US, full=False)
             + _bp_burst(_FIXTURE_BASE_US + 2 * _DAY_US, full=False)
-        )
-    elif scenario == "scale-encrypted":
-        records = _scale_burst(_FIXTURE_BASE_US)
-    elif scenario == "mixed-home":
-        records = (
+        ),
+    ),
+    "scale-encrypted": ({SCALE_MAC: "scale"}, lambda: _scale_burst(_FIXTURE_BASE_US)),
+    "mixed-home": (
+        {BP_MONITOR_MAC: "bp_monitor", SCALE_MAC: "scale"},
+        lambda: (
             _bp_burst(_FIXTURE_BASE_US, full=True)
             + _laptop_noise(_FIXTURE_BASE_US + 5_000_000)
             + _scale_burst(_FIXTURE_BASE_US + 10_000_000)
-        )
-    else:
-        raise ValueError(f"unknown fixture scenario: {scenario!r}")
+        ),
+    ),
+}
+SCENARIOS = tuple(_FIXTURES)
+
+
+def _fixture(scenario: str):
+    try:
+        return _FIXTURES[scenario]
+    except KeyError:
+        raise ValueError(f"unknown fixture scenario: {scenario!r}") from None
+
+
+def fixture_registry(scenario: str) -> dict[str, str]:
+    return dict(_fixture(scenario)[0])
+
+
+def build_fixture_capture(scenario: str) -> bytes:
+    """Emit one of the named fixture scenarios as capture bytes."""
+    records = _fixture(scenario)[1]()
     records.sort(key=lambda r: r[0])
     return write_pcap(records)
 

@@ -16,10 +16,16 @@ from functools import lru_cache
 from .classifiers import CLEARTEXT, ClassificationResult
 from .payload import AppPayload, HttpMessage, detect_tls
 
-DICTIONARY_NAMES = ("medical-terms", "first-names", "pii-fields")
-
 SEVERITY_WARN = "warn"
 SEVERITY_HIGH = "high"
+
+# Dictionary name -> (finding category, severity). A dictionary is read from
+# "<name>.txt".
+DICTIONARIES = {
+    "medical-terms": ("dictionary-medical", SEVERITY_HIGH),
+    "first-names": ("dictionary-name", SEVERITY_WARN),
+    "pii-fields": ("dictionary-pii", SEVERITY_WARN),
+}
 
 DEFAULT_IDENTIFIER_KEYS = frozenset({"current_user", "userid", "uid"})
 IMAGE_EXTENSIONS = (".jpg", ".jpeg", ".png", ".gif")
@@ -29,17 +35,6 @@ DEFAULT_IMAGE_WINDOW = 30.0  # seconds an image GET may trail other traffic
 MIN_NAME_TOKEN_LEN = 3
 CONTEXT_LEN = 120
 _MATCH_TEXT_CAP = 100
-
-_CATEGORY_BY_DICT = {
-    "medical-terms": "dictionary-medical",
-    "first-names": "dictionary-name",
-    "pii-fields": "dictionary-pii",
-}
-_SEVERITY_BY_DICT = {
-    "medical-terms": SEVERITY_HIGH,
-    "first-names": SEVERITY_WARN,
-    "pii-fields": SEVERITY_WARN,
-}
 
 _WORD = re.compile(r"[a-z0-9]+(?:[_\-][a-z0-9]+)*")
 _JOINERS = re.compile(r"[_\-]+")
@@ -54,7 +49,7 @@ class Dictionary:
     entries: frozenset[str]
 
     def __post_init__(self) -> None:
-        if self.name not in DICTIONARY_NAMES:
+        if self.name not in DICTIONARIES:
             raise ValueError(f"unknown dictionary name: {self.name!r}")
         if not self.entries:
             raise ValueError(f"dictionary {self.name!r} has no entries")
@@ -191,10 +186,7 @@ def dictionary_match(
     if not hits:
         return []
     normalized = _normalized_payload(payload)
-    return [
-        _finding(packet_index, _CATEGORY_BY_DICT[name], _SEVERITY_BY_DICT[name], token, normalized)
-        for token, name in hits
-    ]
+    return [_finding(packet_index, *DICTIONARIES[name], token, normalized) for token, name in hits]
 
 
 def scan_cleartext_payload(
@@ -259,7 +251,7 @@ def http_leak_scan(
     for category, text in (("url-leak", url), ("cookie-leak", cookie_blob)):
         if text:
             for token, name in _dictionary_hits(tokenize(text.encode("latin-1")), dictionaries):
-                hits.append((category, token, _SEVERITY_BY_DICT[name]))
+                hits.append((category, token, DICTIONARIES[name][1]))
 
     if matches_vendor(message.host, vendor_patterns):
         hits.append(("vendor-identifier", message.host or "", SEVERITY_WARN))

@@ -194,8 +194,14 @@ class TestClassifyConsensus:
         assert by_chi.chi_verdict == (by_chi.consensus == "cleartext")
 
     def test_unknown_decision_method_raises(self):
-        with pytest.raises(ValueError):
-            classify(_payload(b"x" * 100), ClassifierConfig(decision_method="coin-flip"))
+        with pytest.raises(ValueError, match="unknown decision method 'coin-flip'"):
+            ClassifierConfig(decision_method="coin-flip")
+
+    @pytest.mark.parametrize("name", ["entropy_threshold", "chi_threshold", "min_stat_len"])
+    @pytest.mark.parametrize("value", [float("nan"), 0, -1])
+    def test_non_positive_or_nan_setting_rejected_at_construction(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a positive number"):
+            ClassifierConfig(**{name: value})
 
     def test_deterministic(self):
         data = deterministic_bytes(10, "det", 512)

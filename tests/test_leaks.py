@@ -9,7 +9,7 @@ from medleak.classifiers import ClassificationResult, classify
 from medleak.config import parse_dictionary_text
 from medleak.corpus import deterministic_bytes
 from medleak.leaks import (
-    DICTIONARY_NAMES,
+    DICTIONARIES,
     Dictionary,
     LeakFinding,
     TimedMessage,
@@ -131,7 +131,7 @@ class TestDictionaryMatch:
     @given(
         st.lists(st.sampled_from(_VOCABULARY), max_size=12),
         st.lists(
-            st.tuples(st.sampled_from(DICTIONARY_NAMES), st.sets(st.sampled_from(_VOCABULARY), min_size=1)),
+            st.tuples(st.sampled_from(list(DICTIONARIES)), st.sets(st.sampled_from(_VOCABULARY), min_size=1)),
             max_size=4,
         ),
     )

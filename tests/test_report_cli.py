@@ -1,6 +1,8 @@
 """Pipeline reports, rendering stability, schema validity, and CLI contract."""
 
 import json
+import re
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -12,13 +14,16 @@ from medleak.classifiers import (
     DEFAULT_ENTROPY_THRESHOLD,
     ClassifierConfig,
 )
+from medleak import cli
 from medleak.cli import _build_parser, main
 from medleak.config import (
+    THRESHOLDS,
     ConfigError,
     RunConfig,
     load_config,
     load_dictionaries,
     load_registry,
+    save_registry,
 )
 from medleak.corpus import (
     build_fixture_capture,
@@ -309,6 +314,48 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             load_dictionaries(tmp_path / "nope")
 
+    def test_percent_in_values_is_literal(self, tmp_path):
+        path = tmp_path / "medleak.conf"
+        path.write_text(
+            "[vendor-patterns]\npatterns = %(x)s, 100%*\n"
+            "[devices]\n00:24:e4:1b:20:31 = bp%monitor\n"
+        )
+        config = load_config(path)
+        assert config.vendor_patterns == ("%(x)s", "100%*")
+        assert config.registry == {"00:24:e4:1b:20:31": "bp%monitor"}
+        registry = tmp_path / "devices.conf"
+        save_registry({"00:24:e4:1b:20:31": "bp%monitor", "00:24:e4:9c:41:72": "%(scale)s"}, registry)
+        assert load_registry(registry) == {"00:24:e4:1b:20:31": "bp%monitor", "00:24:e4:9c:41:72": "%(scale)s"}
+
+    @pytest.mark.parametrize("name", list(THRESHOLDS))
+    def test_every_threshold_is_an_ini_key_and_an_analyze_flag(self, fixture_dir, tmp_path, monkeypatch, name):
+        seen = []
+        monkeypatch.setattr(cli, "analyze", lambda captures, config: seen.append(config) or analyze(captures, config))
+        kind = type(getattr(RunConfig(), name))
+        assert THRESHOLDS[name] is kind
+        config_path = tmp_path / "medleak.conf"
+        config_path.write_text(f"[thresholds]\n{name} = 3\n[devices]\n00:24:e4:9c:41:72 = scale\n")
+        base = ["analyze", "--capture", str(fixture_dir / "scale-encrypted.pcap"), "--config", str(config_path),
+                "--out", str(tmp_path / "report.json")]
+        flag = "--" + name.replace("_", "-")
+        assert main(base) == 0
+        assert main(base + [flag, "5"]) == 0
+        assert [getattr(config, name) for config in seen] == [3, 5]
+        assert [type(getattr(config, name)) for config in seen] == [kind, kind]
+        defaults = RunConfig()
+        for other in THRESHOLDS:
+            if other != name:
+                assert [getattr(config, other) for config in seen] == [getattr(defaults, other)] * 2
+
+    def test_readme_example_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "medleak.conf"
+        path.write_text(example)
+        config = load_config(path)
+        assert config.classifier_config() == RunConfig().classifier_config()
+        assert config.registry == {"00:24:e4:1b:20:31": "bp_monitor", "00:24:e4:9c:41:72": "scale"}
+
 
 class TestCli:
     def test_analyze_exit_codes_per_fixture(self, fixture_dir, tmp_path, capsys):
@@ -433,6 +480,43 @@ class TestCli:
         path.write_text('{"label": "encrypted", "data_b64": "aGk="}\n' + record + "\n")
         assert main(["compare-methods", "--corpus", str(path)]) == 3
         assert f"{path}:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--chi-threshold", "nan", "chi_threshold"),
+        ("--entropy-threshold", "-1", "entropy_threshold"),
+    ])
+    def test_bad_compare_methods_threshold_is_operational_error(self, capsys, flag, value, name):
+        code = main(["compare-methods", "--seed", "3", "--n-cleartext", "10", "--n-encrypted", "10", flag, value])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert f"{name} must be a positive number" in captured.err
+        assert captured.out == ""
+
+    def test_percent_device_label_is_reported(self, fixture_dir, tmp_path, capsys):
+        registry = tmp_path / "reg.conf"
+        registry.write_text("[devices]\n00:24:e4:1b:20:31 = bp%monitor\n")
+        code = main(["analyze", "--capture", str(fixture_dir / "bp-monitor-leaky.pcap"), "--registry", str(registry)])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert [d["device_id"] for d in doc["devices"]] == ["bp%monitor"]
+        assert doc["devices"][0]["status"] == "LEAK"
+        assert code == 2
+
+    @pytest.mark.parametrize("command, flags", [
+        ("analyze", {"--capture", "--chi-threshold", "--config", "--decision-method", "--dict-dir",
+                     "--entropy-threshold", "--format", "--gap-threshold", "--image-window", "--min-stat-len",
+                     "--out", "--registry"}),
+        ("gen-corpus", {"--max-len", "--min-len", "--n-cleartext", "--n-encrypted", "--out", "--seed"}),
+        ("gen-fixture", {"--out", "--registry-out"}),
+        ("compare-methods", {"--chi-threshold", "--corpus", "--entropy-threshold", "--format", "--max-len",
+                             "--min-len", "--n-cleartext", "--n-encrypted", "--seed"}),
+    ])
+    def test_help_lists_the_same_flags(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == flags | {"-h", "--help"}
 
     def test_cli_flag_overrides_config(self, fixture_dir, tmp_path, capsys):
         registry = tmp_path / "reg.conf"
