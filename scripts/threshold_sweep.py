@@ -10,6 +10,7 @@ import argparse
 
 from medleak.classifiers import ClassifierConfig, compare_methods
 from medleak.corpus import CorpusSpec, generate_corpus
+from medleak.report import EXIT_ERROR
 
 
 def main() -> None:
@@ -21,16 +22,20 @@ def main() -> None:
     parser.add_argument("--thresholds", type=float, nargs="+",
                         default=(5.0, 6.0, 6.5, 7.0, 7.25, 7.5, 7.75))
     args = parser.parse_args()
+    try:
+        configs = [ClassifierConfig(entropy_threshold=threshold) for threshold in args.thresholds]
+    except ValueError as exc:
+        parser.exit(EXIT_ERROR, f"{parser.prog}: error: {exc}\n")
 
     corpus = generate_corpus(CorpusSpec(args.n, args.n, (args.min_len, args.max_len), args.seed))
     print(f"{'threshold':>9} | {'precision':>9} | {'recall':>7} | {'% flagged':>9}")
     print("-" * 45)
-    for threshold in args.thresholds:
-        report = compare_methods(corpus, ClassifierConfig(entropy_threshold=threshold))
+    for config in configs:
+        report = compare_methods(corpus, config)
         stats = report.per_method["entropy"]
         recall = stats.true_positives / (stats.true_positives + stats.false_negatives)
         precision = "n/a" if stats.precision is None else f"{stats.precision:9.3f}"
-        print(f"{threshold:>9.2f} | {precision} | {recall:>7.3f} | {stats.fraction_flagged * 100:>8.1f}%")
+        print(f"{config.entropy_threshold:>9.2f} | {precision} | {recall:>7.3f} | {stats.fraction_flagged * 100:>8.1f}%")
 
 
 if __name__ == "__main__":

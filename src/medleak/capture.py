@@ -7,11 +7,11 @@ decoded packets into one stream per registered device MAC address.
 
 from __future__ import annotations
 
-import ipaddress
 import logging
 import re
 import struct
 from dataclasses import dataclass
+from ipaddress import IPv6Address
 
 log = logging.getLogger(__name__)
 
@@ -35,7 +35,6 @@ _MAGICS = {
 # record header per byte order: ts_sec, ts_frac, incl_len, orig_len
 _RECORD_HEADERS = {endian: struct.Struct(endian + "IIII") for endian in "<>"}
 _PORTS = struct.Struct("!HH")
-_UDP_HEADER = struct.Struct("!HHH")  # src port, dst port, length
 
 
 class MalformedCapture(Exception):
@@ -112,105 +111,117 @@ def normalize_mac(mac: str) -> str:
     return ":".join(digits[i : i + 2] for i in range(0, 12, 2))
 
 
-def _format_mac(raw: bytes) -> str:
-    return raw.hex(":")
+_IP = ETHERNET_HEADER_LEN  # offset of the IP header in a frame
 
 
-def _decode_ipv4(body: bytes) -> tuple[IpInfo, bytes] | None:
-    if len(body) < 20:
+def _decode_ipv4(frame: bytes, ips: dict) -> tuple[IpInfo, int, int] | None:
+    """The IPv4 header after the Ethernet header: its IpInfo, shared by every
+    frame with the same protocol and addresses, and its payload's bounds."""
+    body_len = len(frame) - _IP
+    if body_len < 20:
         return None
-    ver_ihl = body[0]
+    ver_ihl = frame[_IP]
     if ver_ihl >> 4 != 4:
         return None
     header_len = (ver_ihl & 0x0F) * 4
-    if header_len < 20 or len(body) < header_len:
+    if header_len < 20 or body_len < header_len:
         return None
-    total_len = int.from_bytes(body[2:4], "big")
+    total_len = frame[_IP + 2] << 8 | frame[_IP + 3]
     # total_length bounds the datagram so Ethernet trailer padding is dropped
-    end = min(total_len, len(body)) if total_len >= header_len else len(body)
-    info = IpInfo(
-        src_addr="%d.%d.%d.%d" % (body[12], body[13], body[14], body[15]),
-        dst_addr="%d.%d.%d.%d" % (body[16], body[17], body[18], body[19]),
-        protocol=body[9],
-    )
-    return info, body[header_len:end]
+    end = min(total_len, body_len) if total_len >= header_len else body_len
+    key = (frame[_IP + 9], frame[_IP + 12 : _IP + 20])
+    info = ips.get(key)
+    if info is None:
+        info = ips[key] = IpInfo("%d.%d.%d.%d" % tuple(key[1][:4]), "%d.%d.%d.%d" % tuple(key[1][4:]), key[0])
+    return info, _IP + header_len, _IP + end
 
 
-def _decode_ipv6(body: bytes) -> tuple[IpInfo, bytes] | None:
-    if len(body) < 40:
+def _decode_ipv6(frame: bytes, ips: dict) -> tuple[IpInfo, int, int] | None:
+    body_len = len(frame) - _IP
+    if body_len < 40:
         return None
-    if body[0] >> 4 != 6:
+    if frame[_IP] >> 4 != 6:
         return None
-    payload_len = int.from_bytes(body[4:6], "big")
-    end = min(40 + payload_len, len(body))
-    info = IpInfo(
-        src_addr=str(ipaddress.IPv6Address(body[8:24])),
-        dst_addr=str(ipaddress.IPv6Address(body[24:40])),
-        protocol=body[6],
-    )
-    return info, body[40:end]
+    payload_len = frame[_IP + 4] << 8 | frame[_IP + 5]
+    end = min(40 + payload_len, body_len)
+    key = (frame[_IP + 6], frame[_IP + 8 : _IP + 40])
+    info = ips.get(key)
+    if info is None:
+        info = ips[key] = IpInfo(str(IPv6Address(key[1][:16])), str(IPv6Address(key[1][16:])), key[0])
+    return info, _IP + 40, _IP + end
 
 
-def _decode_transport(protocol: int, segment: bytes) -> tuple[TransportInfo, bytes] | None:
+def _decode_transport(
+    protocol: int, frame: bytes, start: int, end: int, transports: dict
+) -> tuple[TransportInfo, int, int] | None:
+    """The TCP (protocol 6) or UDP (17) header at ``frame[start:end]``: its
+    TransportInfo, shared like an IpInfo, and the payload bounds."""
     if protocol == 6:  # TCP
-        if len(segment) < 20:
+        if end - start < 20:
             return None
-        data_offset = (segment[12] >> 4) * 4
-        if data_offset < 20 or len(segment) < data_offset:
+        data_offset = (frame[start + 12] >> 4) * 4
+        if data_offset < 20 or end - start < data_offset:
             return None
-        sport, dport = _PORTS.unpack_from(segment)
-        return TransportInfo(sport, dport, "TCP"), segment[data_offset:]
-    if protocol == 17:  # UDP
-        if len(segment) < 8:
+        payload_start = start + data_offset
+    else:  # UDP
+        if end - start < 8:
             return None
-        sport, dport, udp_len = _UDP_HEADER.unpack_from(segment)
+        udp_len = frame[start + 4] << 8 | frame[start + 5]
         if udp_len < 8:
             return None
-        return TransportInfo(sport, dport, "UDP"), segment[8 : min(udp_len, len(segment))]
-    return None
+        payload_start, end = start + 8, min(start + udp_len, end)
+    key = (protocol, frame[start : start + 4])
+    info = transports.get(key)
+    if info is None:
+        kind = "TCP" if protocol == 6 else "UDP"
+        info = transports[key] = TransportInfo(*_PORTS.unpack_from(frame, start), kind)
+    return info, payload_start, end
 
 
-def _decode_frame(index: int, ts_us: int, frame: bytes) -> tuple[RawPacket | None, str | None]:
+def _decode_frame(
+    index: int, ts_us: int, frame: bytes, macs: dict, ips: dict, transports: dict
+) -> tuple[RawPacket | None, str | None]:
     if len(frame) < ETHERNET_HEADER_LEN:
         return None, f"frame {index}: truncated Ethernet header ({len(frame)} bytes)"
-    dst_mac = _format_mac(frame[0:6])
-    src_mac = _format_mac(frame[6:12])
-    ethertype = int.from_bytes(frame[12:14], "big")
-    body = frame[ETHERNET_HEADER_LEN:]
+    key = frame[:12]
+    pair = macs.get(key)
+    if pair is None:
+        pair = macs[key] = (key[:6].hex(":"), key[6:].hex(":"))
+    ethertype = frame[12] << 8 | frame[13]
 
     ip: IpInfo | None = None
-    payload = body
+    start, end = ETHERNET_HEADER_LEN, len(frame)  # payload bounds
     fragment_offset = 0
     if ethertype == ETHERTYPE_IPV4:
-        decoded = _decode_ipv4(body)
+        decoded = _decode_ipv4(frame, ips)
         if decoded is None:
             return None, f"frame {index}: truncated or invalid IPv4 header"
-        ip, payload = decoded
-        fragment_offset = int.from_bytes(body[6:8], "big") & 0x1FFF
+        ip, start, end = decoded
+        fragment_offset = (frame[_IP + 6] & 0x1F) << 8 | frame[_IP + 7]
     elif ethertype == ETHERTYPE_IPV6:
-        decoded = _decode_ipv6(body)
+        decoded = _decode_ipv6(frame, ips)
         if decoded is None:
             return None, f"frame {index}: truncated or invalid IPv6 header"
-        ip, payload = decoded
+        ip, start, end = decoded
 
     transport: TransportInfo | None = None
     # only the first fragment of a datagram starts with the transport header
     if ip is not None and ip.protocol in (6, 17) and not fragment_offset:
-        decoded_t = _decode_transport(ip.protocol, payload)
+        decoded_t = _decode_transport(ip.protocol, frame, start, end, transports)
         if decoded_t is None:
             kind = "TCP" if ip.protocol == 6 else "UDP"
             return None, f"frame {index}: truncated {kind} header"
-        transport, payload = decoded_t
+        transport, start, end = decoded_t
 
     packet = RawPacket(
         index=index,
         timestamp_us=ts_us,
-        src_mac=src_mac,
-        dst_mac=dst_mac,
+        src_mac=pair[1],
+        dst_mac=pair[0],
         ethertype=ethertype,
         ip=ip,
         transport=transport,
-        payload=payload,
+        payload=frame[start:end],
         frame=frame,
     )
     return packet, None
@@ -222,6 +233,9 @@ def parse_capture(data: bytes) -> CaptureParse:
     Frames with truncated headers are skipped and counted as warnings rather
     than aborting the parse. The returned packets are stably sorted by
     timestamp, so equal timestamps keep capture order.
+
+    Each distinct MAC pair, IP header and transport header is decoded once
+    per call and its (frozen) result shared by every frame that repeats it.
     """
     if len(data) < GLOBAL_HEADER_LEN:
         raise MalformedCapture(f"truncated global header ({len(data)} bytes)")
@@ -236,6 +250,8 @@ def parse_capture(data: bytes) -> CaptureParse:
     record_header = _RECORD_HEADERS[endian]
     packets: list[RawPacket] = []
     warnings: list[str] = []
+    macs, ips, transports = {}, {}, {}  # decoded headers by their raw bytes
+    in_order, last_ts = True, 0
     offset = GLOBAL_HEADER_LEN
     index = 0
     while offset < len(data):
@@ -253,15 +269,18 @@ def parse_capture(data: bytes) -> CaptureParse:
         frame = data[offset : offset + incl_len]
         offset += incl_len
         ts_us = ts_sec * 1_000_000 + ts_frac // frac_divisor
-        packet, warning = _decode_frame(index, ts_us, frame)
+        packet, warning = _decode_frame(index, ts_us, frame, macs, ips, transports)
         index += 1
         if warning is not None:
             warnings.append(warning)
             continue
         assert packet is not None
         packets.append(packet)
+        in_order = in_order and ts_us >= last_ts
+        last_ts = ts_us
 
-    packets.sort(key=lambda p: p.timestamp_us)  # stable: capture order kept on ties
+    if not in_order:
+        packets.sort(key=lambda p: p.timestamp_us)  # stable: capture order kept on ties
     return CaptureParse(packets=packets, warnings=warnings)
 
 

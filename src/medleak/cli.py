@@ -19,7 +19,7 @@ from .classifiers import (
     MethodReport,
     compare_methods,
 )
-from .config import THRESHOLDS, ConfigError, RunConfig, load_config, load_registry, save_registry
+from .config import THRESHOLDS, ConfigError, RunConfig, load_config, load_registry, normalize_method, save_registry
 from .corpus import (
     SCENARIOS,
     CorpusSpec,
@@ -54,7 +54,7 @@ def _build_parser() -> _Parser:
     p_analyze.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     for name, kind in THRESHOLDS.items():
         p_analyze.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
-    p_analyze.add_argument("--decision-method", choices=DECISION_METHODS, dest="decision_method")
+    p_analyze.add_argument("--decision-method", type=normalize_method, choices=DECISION_METHODS, dest="decision_method")
     p_analyze.add_argument("--dict-dir", type=Path, dest="dict_dir")
 
     p_corpus = sub.add_parser("gen-corpus", help="generate a labeled synthetic corpus")

@@ -44,6 +44,14 @@ THRESHOLDS = {
     "image_window": float,
 }
 _CLASSIFIER_FIELDS = tuple(f.name for f in fields(ClassifierConfig))
+# The keys each config section may hold; None for any key ([devices] MACs).
+_SECTION_KEYS = {"thresholds": set(THRESHOLDS), "analysis": {"decision_method"}, "dictionaries": {"dir"},
+                 "vendor-patterns": {"patterns"}, "identifier-keys": {"keys"}, "devices": None}
+
+
+def normalize_method(name: str) -> str:
+    """A decision method read with '-' as '_', in a config file and on the command line alike."""
+    return name.strip().replace("-", "_")
 
 
 @dataclass
@@ -110,6 +118,12 @@ def load_registry(path) -> dict[str, str]:
 def load_config(path) -> RunConfig:
     """Build a RunConfig from an INI file; unspecified keys keep defaults."""
     parser = _read_ini(path)
+    for name in parser.sections():
+        if name not in _SECTION_KEYS:
+            raise ConfigError(f"{path}: unknown section [{name}]")
+        for key in parser[name]:
+            if _SECTION_KEYS[name] is not None and key not in _SECTION_KEYS[name]:
+                raise ConfigError(f"{path}: unknown key {key!r} in [{name}]")
     config = RunConfig()
     if parser.has_section("thresholds"):
         section = parser["thresholds"]
@@ -119,23 +133,19 @@ def load_config(path) -> RunConfig:
                     setattr(config, name, kind(section[name]))
         except ValueError as exc:
             raise ConfigError(f"{path}: bad threshold value: {exc}") from None
-    if parser.has_section("analysis"):
-        method = parser["analysis"].get("decision_method", config.decision_method)
-        config.decision_method = method.strip().replace("-", "_")
-    if parser.has_section("dictionaries"):
-        directory = parser["dictionaries"].get("dir", "").strip()
-        if directory:
-            config.dict_dir = Path(directory)
-    if parser.has_section("vendor-patterns"):
-        patterns = parser["vendor-patterns"].get("patterns", "")
-        parsed = tuple(p.strip() for p in patterns.split(",") if p.strip())
-        if parsed:
-            config.vendor_patterns = parsed
-    if parser.has_section("identifier-keys"):
-        keys = parser["identifier-keys"].get("keys", "")
-        parsed_keys = frozenset(k.strip().lower() for k in keys.split(",") if k.strip())
-        if parsed_keys:
-            config.identifier_keys = parsed_keys
+    method = parser.get("analysis", "decision_method", fallback=config.decision_method)
+    config.decision_method = normalize_method(method)
+    directory = parser.get("dictionaries", "dir", fallback="").strip()
+    if directory:
+        config.dict_dir = Path(directory)
+    patterns = parser.get("vendor-patterns", "patterns", fallback="")
+    parsed = tuple(p.strip() for p in patterns.split(",") if p.strip())
+    if parsed:
+        config.vendor_patterns = parsed
+    keys = parser.get("identifier-keys", "keys", fallback="")
+    parsed_keys = frozenset(k.strip().lower() for k in keys.split(",") if k.strip())
+    if parsed_keys:
+        config.identifier_keys = parsed_keys
     if parser.has_section("devices"):
         config.registry = dict(parser.items("devices"))
     config.validate()

@@ -5,8 +5,22 @@ against."""
 import ipaddress
 import math
 import re
+import struct
 from fnmatch import fnmatchcase
 
+from medleak.capture import (
+    ETHERNET_HEADER_LEN,
+    ETHERTYPE_IPV4,
+    ETHERTYPE_IPV6,
+    GLOBAL_HEADER_LEN,
+    LINKTYPE_ETHERNET,
+    RECORD_HEADER_LEN,
+    CaptureParse,
+    IpInfo,
+    MalformedCapture,
+    RawPacket,
+    TransportInfo,
+)
 from medleak.leaks import IMAGE_EXTENSIONS, MIN_NAME_TOKEN_LEN, SEVERITY_WARN, _finding, _normalized_payload
 
 
@@ -122,3 +136,169 @@ def image_get_signature_oracle(messages, window_s):
             normalized = _normalized_payload(timed.payload)
             findings.append(_finding(timed.packet_index, "image-get-signature", SEVERITY_WARN, path, normalized))
     return findings
+
+
+# --- pcap decode: one fresh header object per frame, no sharing ---------------
+
+_MAGICS = {
+    b"\xd4\xc3\xb2\xa1": ("<", 1),      # little-endian, microseconds
+    b"\xa1\xb2\xc3\xd4": (">", 1),      # big-endian, microseconds
+    b"\x4d\x3c\xb2\xa1": ("<", 1000),   # little-endian, nanoseconds
+    b"\xa1\xb2\x3c\x4d": (">", 1000),   # big-endian, nanoseconds
+}
+_RECORD_HEADERS = {endian: struct.Struct(endian + "IIII") for endian in "<>"}
+_PORTS = struct.Struct("!HH")
+_UDP_HEADER = struct.Struct("!HHH")  # src port, dst port, length
+
+
+def _format_mac(raw: bytes) -> str:
+    return raw.hex(":")
+
+
+def _decode_ipv4(body: bytes) -> tuple[IpInfo, bytes] | None:
+    if len(body) < 20:
+        return None
+    ver_ihl = body[0]
+    if ver_ihl >> 4 != 4:
+        return None
+    header_len = (ver_ihl & 0x0F) * 4
+    if header_len < 20 or len(body) < header_len:
+        return None
+    total_len = int.from_bytes(body[2:4], "big")
+    # total_length bounds the datagram so Ethernet trailer padding is dropped
+    end = min(total_len, len(body)) if total_len >= header_len else len(body)
+    info = IpInfo(
+        src_addr="%d.%d.%d.%d" % (body[12], body[13], body[14], body[15]),
+        dst_addr="%d.%d.%d.%d" % (body[16], body[17], body[18], body[19]),
+        protocol=body[9],
+    )
+    return info, body[header_len:end]
+
+
+def _decode_ipv6(body: bytes) -> tuple[IpInfo, bytes] | None:
+    if len(body) < 40:
+        return None
+    if body[0] >> 4 != 6:
+        return None
+    payload_len = int.from_bytes(body[4:6], "big")
+    end = min(40 + payload_len, len(body))
+    info = IpInfo(
+        src_addr=str(ipaddress.IPv6Address(body[8:24])),
+        dst_addr=str(ipaddress.IPv6Address(body[24:40])),
+        protocol=body[6],
+    )
+    return info, body[40:end]
+
+
+def _decode_transport(protocol: int, segment: bytes) -> tuple[TransportInfo, bytes] | None:
+    if protocol == 6:  # TCP
+        if len(segment) < 20:
+            return None
+        data_offset = (segment[12] >> 4) * 4
+        if data_offset < 20 or len(segment) < data_offset:
+            return None
+        sport, dport = _PORTS.unpack_from(segment)
+        return TransportInfo(sport, dport, "TCP"), segment[data_offset:]
+    if protocol == 17:  # UDP
+        if len(segment) < 8:
+            return None
+        sport, dport, udp_len = _UDP_HEADER.unpack_from(segment)
+        if udp_len < 8:
+            return None
+        return TransportInfo(sport, dport, "UDP"), segment[8 : min(udp_len, len(segment))]
+    return None
+
+
+def _decode_frame(index: int, ts_us: int, frame: bytes) -> tuple[RawPacket | None, str | None]:
+    if len(frame) < ETHERNET_HEADER_LEN:
+        return None, f"frame {index}: truncated Ethernet header ({len(frame)} bytes)"
+    dst_mac = _format_mac(frame[0:6])
+    src_mac = _format_mac(frame[6:12])
+    ethertype = int.from_bytes(frame[12:14], "big")
+    body = frame[ETHERNET_HEADER_LEN:]
+
+    ip: IpInfo | None = None
+    payload = body
+    fragment_offset = 0
+    if ethertype == ETHERTYPE_IPV4:
+        decoded = _decode_ipv4(body)
+        if decoded is None:
+            return None, f"frame {index}: truncated or invalid IPv4 header"
+        ip, payload = decoded
+        fragment_offset = int.from_bytes(body[6:8], "big") & 0x1FFF
+    elif ethertype == ETHERTYPE_IPV6:
+        decoded = _decode_ipv6(body)
+        if decoded is None:
+            return None, f"frame {index}: truncated or invalid IPv6 header"
+        ip, payload = decoded
+
+    transport: TransportInfo | None = None
+    # only the first fragment of a datagram starts with the transport header
+    if ip is not None and ip.protocol in (6, 17) and not fragment_offset:
+        decoded_t = _decode_transport(ip.protocol, payload)
+        if decoded_t is None:
+            kind = "TCP" if ip.protocol == 6 else "UDP"
+            return None, f"frame {index}: truncated {kind} header"
+        transport, payload = decoded_t
+
+    packet = RawPacket(
+        index=index,
+        timestamp_us=ts_us,
+        src_mac=src_mac,
+        dst_mac=dst_mac,
+        ethertype=ethertype,
+        ip=ip,
+        transport=transport,
+        payload=payload,
+        frame=frame,
+    )
+    return packet, None
+
+
+def parse_capture_oracle(data: bytes) -> CaptureParse:
+    """Decode a classic libpcap capture into RawPackets.
+
+    Frames with truncated headers are skipped and counted as warnings rather
+    than aborting the parse. The returned packets are stably sorted by
+    timestamp, so equal timestamps keep capture order.
+    """
+    if len(data) < GLOBAL_HEADER_LEN:
+        raise MalformedCapture(f"truncated global header ({len(data)} bytes)")
+    try:
+        endian, frac_divisor = _MAGICS[data[:4]]
+    except KeyError:
+        raise MalformedCapture(f"unrecognized pcap magic {data[:4].hex()}") from None
+    _, _, _, _, _, network = struct.unpack(endian + "HHiIII", data[4:GLOBAL_HEADER_LEN])
+    if network != LINKTYPE_ETHERNET:
+        raise MalformedCapture(f"unsupported link type {network} (only Ethernet is supported)")
+
+    record_header = _RECORD_HEADERS[endian]
+    packets: list[RawPacket] = []
+    warnings: list[str] = []
+    offset = GLOBAL_HEADER_LEN
+    index = 0
+    while offset < len(data):
+        if offset + RECORD_HEADER_LEN > len(data):
+            warnings.append(f"frame {index}: truncated record header at offset {offset}")
+            break
+        ts_sec, ts_frac, incl_len, _ = record_header.unpack_from(data, offset)
+        offset += RECORD_HEADER_LEN
+        if offset + incl_len > len(data):
+            warnings.append(
+                f"frame {index}: declared caplen {incl_len} exceeds remaining "
+                f"{len(data) - offset} bytes"
+            )
+            break
+        frame = data[offset : offset + incl_len]
+        offset += incl_len
+        ts_us = ts_sec * 1_000_000 + ts_frac // frac_divisor
+        packet, warning = _decode_frame(index, ts_us, frame)
+        index += 1
+        if warning is not None:
+            warnings.append(warning)
+            continue
+        assert packet is not None
+        packets.append(packet)
+
+    packets.sort(key=lambda p: p.timestamp_us)  # stable: capture order kept on ties
+    return CaptureParse(packets=packets, warnings=warnings)

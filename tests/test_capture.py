@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medleak.capture import (
+    GLOBAL_HEADER_LEN,
+    RECORD_HEADER_LEN,
     DeviceStream,
     MalformedCapture,
     RawPacket,
@@ -18,10 +20,10 @@ from medleak.capture import (
     parse_capture,
     split_by_device,
 )
-from medleak.corpus import generate_random_capture, reserialize
+from medleak.corpus import SCENARIOS, build_fixture_capture, generate_random_capture, reserialize
 from medleak.payload import extract_payloads
 
-from _oracles import ipv4_oracle
+from _oracles import ipv4_oracle, parse_capture_oracle
 
 DEV_MAC = bytes.fromhex("0024e41b2031")
 AP_MAC = bytes.fromhex("b827eb5a1004")
@@ -303,3 +305,128 @@ def test_reparse_of_reserialized_capture_is_idempotent(seed):
     first = parse_capture(data).packets
     second = parse_capture(reserialize(first)).packets
     assert first == second
+
+
+# --- decode against the oracle ------------------------------------------------
+
+# (magic, byte order) of the four classic pcap variants
+_VARIANTS = [(b"\xd4\xc3\xb2\xa1", "<"), (b"\xa1\xb2\xc3\xd4", ">"), (b"\x4d\x3c\xb2\xa1", "<"),
+             (b"\xa1\xb2\x3c\x4d", ">")]
+# Small pools, so that headers repeat across the frames of one capture
+_MAC_PAIRS = (AP_MAC + DEV_MAC, DEV_MAC + AP_MAC)
+_IPV4_ADDRS = (b"\xc0\xa8\x01\x15\x59\x1e\x79\x34", b"\x59\x1e\x79\x34\xc0\xa8\x01\x15")
+_IPV6_ADDRS = (bytes.fromhex("20010db8" + "00" * 11 + "01" + "20010db8" + "00" * 11 + "02"),
+               bytes.fromhex("fe80" + "00" * 13 + "01" + "00" * 10 + "ffff" + "c0a80115"))
+_PORT_PAIRS = (struct.pack("!HH", 43211, 80), struct.pack("!HH", 53, 42333))
+
+
+def _capture(variant, records) -> bytes:
+    magic, endian = variant
+    data = magic + struct.pack(endian + "HHiIII", 2, 4, 0, 0, 65535, 1)
+    for ts_sec, ts_frac, frame in records:
+        data += struct.pack(endian + "IIII", ts_sec, ts_frac, len(frame), len(frame)) + frame
+    return data
+
+
+def _assert_decodes_as_oracle(data: bytes) -> None:
+    got, want = parse_capture(data), parse_capture_oracle(data)
+    assert got.packets == want.packets
+    assert got.warnings == want.warnings
+
+
+@st.composite
+def _hostile_frame(draw) -> bytes:
+    """An Ethernet frame with IPv4, IPv6 or ARP under it and TCP, UDP or ICMP
+    above that, whose length, version, IHL, total length, fragment, data
+    offset and UDP length fields are drawn from valid and invalid values, and
+    which may then be cut short."""
+    protocol = draw(st.sampled_from([6, 17, 1]))
+    data = draw(st.binary(max_size=24))
+    ports = draw(st.sampled_from(_PORT_PAIRS))
+    if protocol == 6:
+        data_offset = draw(st.integers(0, 15))
+        segment = ports + struct.pack("!IIBBHHH", 1, 0, data_offset << 4, 0x18, 4096, 0, 0) + data
+    elif protocol == 17:
+        udp_len = draw(st.sampled_from([8 + len(data), 0, 7, 8]) | st.integers(0, 0xFFFF))
+        segment = ports + struct.pack("!HH", udp_len, 0) + data
+    else:
+        segment = data
+    ethertype = draw(st.sampled_from([0x0800, 0x86DD, 0x0806]))
+    if ethertype == 0x0800:
+        options = bytes(draw(st.sampled_from([0, 4, 40])))
+        ihl = draw(st.sampled_from([5 + len(options) // 4]) | st.integers(0, 15))
+        version = draw(st.sampled_from([4, 6]))
+        total_len = draw(st.sampled_from([20 + len(options) + len(segment)]) | st.integers(0, 0xFFFF))
+        flags_fragment = draw(st.sampled_from([0, 0x4000, 0x2000, 185, 0x2000 | 185, 0x1000]))
+        checksum = draw(st.integers(0, 0xFFFF))  # varies per frame for the same addresses
+        header = struct.pack("!BBHHHBBH", version << 4 | ihl, 0, total_len, 7, flags_fragment, 64, protocol,
+                             checksum) + draw(st.sampled_from(_IPV4_ADDRS)) + options
+    elif ethertype == 0x86DD:
+        version = draw(st.sampled_from([6, 4]))
+        payload_len = draw(st.sampled_from([len(segment)]) | st.integers(0, 0xFFFF))
+        hop_limit = draw(st.integers(0, 255))
+        header = struct.pack("!IHBB", version << 28, payload_len, protocol, hop_limit)
+        header += draw(st.sampled_from(_IPV6_ADDRS))
+    else:
+        header = b"\x00\x01\x08\x00\x06\x04\x00\x01"
+    frame = draw(st.sampled_from(_MAC_PAIRS)) + struct.pack("!H", ethertype) + header + segment
+    cut = draw(st.none() | st.integers(0, len(frame)))
+    return frame if cut is None else frame[:cut]
+
+
+def test_random_captures_and_fixtures_decode_as_oracle():
+    for seed in range(30):
+        _assert_decodes_as_oracle(generate_random_capture(seed)[0])
+    for scenario in SCENARIOS:
+        _assert_decodes_as_oracle(build_fixture_capture(scenario))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    variant=st.sampled_from(_VARIANTS),
+    # few distinct seconds, so frames tie and arrive out of time order
+    records=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2**32 - 1), _hostile_frame()), max_size=12),
+)
+def test_hostile_frames_decode_as_oracle(variant, records):
+    _assert_decodes_as_oracle(_capture(variant, records))
+
+
+def test_headers_are_shared_within_a_parse_and_never_across_parses():
+    data = build_fixture_capture("mixed-home")
+    first, second = parse_capture(data).packets, parse_capture(data).packets
+    assert first == second
+    for field in ("ip", "transport"):
+        headers = [getattr(p, field) for p in first if getattr(p, field) is not None]
+        # one instance per distinct header: each is decoded once per parse
+        assert len({id(h) for h in headers}) == len(set(headers)) < len(headers)
+        # the cache lives for one call only
+        others = {id(getattr(p, field)) for p in second}
+        assert all(id(h) not in others for h in headers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    variant=st.sampled_from(_VARIANTS),
+    frames=st.lists(st.binary(max_size=80) | _hostile_frame(), max_size=8),
+    tail=st.binary(max_size=48),
+)
+def test_arbitrary_records_raise_nothing_and_every_record_is_counted(variant, frames, tail):
+    data = _capture(variant, [(1, 0, frame) for frame in frames]) + tail
+    try:
+        result = parse_capture(data)
+    except MalformedCapture:
+        return
+    # walk the records independently of the parser
+    records, offset, cut_short = 0, GLOBAL_HEADER_LEN, False
+    while offset < len(data):
+        if offset + RECORD_HEADER_LEN > len(data):
+            cut_short = True
+            break
+        (incl_len,) = struct.unpack_from(variant[1] + "I", data, offset + 8)
+        offset += RECORD_HEADER_LEN + incl_len
+        if offset > len(data):
+            cut_short = True
+            break
+        records += 1
+    skipped = len(result.warnings) - cut_short
+    assert len(result.packets) + skipped == records

@@ -39,6 +39,7 @@ from medleak.metadata import PeriodicityHint
 from medleak.report import (
     DEVICE_KEYS,
     ENDPOINT_KEYS,
+    EXIT_ERROR,
     FINDING_KEYS,
     PERIOD_KEYS,
     PERIODICITY_KEYS,
@@ -277,6 +278,35 @@ class TestConfigFiles:
         path.write_text(f"[thresholds]\n{name} = nan\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("text, unknown", [
+        ("[thresholds]\nentropy_treshold = 1\n", "'entropy_treshold' in [thresholds]"),
+        ("[analysis]\ndecison_method = ascii\n", "'decison_method' in [analysis]"),
+        ("[vendor-patterns]\npattern = *acme*\n", "'pattern' in [vendor-patterns]"),
+        ("[threshold]\nentropy_threshold = 1\n", "section [threshold]"),
+        ("[devices]\n00:24:e4:1b:20:31 = bp\n[device]\n00:24:e4:9c:41:72 = scale\n", "section [device]"),
+    ])
+    def test_unknown_key_or_section_rejected(self, tmp_path, capsys, text, unknown):
+        path = tmp_path / "typo.conf"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(unknown)):
+            load_config(path)
+        assert main(["analyze", "--capture", "x.pcap", "--config", str(path)]) == EXIT_ERROR
+        assert unknown in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling", ["chi-squared", "chi_squared", " chi-squared "])
+    def test_decision_method_is_spelt_the_same_in_file_and_flag(self, tmp_path, spelling):
+        path = tmp_path / "medleak.conf"
+        path.write_text(f"[analysis]\ndecision_method = {spelling}\n")
+        assert load_config(path).decision_method == "chi_squared"
+        args = _build_parser().parse_args(["analyze", "--capture", "x.pcap", "--decision-method", spelling])
+        assert args.decision_method == "chi_squared"
+
+    def test_unknown_decision_method_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--capture", "x.pcap", "--decision-method", "chi-square"])
+        assert excinfo.value.code == EXIT_ERROR
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_malformed_mac_rejected(self):
         config = RunConfig(registry={"zz:zz": "x"})

@@ -30,6 +30,14 @@ def test_corpus_script_exits_0(script, expected):
         assert text in done.stdout
 
 
+@pytest.mark.parametrize("thresholds", [["-1"], ["7", "nan"]])
+def test_threshold_sweep_bad_threshold_is_a_one_line_error(thresholds):
+    done = _run("threshold_sweep.py", "--n", "10", "--thresholds", *thresholds)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == ["threshold_sweep.py: error: entropy_threshold must be a positive number"]
+
+
 def test_fixture_demo_exits_with_the_worst_status():
     # the leaky blood pressure monitor ends LEAK, so the demo exits 2 by design
     done = _run("run_fixture_demo.py")
