@@ -10,7 +10,8 @@ while catching most cleartext.
 import argparse
 
 from medleak.classifiers import METHODS, compare_methods
-from medleak.corpus import CorpusSpec, generate_corpus
+from medleak.corpus import CorpusSpec, InvalidCorpusSpec, generate_corpus
+from medleak.report import EXIT_ERROR
 
 LABELS = {"ascii": "Naive ASCII", "entropy": "Shannon Entropy", "chi_squared": "Chi Square"}
 
@@ -23,7 +24,10 @@ def main() -> None:
     parser.add_argument("--max-len", type=int, default=2048)
     args = parser.parse_args()
 
-    corpus = generate_corpus(CorpusSpec(args.n, args.n, (args.min_len, args.max_len), args.seed))
+    try:
+        corpus = generate_corpus(CorpusSpec(args.n, args.n, (args.min_len, args.max_len), args.seed))
+    except InvalidCorpusSpec as exc:
+        parser.exit(EXIT_ERROR, f"{parser.prog}: error: {exc}\n")
     report = compare_methods(corpus)
 
     print(f"corpus: {args.n} cleartext + {args.n} encrypted payloads, "

@@ -9,7 +9,7 @@ makes that tradeoff concrete for a given length mix.
 import argparse
 
 from medleak.classifiers import ClassifierConfig, compare_methods
-from medleak.corpus import CorpusSpec, generate_corpus
+from medleak.corpus import CorpusSpec, InvalidCorpusSpec, generate_corpus
 from medleak.report import EXIT_ERROR
 
 
@@ -27,7 +27,10 @@ def main() -> None:
     except ValueError as exc:
         parser.exit(EXIT_ERROR, f"{parser.prog}: error: {exc}\n")
 
-    corpus = generate_corpus(CorpusSpec(args.n, args.n, (args.min_len, args.max_len), args.seed))
+    try:
+        corpus = generate_corpus(CorpusSpec(args.n, args.n, (args.min_len, args.max_len), args.seed))
+    except InvalidCorpusSpec as exc:
+        parser.exit(EXIT_ERROR, f"{parser.prog}: error: {exc}\n")
     print(f"{'threshold':>9} | {'precision':>9} | {'recall':>7} | {'% flagged':>9}")
     print("-" * 45)
     for config in configs:

@@ -42,21 +42,21 @@ class MalformedCapture(Exception):
     or an unsupported link type)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IpInfo:
     src_addr: str
     dst_addr: str
     protocol: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransportInfo:
     src_port: int
     dst_port: int
     kind: str  # "TCP" | "UDP"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawPacket:
     """One captured frame, decoded through the transport layer.
 

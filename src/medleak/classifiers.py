@@ -9,6 +9,7 @@ labeled corpus.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -24,6 +25,10 @@ DEFAULT_DECISION_METHOD = "chi_squared"
 
 METHODS = ("ascii", "entropy", "chi_squared")
 DECISION_METHODS = METHODS + ("majority",)
+
+# compare_methods scores its corpus this many payloads at a time, as one
+# stacked (k, 256) histogram matrix.
+_BATCH = 16
 
 CLEARTEXT = "cleartext"
 ENCRYPTED = "encrypted"
@@ -101,25 +106,26 @@ def histogram(data: bytes) -> np.ndarray:
     return np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
 
 
-def _is_ascii(counts: np.ndarray) -> bool:
-    return not counts[128:].any()
+def _statistics(counts: np.ndarray, n: int | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ASCII verdict, entropy in bits per byte and chi-squared, over the
+    last axis of ``counts``: one 256-bin histogram with ``n`` its length, or
+    a ``(k, 256)`` stack with ``n`` a ``(k, 1)`` column of lengths.
 
-
-def _entropy(counts: np.ndarray, n: int) -> float:
-    p = counts[counts > 0] / n
-    value = float(-(p * np.log2(p)).sum())
-    return value + 0.0  # fold -0.0 from the single-symbol case
-
-
-def _chi_squared(counts: np.ndarray, n: int) -> float:
+    Entropy sums all 256 bins, an empty bin adding exactly 0.0, so a
+    histogram gets the same bits alone or stacked.
+    """
+    is_ascii = ~counts[..., 128:].any(axis=-1)
+    p = counts / n
+    entropy = -(p * np.log2(p + (counts == 0))).sum(axis=-1) + 0.0  # fold -0.0 from the single-symbol case
     expected = n / 256.0
     deviation = counts - expected
-    return float((deviation * deviation / expected).sum())
+    chi = (deviation * deviation / expected).sum(axis=-1)
+    return is_ascii, entropy, chi
 
 
 def classify_ascii(data: bytes) -> bool:
     """True when every byte is in the 128-value ASCII set."""
-    return _is_ascii(histogram(data))
+    return bool(_statistics(histogram(data), len(data))[0])
 
 
 def shannon_entropy(data: bytes) -> float:
@@ -128,7 +134,7 @@ def shannon_entropy(data: bytes) -> float:
     0 for a single repeated value, 8 when all 256 values are equally
     frequent.
     """
-    return _entropy(histogram(data), len(data))
+    return float(_statistics(histogram(data), len(data))[1])
 
 
 def classify_entropy(data: bytes, threshold: float = DEFAULT_ENTROPY_THRESHOLD) -> bool:
@@ -140,7 +146,7 @@ def classify_entropy(data: bytes, threshold: float = DEFAULT_ENTROPY_THRESHOLD) 
 def chi_squared(data: bytes) -> float:
     """Chi-squared statistic of byte frequencies against a uniform
     expectation over all 256 bins. Zero iff every bin count is equal."""
-    return _chi_squared(histogram(data), len(data))
+    return float(_statistics(histogram(data), len(data))[2])
 
 
 def classify_chi(data: bytes, threshold: float = DEFAULT_CHI_THRESHOLD) -> bool:
@@ -157,10 +163,8 @@ def classify(payload: AppPayload, config: ClassifierConfig = ClassifierConfig())
     marked indeterminate when that test fails too.
     """
     data = payload.data
-    counts = histogram(data)
-    ascii_verdict = _is_ascii(counts)
-    entropy_bits = _entropy(counts, len(data))
-    chi = _chi_squared(counts, len(data))
+    is_ascii, entropy, chi = _statistics(histogram(data), len(data))
+    ascii_verdict, entropy_bits, chi = bool(is_ascii), float(entropy), float(chi)
     entropy_verdict = entropy_bits < config.entropy_threshold
     chi_verdict = chi > config.chi_threshold
 
@@ -195,36 +199,33 @@ def compare_methods(
     A "positive" is a payload the method flags as cleartext; precision is
     TP/(TP+FP) and fraction_flagged the share of all payloads flagged. The
     raw tests are applied directly (no minimum-length fallback) so the
-    methods are compared on their own merits.
+    methods are compared on their own merits. The corpus is read in batches
+    of ``_BATCH``, so an iterable is never held in memory whole.
     """
-    tallies = {method: {"tp": 0, "fp": 0, "fn": 0, "flagged": 0} for method in METHODS}
-    total = 0
-    for item in corpus:
-        total += 1
-        is_cleartext = item.label == CLEARTEXT
-        counts = histogram(item.data)
-        flags = {
-            "ascii": _is_ascii(counts),
-            "entropy": _entropy(counts, len(item.data)) < config.entropy_threshold,
-            "chi_squared": _chi_squared(counts, len(item.data)) > config.chi_threshold,
-        }
-        for method, flagged in flags.items():
-            tally = tallies[method]
-            if flagged:
-                tally["flagged"] += 1
-                tally["tp" if is_cleartext else "fp"] += 1
-            elif is_cleartext:
-                tally["fn"] += 1
+    true_positives = np.zeros(len(METHODS), dtype=np.int64)
+    flagged = np.zeros(len(METHODS), dtype=np.int64)
+    total = cleartext = 0
+    items = iter(corpus)
+    while batch := list(islice(items, _BATCH)):
+        counts = np.array([histogram(item.data) for item in batch], dtype=np.float64)
+        lengths = np.array([len(item.data) for item in batch], dtype=np.float64)
+        is_ascii, entropy, chi = _statistics(counts, lengths[:, np.newaxis])
+        flags = np.stack((is_ascii, entropy < config.entropy_threshold, chi > config.chi_threshold))
+        is_cleartext = np.array([item.label == CLEARTEXT for item in batch])
+        true_positives += (flags & is_cleartext).sum(axis=1)
+        flagged += flags.sum(axis=1)
+        total += len(batch)
+        cleartext += int(is_cleartext.sum())
     if total == 0:
         raise EmptyCorpus("corpus has no payloads")
     per_method = {
         method: MethodStats(
-            true_positives=t["tp"],
-            false_positives=t["fp"],
-            false_negatives=t["fn"],
-            flagged=t["flagged"],
+            true_positives=tp,
+            false_positives=positives - tp,
+            false_negatives=cleartext - tp,
+            flagged=positives,
             total=total,
         )
-        for method, t in tallies.items()
+        for method, tp, positives in zip(METHODS, true_positives.tolist(), flagged.tolist())
     }
     return MethodReport(per_method=per_method, total=total)

@@ -18,6 +18,7 @@ import ipaddress
 import json
 import random
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -251,11 +252,14 @@ def load_corpus(path) -> list[LabeledPayload]:
                     raise ValueError("record is not a JSON object")
                 if obj["label"] not in (CLEARTEXT, ENCRYPTED):
                     raise ValueError(f"unknown label {obj['label']!r}")
+                note = obj.get("generator_note", "")
+                # a corpus has a handful of distinct labels and notes: share
+                # one string object per value instead of one per record
                 items.append(
                     LabeledPayload(
                         data=base64.b64decode(obj["data_b64"], validate=True),
-                        label=obj["label"],
-                        generator_note=obj.get("generator_note", ""),
+                        label=sys.intern(obj["label"]),
+                        generator_note=sys.intern(note) if isinstance(note, str) else note,
                         seed_record=int(obj.get("seed_record", 0)),
                     )
                 )

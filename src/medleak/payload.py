@@ -21,7 +21,7 @@ _LINE_SPLIT = re.compile(r"\r\n|\n")
 _HEADERISH_LINE = re.compile(r"^[A-Za-z][A-Za-z0-9-]*:\s")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppPayload:
     """Application-layer bytes of a single packet (no cross-packet reassembly)."""
 

@@ -8,6 +8,8 @@ import re
 import struct
 from fnmatch import fnmatchcase
 
+import numpy as np
+
 from medleak.capture import (
     ETHERNET_HEADER_LEN,
     ETHERTYPE_IPV4,
@@ -20,6 +22,18 @@ from medleak.capture import (
     MalformedCapture,
     RawPacket,
     TransportInfo,
+)
+from medleak.classifiers import (
+    CLEARTEXT,
+    ENCRYPTED,
+    INDETERMINATE,
+    METHODS,
+    ClassificationResult,
+    ClassifierConfig,
+    EmptyCorpus,
+    MethodReport,
+    MethodStats,
+    histogram,
 )
 from medleak.leaks import IMAGE_EXTENSIONS, MIN_NAME_TOKEN_LEN, SEVERITY_WARN, _finding, _normalized_payload
 
@@ -302,3 +316,87 @@ def parse_capture_oracle(data: bytes) -> CaptureParse:
 
     packets.sort(key=lambda p: p.timestamp_us)  # stable: capture order kept on ties
     return CaptureParse(packets=packets, warnings=warnings)
+
+
+# --- classifiers: one payload at a time, entropy over the non-empty bins -----
+
+
+def _is_ascii(counts: np.ndarray) -> bool:
+    return not counts[128:].any()
+
+
+def _entropy(counts: np.ndarray, n: int) -> float:
+    p = counts[counts > 0] / n
+    value = float(-(p * np.log2(p)).sum())
+    return value + 0.0  # fold -0.0 from the single-symbol case
+
+
+def _chi_squared(counts: np.ndarray, n: int) -> float:
+    expected = n / 256.0
+    deviation = counts - expected
+    return float((deviation * deviation / expected).sum())
+
+
+def classify_oracle(payload, config: ClassifierConfig = ClassifierConfig()) -> ClassificationResult:
+    data = payload.data
+    counts = histogram(data)
+    ascii_verdict = _is_ascii(counts)
+    entropy_bits = _entropy(counts, len(data))
+    chi = _chi_squared(counts, len(data))
+    entropy_verdict = entropy_bits < config.entropy_threshold
+    chi_verdict = chi > config.chi_threshold
+
+    if len(data) < config.min_stat_len:
+        consensus = CLEARTEXT if ascii_verdict else INDETERMINATE
+    else:
+        votes = {
+            "ascii": ascii_verdict,
+            "entropy": entropy_verdict,
+            "chi_squared": chi_verdict,
+            "majority": (ascii_verdict + entropy_verdict + chi_verdict) >= 2,
+        }
+        consensus = CLEARTEXT if votes[config.decision_method] else ENCRYPTED
+
+    return ClassificationResult(
+        packet_index=payload.packet_index,
+        ascii_verdict=ascii_verdict,
+        entropy_bits=entropy_bits,
+        entropy_verdict=entropy_verdict,
+        chi_squared=chi,
+        chi_verdict=chi_verdict,
+        consensus=consensus,
+    )
+
+
+def compare_methods_oracle(corpus, config: ClassifierConfig = ClassifierConfig()) -> MethodReport:
+    tallies = {method: {"tp": 0, "fp": 0, "fn": 0, "flagged": 0} for method in METHODS}
+    total = 0
+    for item in corpus:
+        total += 1
+        is_cleartext = item.label == CLEARTEXT
+        counts = histogram(item.data)
+        flags = {
+            "ascii": _is_ascii(counts),
+            "entropy": _entropy(counts, len(item.data)) < config.entropy_threshold,
+            "chi_squared": _chi_squared(counts, len(item.data)) > config.chi_threshold,
+        }
+        for method, flagged in flags.items():
+            tally = tallies[method]
+            if flagged:
+                tally["flagged"] += 1
+                tally["tp" if is_cleartext else "fp"] += 1
+            elif is_cleartext:
+                tally["fn"] += 1
+    if total == 0:
+        raise EmptyCorpus("corpus has no payloads")
+    per_method = {
+        method: MethodStats(
+            true_positives=t["tp"],
+            false_positives=t["fp"],
+            false_negatives=t["fn"],
+            flagged=t["flagged"],
+            total=total,
+        )
+        for method, t in tallies.items()
+    }
+    return MethodReport(per_method=per_method, total=total)

@@ -4,6 +4,8 @@ The parser fixtures here are assembled by hand with struct.pack so they stay
 independent of the package's own frame builders.
 """
 
+import dataclasses
+import pickle
 import struct
 
 import pytest
@@ -14,14 +16,16 @@ from medleak.capture import (
     GLOBAL_HEADER_LEN,
     RECORD_HEADER_LEN,
     DeviceStream,
+    IpInfo,
     MalformedCapture,
     RawPacket,
+    TransportInfo,
     normalize_mac,
     parse_capture,
     split_by_device,
 )
 from medleak.corpus import SCENARIOS, build_fixture_capture, generate_random_capture, reserialize
-from medleak.payload import extract_payloads
+from medleak.payload import AppPayload, extract_payloads
 
 from _oracles import ipv4_oracle, parse_capture_oracle
 
@@ -430,3 +434,32 @@ def test_arbitrary_records_raise_nothing_and_every_record_is_counted(variant, fr
         records += 1
     skipped = len(result.warnings) - cut_short
     assert len(result.packets) + skipped == records
+
+
+_IP = IpInfo("192.168.4.21", "89.30.121.52", 6)
+_TCP = TransportInfo(40000, 80, "TCP")
+
+
+@pytest.mark.parametrize("record, field_names, text", [
+    (_IP, ("src_addr", "dst_addr", "protocol"),
+     "IpInfo(src_addr='192.168.4.21', dst_addr='89.30.121.52', protocol=6)"),
+    (_TCP, ("src_port", "dst_port", "kind"), "TransportInfo(src_port=40000, dst_port=80, kind='TCP')"),
+    (RawPacket(3, 1_000_000, "aa", "bb", 0x0800, _IP, _TCP, b"GET", b"frame"),
+     ("index", "timestamp_us", "src_mac", "dst_mac", "ethertype", "ip", "transport", "payload", "frame"),
+     f"RawPacket(index=3, timestamp_us=1000000, src_mac='aa', dst_mac='bb', ethertype=2048, ip={_IP!r}, "
+     f"transport={_TCP!r}, payload=b'GET', frame=b'frame')"),
+    (AppPayload(3, "outbound", (40000, 80), b"GET", "TCP"),
+     ("packet_index", "direction", "port_pair", "data", "transport_kind"),
+     "AppPayload(packet_index=3, direction='outbound', port_pair=(40000, 80), data=b'GET', transport_kind='TCP')"),
+], ids=["IpInfo", "TransportInfo", "RawPacket", "AppPayload"])
+def test_packet_records_are_slotted_frozen_values(record, field_names, text):
+    assert not hasattr(record, "__dict__")
+    assert tuple(field.name for field in dataclasses.fields(record)) == field_names
+    assert repr(record) == text
+    first = field_names[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, first, getattr(record, first))
+    copy = dataclasses.replace(record)
+    assert copy == record and copy is not record
+    assert dataclasses.replace(record, **{first: None}) != record
+    assert pickle.loads(pickle.dumps(record)) == record

@@ -1,13 +1,19 @@
 """Classifier correctness: analytic anchors, brute-force oracle agreement,
 threshold tie rules, consensus logic, and distributional invariants."""
 
+import dataclasses
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medleak.classifiers import (
+    CLEARTEXT,
+    DECISION_METHODS,
+    ENCRYPTED,
     ClassifierConfig,
     EmptyCorpus,
     EmptyPayload,
@@ -17,15 +23,26 @@ from medleak.classifiers import (
     classify_chi,
     classify_entropy,
     compare_methods,
+    _statistics,
     histogram,
     shannon_entropy,
 )
 from medleak.corpus import CorpusSpec, LabeledPayload, deterministic_bytes, generate_corpus
 from medleak.payload import AppPayload
 
-from _oracles import chi_squared_double_loop_oracle, chi_squared_two_pass_oracle, entropy_oracle
+from _oracles import (
+    chi_squared_double_loop_oracle,
+    chi_squared_two_pass_oracle,
+    classify_oracle,
+    compare_methods_oracle,
+    entropy_oracle,
+)
 
 ALL_256_ONCE = bytes(range(256))
+
+# The stacked kernel sums entropy over all 256 bins, the oracle over the
+# non-empty ones only; the two orders of summation may differ by a few ulp.
+ENTROPY_ORACLE_TOLERANCE = 1e-12
 
 
 def _payload(data, index=0):
@@ -299,3 +316,123 @@ def test_classify_equals_the_three_public_tests_exactly(data):
     assert result.ascii_verdict == classify_ascii(data)
     assert result.entropy_bits == shannon_entropy(data)
     assert result.chi_squared == chi_squared(data)
+
+
+# --- the stacked kernel against the per-payload oracle -----------------------
+
+_payload_bytes = st.one_of(
+    st.binary(min_size=1, max_size=2048),
+    st.text(min_size=1, max_size=600).map(lambda text: text.encode("utf-8")),
+    st.text(alphabet=st.characters(max_codepoint=127), min_size=1, max_size=600).map(str.encode),
+)
+_configs = st.builds(
+    ClassifierConfig,
+    entropy_threshold=st.floats(0.01, 9.0),
+    chi_threshold=st.floats(0.01, 1e5),
+    min_stat_len=st.integers(1, 160),
+)
+
+
+def _assert_close_to_the_oracle(data, config):
+    got, want = classify(_payload(data, 7), config), classify_oracle(_payload(data, 7), config)
+    assert got.ascii_verdict is want.ascii_verdict
+    assert abs(got.entropy_bits - want.entropy_bits) <= ENTROPY_ORACLE_TOLERANCE
+    assert dataclasses.replace(got, entropy_bits=want.entropy_bits) == want  # chi² and every verdict exact
+
+
+@given(data=_payload_bytes, config=_configs)
+def test_classify_matches_the_per_payload_oracle(data, config):
+    for method in DECISION_METHODS:
+        _assert_close_to_the_oracle(data, dataclasses.replace(config, decision_method=method))
+
+
+@given(config=_configs, offset=st.integers(-2, 2), draw=st.data())
+def test_classify_matches_the_oracle_around_min_stat_len(config, offset, draw):
+    length = max(1, config.min_stat_len + offset)
+    data = draw.draw(st.one_of(
+        st.binary(min_size=length, max_size=length),
+        st.text(alphabet=st.characters(max_codepoint=127), min_size=length, max_size=length).map(str.encode),
+    ))
+    for method in DECISION_METHODS:
+        _assert_close_to_the_oracle(data, dataclasses.replace(config, decision_method=method))
+
+
+_ASCII_WORDS = ("status", "blood_pressure", "id=4711", "\r\n")
+
+
+def _mixed_corpus(seed, size):
+    """Binary, ASCII and UTF-8 payloads of 1-600 bytes, labeled at random so
+    every tally cell is exercised."""
+    rng = random.Random(seed)
+    items = []
+    for _ in range(size):
+        length = rng.randint(1, 600)
+        vocabulary = rng.choice((None, _ASCII_WORDS, _ASCII_WORDS + ("café", "über")))
+        if vocabulary is None:
+            data = rng.randbytes(length)
+        else:
+            data = " ".join(rng.choices(vocabulary, k=length)).encode()[:length]
+        items.append(LabeledPayload(data, rng.choice((CLEARTEXT, ENCRYPTED)), "mixed", seed))
+    return items
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    size=st.sampled_from([1, 15, 16, 17, 1000]),
+    seed=st.integers(0, 2**32 - 1),
+    as_generator=st.booleans(),
+    entropy_threshold=st.floats(0.5, 8.5),
+    chi_threshold=st.floats(1.0, 5000.0),
+)
+def test_compare_methods_tallies_equal_the_per_item_oracle(size, seed, as_generator, entropy_threshold, chi_threshold):
+    corpus = _mixed_corpus(seed, size)
+    config = ClassifierConfig(entropy_threshold=entropy_threshold, chi_threshold=chi_threshold)
+    report = compare_methods((item for item in corpus) if as_generator else corpus, config)
+    assert report == compare_methods_oracle(corpus, config)
+    for stats in report.per_method.values():
+        assert all(type(value) is int for value in dataclasses.astuple(stats))
+
+
+@given(rows=st.lists(_payload_bytes, min_size=1, max_size=20))
+def test_a_stacked_row_equals_the_one_dimensional_result(rows):
+    counts = np.array([histogram(data) for data in rows], dtype=np.float64)
+    lengths = np.array([len(data) for data in rows], dtype=np.float64)
+    stacked = _statistics(counts, lengths[:, np.newaxis])
+    for row, data in enumerate(rows):
+        alone = _statistics(histogram(data), len(data))
+        assert [column[row] for column in stacked] == list(alone)
+
+
+@pytest.mark.parametrize("position", [0, 5, 15, 16, 17])
+def test_an_empty_payload_anywhere_in_the_corpus_raises(position):
+    corpus = [LabeledPayload(b"status ok " * 10, CLEARTEXT, "text", 0)] * 20
+    corpus[position] = LabeledPayload(b"", CLEARTEXT, "empty", 0)
+    for score in (compare_methods, compare_methods_oracle):
+        with pytest.raises(EmptyPayload):
+            score(corpus)
+        with pytest.raises(EmptyPayload):
+            score(item for item in corpus)
+
+
+def test_an_empty_generator_raises_empty_corpus():
+    for score in (compare_methods, compare_methods_oracle):
+        with pytest.raises(EmptyCorpus):
+            score(item for item in [])
+
+
+def _traced_peak(count):
+    stream = (
+        LabeledPayload(deterministic_bytes(21, f"p{i}", 1024), (CLEARTEXT, ENCRYPTED)[i % 2], "xof", 21)
+        for i in range(count)
+    )
+    tracemalloc.start()
+    try:
+        compare_methods(stream)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compare_methods_memory_does_not_grow_with_a_generator_corpus():
+    slack = 16 * 1024
+    assert _traced_peak(4000) <= _traced_peak(400) + slack

@@ -68,6 +68,15 @@ class TestGenerateCorpus:
         assert load_corpus(tmp_path / "corpus") == items
         assert load_corpus(path) == items
 
+    def test_loaded_records_share_one_string_per_label_and_note(self, tmp_path):
+        items = load_corpus(save_corpus(generate_corpus(CorpusSpec(40, 40, (64, 128), seed=13)), tmp_path / "c"))
+        for attribute in ("label", "generator_note"):
+            first_seen = {}
+            for item in items:
+                value = getattr(item, attribute)
+                assert value is first_seen.setdefault(value, value)
+        assert len({item.generator_note for item in items}) > 2
+
     @pytest.mark.parametrize("record, reason", [
         ('{"label": "cleartext", "generator_note": "x"}', "missing key 'data_b64'"),
         ('{"data_b64": "aGk="}', "missing key 'label'"),

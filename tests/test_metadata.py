@@ -11,6 +11,7 @@ from medleak.capture import DeviceStream, IpInfo, RawPacket, TransportInfo, pars
 from medleak.corpus import dns_query_payload, dns_response_payload, udp_frame, write_pcap
 from medleak.metadata import (
     ActivityPeriod,
+    _parse_dns_response,
     activity_periods,
     endpoint_profiles,
     extract_dns_answers,
@@ -195,3 +196,49 @@ class TestDnsExtraction:
         packets = parse_capture(write_pcap([(1_000_000, frame)])).packets
         answers = extract_dns_answers(packets)
         assert answers == {"198.51.100.1": "multi.example", "198.51.100.2": "multi.example"}
+
+
+# --- robustness: the DNS response parser returns normally on anything --------
+
+def _assert_address_to_name_map(answers):
+    assert isinstance(answers, dict)
+    for address, name in answers.items():
+        ipaddress.ip_address(address)
+        assert isinstance(name, str)
+
+
+@settings(max_examples=300)
+@given(data=st.binary(max_size=512))
+def test_dns_response_parser_returns_normally_on_arbitrary_bytes(data):
+    _assert_address_to_name_map(_parse_dns_response(data))
+
+
+# Bytes shaped like the sections of a response, so that questions are
+# skipped and A and AAAA records with short or long rdata are common.
+_NAME_LIKE = st.one_of(st.sampled_from((b"\x00", b"\xc0\x0c", b"\x01a\x00")), st.binary(max_size=12))
+_QUESTION_LIKE = st.builds(lambda name, rest: name + rest, _NAME_LIKE, st.binary(min_size=4, max_size=4))
+_RECORD_LIKE = st.builds(
+    lambda name, type_and_length, rdata: name + struct.pack("!HHIH", type_and_length[0], 1, 300, type_and_length[1])
+    + rdata,
+    _NAME_LIKE,
+    st.one_of(st.sampled_from(((1, 4), (28, 16))), st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))),
+    st.binary(max_size=20),
+)
+
+
+@settings(max_examples=300)
+@given(
+    flags=st.integers(0, 0xFFFF),
+    questions=st.lists(_QUESTION_LIKE, max_size=2),
+    records=st.lists(_RECORD_LIKE, max_size=4),
+    extra_answers=st.integers(0, 2),
+    tail=st.binary(max_size=24),
+    cut=st.integers(0, 8),
+)
+def test_dns_response_parser_returns_normally_after_a_response_header(
+    flags, questions, records, extra_answers, tail, cut
+):
+    body = b"".join(questions + records) + tail
+    body = body[: max(0, len(body) - cut)]  # a snap length may cut the last record short
+    header = struct.pack("!HHHHHH", 0x3A21, flags | 0x8000, len(questions), len(records) + extra_answers, 0, 0)
+    _assert_address_to_name_map(_parse_dns_response(header + body))

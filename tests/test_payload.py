@@ -206,3 +206,34 @@ class TestContinuationHeuristic:
 
     def test_binary_is_not_a_continuation(self):
         assert not looks_like_http_continuation(b"\x00\x01\x02\x03\xfe\xff")
+
+
+# --- robustness: the parsers return normally on anything ---------------------
+
+_VALID_START_LINE = st.one_of(
+    st.builds(
+        lambda m, url: (f"{m} /{url} HTTP/1.1", "request"),
+        st.sampled_from(HTTP_METHODS),
+        st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E), max_size=40),
+    ),
+    st.builds(lambda code: (f"HTTP/1.1 {code} OK", "response"), st.integers(100, 599)),
+)
+
+
+@settings(max_examples=300)
+@given(data=st.binary(max_size=1024))
+def test_http_parsers_return_normally_on_arbitrary_bytes(data):
+    message = parse_http(_payload(data))
+    assert message is None or isinstance(message, HttpMessage)
+    assert looks_like_http_continuation(data) in (True, False)
+
+
+@settings(max_examples=300)
+@given(start=_VALID_START_LINE, newline=st.sampled_from((b"\r\n", b"\n")), tail=st.binary(max_size=1024))
+def test_http_parsers_return_normally_after_a_valid_start_line(start, newline, tail):
+    line, kind = start
+    data = line.encode("latin-1") + newline + tail
+    message = parse_http(_payload(data))
+    assert message.kind == kind
+    assert all(isinstance(name, str) and isinstance(value, str) for name, value in message.headers)
+    assert looks_like_http_continuation(data) is False

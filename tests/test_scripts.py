@@ -44,3 +44,11 @@ def test_fixture_demo_exits_with_the_worst_status():
     assert done.returncode == 2, done.stderr
     for scenario, code in (("bp-monitor-leaky", 2), ("scale-encrypted", 0), ("mixed-home", 2)):
         assert f"== {scenario} (exit {code}) ==" in done.stdout
+
+
+@pytest.mark.parametrize("script", ["run_method_comparison.py", "threshold_sweep.py"])
+def test_bad_length_range_is_a_one_line_error(script):
+    done = _run(script, "--n", "10", "--min-len", "100", "--max-len", "10")
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [f"{script}: error: bad length range (100, 10)"]
