@@ -7,11 +7,13 @@ decoded packets into one stream per registered device MAC address.
 
 from __future__ import annotations
 
+import io
 import logging
 import re
 import struct
 from dataclasses import dataclass
 from ipaddress import IPv6Address
+from typing import BinaryIO
 
 log = logging.getLogger(__name__)
 
@@ -213,37 +215,35 @@ def _decode_frame(
             return None, f"frame {index}: truncated {kind} header"
         transport, start, end = decoded_t
 
-    packet = RawPacket(
-        index=index,
-        timestamp_us=ts_us,
-        src_mac=pair[1],
-        dst_mac=pair[0],
-        ethertype=ethertype,
-        ip=ip,
-        transport=transport,
-        payload=frame[start:end],
-        frame=frame,
-    )
+    packet = RawPacket(index, ts_us, pair[1], pair[0], ethertype, ip, transport, frame[start:end], frame)
     return packet, None
 
 
-def parse_capture(data: bytes) -> CaptureParse:
-    """Decode a classic libpcap capture into RawPackets.
+def parse_capture(source: bytes | BinaryIO) -> CaptureParse:
+    """Decode a classic libpcap capture, given as bytes or as a seekable
+    binary file, into RawPackets.
 
-    Frames with truncated headers are skipped and counted as warnings rather
-    than aborting the parse. The returned packets are stably sorted by
-    timestamp, so equal timestamps keep capture order.
+    Records are read one at a time, so a file is never held whole. Frames
+    with truncated headers are skipped and counted as warnings rather than
+    aborting the parse. The returned packets are stably sorted by timestamp,
+    so equal timestamps keep capture order.
 
     Each distinct MAC pair, IP header and transport header is decoded once
     per call and its (frozen) result shared by every frame that repeats it.
     """
-    if len(data) < GLOBAL_HEADER_LEN:
-        raise MalformedCapture(f"truncated global header ({len(data)} bytes)")
+    fh = io.BytesIO(source) if isinstance(source, bytes) else source  # BytesIO shares the bytes
+    size = fh.seek(0, io.SEEK_END)  # no read goes past what the file held here
+    fh.seek(0)
+    read = fh.read
+
+    header = read(GLOBAL_HEADER_LEN)
+    if len(header) < GLOBAL_HEADER_LEN:
+        raise MalformedCapture(f"truncated global header ({len(header)} bytes)")
     try:
-        endian, frac_divisor = _MAGICS[data[:4]]
+        endian, frac_divisor = _MAGICS[header[:4]]
     except KeyError:
-        raise MalformedCapture(f"unrecognized pcap magic {data[:4].hex()}") from None
-    _, _, _, _, _, network = struct.unpack(endian + "HHiIII", data[4:GLOBAL_HEADER_LEN])
+        raise MalformedCapture(f"unrecognized pcap magic {header[:4].hex()}") from None
+    _, _, _, _, _, network = struct.unpack(endian + "HHiIII", header[4:])
     if network != LINKTYPE_ETHERNET:
         raise MalformedCapture(f"unsupported link type {network} (only Ethernet is supported)")
 
@@ -254,19 +254,20 @@ def parse_capture(data: bytes) -> CaptureParse:
     in_order, last_ts = True, 0
     offset = GLOBAL_HEADER_LEN
     index = 0
-    while offset < len(data):
-        if offset + RECORD_HEADER_LEN > len(data):
+    while offset < size:
+        if offset + RECORD_HEADER_LEN > size:
             warnings.append(f"frame {index}: truncated record header at offset {offset}")
             break
-        ts_sec, ts_frac, incl_len, _ = record_header.unpack_from(data, offset)
+        ts_sec, ts_frac, incl_len, _ = record_header.unpack(read(RECORD_HEADER_LEN))
         offset += RECORD_HEADER_LEN
-        if offset + incl_len > len(data):
+        # checked before reading: read(n) allocates n bytes whatever the stream holds
+        if offset + incl_len > size:
             warnings.append(
                 f"frame {index}: declared caplen {incl_len} exceeds remaining "
-                f"{len(data) - offset} bytes"
+                f"{size - offset} bytes"
             )
             break
-        frame = data[offset : offset + incl_len]
+        frame = read(incl_len)
         offset += incl_len
         ts_us = ts_sec * 1_000_000 + ts_frac // frac_divisor
         packet, warning = _decode_frame(index, ts_us, frame, macs, ips, transports)

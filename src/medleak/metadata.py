@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .capture import DeviceStream, RawPacket
 from .leaks import matches_vendor
-from .payload import AppPayload, parse_http
+from .payload import _START_LINE_PREFIXES, AppPayload, parse_http
 
 DEFAULT_GAP_THRESHOLD = 60.0  # seconds of silence that end an activity period
 
@@ -167,8 +167,10 @@ def resolve_hostnames(stream: DeviceStream, dns_answers: dict[str, str] | None =
     """Merge DNS answers with HTTP Host evidence from the stream itself."""
     hostmap = dict(dns_answers or {})
     for packet in stream.packets:
-        if packet.transport is None or packet.transport.kind != "TCP" or not packet.payload:
+        if packet.transport is None or packet.transport.kind != "TCP":
             continue
+        if not packet.payload.startswith(_START_LINE_PREFIXES):
+            continue  # parse_http would return None
         address = remote_address(packet, stream.mac)
         if address is None or address in hostmap:
             continue

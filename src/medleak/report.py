@@ -185,7 +185,8 @@ def analyze(captures, config: RunConfig) -> AnalysisResult:
     warnings: list[str] = []
     for capture_path in captures:
         path = Path(capture_path)
-        parsed = parse_capture(path.read_bytes())
+        with path.open("rb") as fh:
+            parsed = parse_capture(fh)
         warnings.extend(f"{path.name}: {w}" for w in parsed.warnings)
         streams, unattributed = split_by_device(parsed.packets, config.registry)
         if unattributed:
@@ -236,8 +237,16 @@ def render(reports: list[DeviceReport], format: str = "json") -> bytes:
     findings by packet index) and schema-versioned."""
     ordered = sorted(reports, key=lambda r: (r.capture, r.mac))
     if format == "json":
-        doc = {"schema": SCHEMA_VERSION, "devices": [_device_dict(r) for r in ordered]}
-        return (json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n").encode("utf-8")
+        # Each device is dumped on its own and every piece is joined once, so
+        # the report is held at most as its pieces plus their join, never as
+        # one dict tree or str.
+        pieces = [b'{"schema":%d,"devices":[' % SCHEMA_VERSION]
+        for position, r in enumerate(ordered):
+            if position:
+                pieces.append(b",")
+            pieces.append(json.dumps(_device_dict(r), separators=(",", ":"), ensure_ascii=False).encode("utf-8"))
+        pieces.append(b"]}\n")
+        return b"".join(pieces)
     if format == "text":
         return _render_text(ordered).encode("utf-8")
     raise ValueError(f"unknown render format: {format!r}")

@@ -36,6 +36,8 @@ from medleak.classifiers import (
     histogram,
 )
 from medleak.leaks import IMAGE_EXTENSIONS, MIN_NAME_TOKEN_LEN, SEVERITY_WARN, _finding, _normalized_payload
+from medleak.metadata import remote_address
+from medleak.payload import AppPayload, parse_http
 
 
 def byte_counts(data: bytes) -> dict[int, int]:
@@ -316,6 +318,23 @@ def parse_capture_oracle(data: bytes) -> CaptureParse:
 
     packets.sort(key=lambda p: p.timestamp_us)  # stable: capture order kept on ties
     return CaptureParse(packets=packets, warnings=warnings)
+
+
+# --- hostnames: every TCP payload of an unresolved remote goes through parse_http
+
+
+def resolve_hostnames_oracle(stream, dns_answers=None) -> dict[str, str]:
+    hostmap = dict(dns_answers or {})
+    for packet in stream.packets:
+        if packet.transport is None or packet.transport.kind != "TCP" or not packet.payload:
+            continue
+        address = remote_address(packet, stream.mac)
+        if address is None or address in hostmap:
+            continue
+        message = parse_http(AppPayload(packet.index, "outbound", (0, 0), packet.payload, "TCP"))
+        if message is not None and message.host:
+            hostmap[address] = message.host
+    return hostmap
 
 
 # --- classifiers: one payload at a time, entropy over the non-empty bins -----

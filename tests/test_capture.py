@@ -7,13 +7,15 @@ independent of the package's own frame builders.
 import dataclasses
 import pickle
 import struct
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from medleak.capture import (
     GLOBAL_HEADER_LEN,
+    LINKTYPE_ETHERNET,
     RECORD_HEADER_LEN,
     DeviceStream,
     IpInfo,
@@ -434,6 +436,76 @@ def test_arbitrary_records_raise_nothing_and_every_record_is_counted(variant, fr
         records += 1
     skipped = len(result.warnings) - cut_short
     assert len(result.packets) + skipped == records
+
+
+def _outcome(parse, source):
+    """A parse's packets and warnings, or the message of its MalformedCapture."""
+    try:
+        result = parse(source)
+    except MalformedCapture as exc:
+        return str(exc)
+    return result.packets, result.warnings
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    variant=st.sampled_from(_VARIANTS),
+    records=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2**32 - 1), st.binary(max_size=80) | _hostile_frame()),
+                     max_size=8),
+    tail=st.binary(max_size=48),
+    magic=st.none() | st.binary(min_size=4, max_size=4),
+    network=st.sampled_from([LINKTYPE_ETHERNET]) | st.integers(0, 2**32 - 1),
+    cut=st.none() | st.integers(0, GLOBAL_HEADER_LEN + RECORD_HEADER_LEN),
+)
+def test_a_file_parses_as_its_bytes(tmp_path, variant, records, tail, magic, network, cut):
+    data = _capture(variant, records) + tail
+    data = (magic or data[:4]) + data[4:20] + struct.pack(variant[1] + "I", network) + data[24:]
+    data = data if cut is None else data[:cut]
+    path = tmp_path / "capture.pcap"
+    path.write_bytes(data)
+    with path.open("rb") as fh:
+        from_file = _outcome(parse_capture, fh)
+    assert from_file == _outcome(parse_capture, data) == _outcome(parse_capture_oracle, data)
+
+
+def _traced(parse):
+    """(result, traced peak, traced memory the result retains) of one parse."""
+    tracemalloc.start()
+    try:
+        result = parse()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, retained
+
+
+def test_a_huge_declared_caplen_in_a_file_warns_without_allocating_it(tmp_path):
+    path = tmp_path / "huge-caplen.pcap"
+    path.write_bytes(_global_header(b"\xd4\xc3\xb2\xa1") + struct.pack("<IIII", 1, 0, 0xFFFFFFFF, 60) + b"\x00" * 8)
+    with path.open("rb") as fh:
+        result, peak, _ = _traced(lambda: parse_capture(fh))
+    assert result.packets == []
+    assert result.warnings == ["frame 0: declared caplen 4294967295 exceeds remaining 8 bytes"]
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("size", [1_000_000, 8_000_000])
+def test_parsing_a_file_holds_no_more_than_its_result(tmp_path, size):
+    """Near-MTU TLS frames, the shape of a long device capture: the parse's
+    traced peak is what its packets keep plus a slack that does not grow
+    with the file."""
+    frame = _tcp_frame_by_hand(DEV_MAC, AP_MAC, b"\xc0\xa8\x01\x15", b"\x59\x1e\x79\x34", 43211, 443,
+                               b"\x17\x03\x03\x05\x78" + bytes(1395))
+    count = (size - GLOBAL_HEADER_LEN) // (RECORD_HEADER_LEN + len(frame))
+    path = tmp_path / "bulk.pcap"
+    with path.open("wb") as fh:
+        fh.write(_global_header(b"\xd4\xc3\xb2\xa1"))
+        for i in range(count):
+            fh.write(_record(1_700_000_000 + i, 0, frame))
+    with path.open("rb") as fh:
+        result, peak, retained = _traced(lambda: parse_capture(fh))
+    assert len(result.packets) == count and result.warnings == []
+    assert peak - retained < 256 * 1024
 
 
 _IP = IpInfo("192.168.4.21", "89.30.121.52", 6)

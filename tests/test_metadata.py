@@ -7,8 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medleak.capture import DeviceStream, IpInfo, RawPacket, TransportInfo, parse_capture
-from medleak.corpus import dns_query_payload, dns_response_payload, udp_frame, write_pcap
+from medleak.capture import DeviceStream, IpInfo, RawPacket, TransportInfo, parse_capture, split_by_device
+from medleak.corpus import (
+    SCENARIOS,
+    build_fixture_capture,
+    dns_query_payload,
+    dns_response_payload,
+    fixture_registry,
+    generate_random_capture,
+    tls_record,
+    udp_frame,
+    write_pcap,
+)
 from medleak.metadata import (
     ActivityPeriod,
     _parse_dns_response,
@@ -18,6 +28,8 @@ from medleak.metadata import (
     periodicity_hint,
     resolve_hostnames,
 )
+
+from _oracles import resolve_hostnames_oracle
 
 DEV = "00:24:e4:1b:20:31"
 AP = "b8:27:eb:5a:10:04"
@@ -150,6 +162,30 @@ class TestEndpoints:
         profiles = endpoint_profiles(stream, {}, ("*vendor.example",))
         assert profiles[0].hostname == "api.vendor.example"
         assert profiles[0].vendor_flag is True
+
+    def test_hostnames_resolve_as_oracle(self):
+        tls = tls_record(0x17, 3, b"\x8f" * 64)
+        hand_built = [_stream([
+            _packet(0, 0.0, remote="198.51.100.20", payload=tls, dport=443),  # TLS, never resolved
+            _packet(1, 1.0, remote="198.51.100.21", payload=tls, dport=443),
+            _packet(2, 2.0, remote="198.51.100.21", payload=b"GET /late HTTP/1.1\r\nHost: late.example\r\n\r\n"),
+            _packet(3, 3.0, remote="198.51.100.22", payload=b"GET without a version\r\nHost: no.example\r\n\r\n"),
+            _packet(4, 4.0, remote="198.51.100.23", payload=b"HTTP/1.1 200 OK\r\nHost: reply.example\r\n\r\n",
+                    outbound=False),
+            _packet(5, 5.0, remote="198.51.100.24", payload=b"get /lower HTTP/1.1\r\nHost: lower.example\r\n\r\n"),
+            _packet(6, 6.0, remote="198.51.100.25", payload=b"GET / HTTP/1.1\r\nHost: udp.example\r\n\r\n", kind="UDP"),
+        ])]
+        captures = [generate_random_capture(seed) for seed in range(30)]
+        captures += [(build_fixture_capture(s), fixture_registry(s)) for s in SCENARIOS]
+        cases = [(stream, {}) for stream in hand_built]
+        for data, registry in captures:
+            packets = parse_capture(data).packets
+            streams, _ = split_by_device(packets, registry)
+            answers = extract_dns_answers(packets)
+            # without the DNS answers, every TLS remote stays unresolved
+            cases += [(stream, dns) for stream in streams for dns in (answers, {})]
+        for stream, dns in cases:
+            assert resolve_hostnames(stream, dns) == resolve_hostnames_oracle(stream, dns)
 
 
 class TestDnsExtraction:

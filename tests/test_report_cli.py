@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -221,6 +222,29 @@ class TestRender:
             path.write_bytes(data)
             result = analyze([path], RunConfig(registry=registry))
             jsonschema.validate(json.loads(render(result.reports)), report_schema)
+
+    def test_json_is_rendered_device_by_device(self, tmp_path):
+        """On a capture stitched from many random ones, the traced peak of
+        rendering is at most twice the output's size plus a fixed slack, and
+        the pieces join into exactly the document that one dump of the whole
+        report gives."""
+        records, registry = [], {}
+        for seed in range(80):
+            data, seed_registry = generate_random_capture(seed)
+            records += [(p.timestamp_us + seed * 86_400_000_000, p.frame) for p in parse_capture(data).packets]
+            registry.update(seed_registry)
+        path = tmp_path / "stitched.pcap"
+        path.write_bytes(write_pcap(records))
+        reports = analyze([path], RunConfig(registry=registry)).reports
+        assert len(reports) > 100
+        tracemalloc.start()
+        try:
+            output = render(reports, "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * len(output) + 64 * 1024
+        assert output == (json.dumps(json.loads(output), separators=(",", ":"), ensure_ascii=False) + "\n").encode()
 
 
 class TestConfigFiles:
