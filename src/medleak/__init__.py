@@ -12,6 +12,7 @@ from .classifiers import (
     MethodReport,
     chi_squared,
     classify,
+    classify_all,
     classify_ascii,
     classify_chi,
     classify_entropy,

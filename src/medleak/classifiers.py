@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ DEFAULT_DECISION_METHOD = "chi_squared"
 METHODS = ("ascii", "entropy", "chi_squared")
 DECISION_METHODS = METHODS + ("majority",)
 
-# compare_methods scores its corpus this many payloads at a time, as one
+# classify_all and compare_methods score this many payloads at a time, as one
 # stacked (k, 256) histogram matrix.
 _BATCH = 16
 
@@ -162,32 +162,55 @@ def classify(payload: AppPayload, config: ClassifierConfig = ClassifierConfig())
     ``min_stat_len`` bytes; shorter ones fall back to the ASCII test and are
     marked indeterminate when that test fails too.
     """
-    data = payload.data
-    is_ascii, entropy, chi = _statistics(histogram(data), len(data))
-    ascii_verdict, entropy_bits, chi = bool(is_ascii), float(entropy), float(chi)
-    entropy_verdict = entropy_bits < config.entropy_threshold
-    chi_verdict = chi > config.chi_threshold
+    return classify_all([payload], config)[0]
 
-    if len(data) < config.min_stat_len:
-        consensus = CLEARTEXT if ascii_verdict else INDETERMINATE
-    else:
-        votes = {
-            "ascii": ascii_verdict,
-            "entropy": entropy_verdict,
-            "chi_squared": chi_verdict,
-            "majority": (ascii_verdict + entropy_verdict + chi_verdict) >= 2,
-        }
-        consensus = CLEARTEXT if votes[config.decision_method] else ENCRYPTED
 
-    return ClassificationResult(
-        packet_index=payload.packet_index,
-        ascii_verdict=ascii_verdict,
-        entropy_bits=entropy_bits,
-        entropy_verdict=entropy_verdict,
-        chi_squared=chi,
-        chi_verdict=chi_verdict,
-        consensus=consensus,
-    )
+def classify_all(
+    payloads: Sequence[AppPayload] | Iterable[AppPayload],
+    config: ClassifierConfig = ClassifierConfig(),
+) -> list[ClassificationResult]:
+    """``classify`` for each payload, in order, scoring ``_BATCH`` payloads
+    at a time as one stacked histogram matrix."""
+    results = []
+    for batch, statistics in _scored_batches(payloads):
+        for payload, ascii_verdict, entropy_bits, chi in zip(batch, *(column.tolist() for column in statistics)):
+            entropy_verdict = entropy_bits < config.entropy_threshold
+            chi_verdict = chi > config.chi_threshold
+
+            if len(payload.data) < config.min_stat_len:
+                consensus = CLEARTEXT if ascii_verdict else INDETERMINATE
+            else:
+                votes = {
+                    "ascii": ascii_verdict,
+                    "entropy": entropy_verdict,
+                    "chi_squared": chi_verdict,
+                    "majority": (ascii_verdict + entropy_verdict + chi_verdict) >= 2,
+                }
+                consensus = CLEARTEXT if votes[config.decision_method] else ENCRYPTED
+
+            results.append(
+                ClassificationResult(
+                    packet_index=payload.packet_index,
+                    ascii_verdict=ascii_verdict,
+                    entropy_bits=entropy_bits,
+                    entropy_verdict=entropy_verdict,
+                    chi_squared=chi,
+                    chi_verdict=chi_verdict,
+                    consensus=consensus,
+                )
+            )
+    return results
+
+
+def _scored_batches(items: Iterable) -> Iterator[tuple[list, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Read ``items`` (anything with a ``data`` attribute) in lists of at most
+    ``_BATCH`` and score each list as one stacked ``(k, 256)`` histogram
+    matrix, so an iterable is never held in memory whole."""
+    items = iter(items)
+    while batch := list(islice(items, _BATCH)):
+        counts = np.array([histogram(item.data) for item in batch], dtype=np.float64)
+        lengths = np.array([len(item.data) for item in batch], dtype=np.float64)
+        yield batch, _statistics(counts, lengths[:, np.newaxis])
 
 
 def compare_methods(
@@ -205,11 +228,7 @@ def compare_methods(
     true_positives = np.zeros(len(METHODS), dtype=np.int64)
     flagged = np.zeros(len(METHODS), dtype=np.int64)
     total = cleartext = 0
-    items = iter(corpus)
-    while batch := list(islice(items, _BATCH)):
-        counts = np.array([histogram(item.data) for item in batch], dtype=np.float64)
-        lengths = np.array([len(item.data) for item in batch], dtype=np.float64)
-        is_ascii, entropy, chi = _statistics(counts, lengths[:, np.newaxis])
+    for batch, (is_ascii, entropy, chi) in _scored_batches(corpus):
         flags = np.stack((is_ascii, entropy < config.entropy_threshold, chi > config.chi_threshold))
         is_cleartext = np.array([item.label == CLEARTEXT for item in batch])
         true_positives += (flags & is_cleartext).sum(axis=1)

@@ -128,6 +128,8 @@ def _parse_dns_response(data: bytes) -> dict[str, str]:
         return {}
     offset = 12
     for _ in range(qdcount):
+        if offset >= len(data):
+            break  # a hostile qdcount would otherwise loop up to 65,535 times
         _, offset = _decode_dns_name(data, offset)
         offset += 4  # qtype + qclass
     answers: dict[str, str] = {}

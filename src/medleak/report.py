@@ -9,7 +9,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .capture import DeviceStream, parse_capture, split_by_device
-from .classifiers import ENCRYPTED, INDETERMINATE, classify
+from .classifiers import ENCRYPTED, INDETERMINATE, classify_all
 from .config import RunConfig, load_dictionaries
 from .leaks import (
     LeakFinding,
@@ -105,12 +105,14 @@ def analyze_stream(
     tls_count = cleartext_count = encrypted_count = indeterminate_count = 0
     continuation_count = 0
 
+    plain = []
     for payload in payloads:
-        tls = detect_tls(payload)
-        if tls.is_tls:
+        if detect_tls(payload).is_tls:
             tls_count += 1
-            continue
-        verdict = classify(payload, classifier_config)
+        else:
+            plain.append(payload)
+
+    for payload, verdict in zip(plain, classify_all(plain, classifier_config)):
         if verdict.consensus == ENCRYPTED:
             encrypted_count += 1
             continue

@@ -33,11 +33,31 @@ from medleak.classifiers import (
     EmptyCorpus,
     MethodReport,
     MethodStats,
+    _statistics,
     histogram,
 )
-from medleak.leaks import IMAGE_EXTENSIONS, MIN_NAME_TOKEN_LEN, SEVERITY_WARN, _finding, _normalized_payload
-from medleak.metadata import remote_address
-from medleak.payload import AppPayload, parse_http
+from medleak.leaks import (
+    IMAGE_EXTENSIONS,
+    MIN_NAME_TOKEN_LEN,
+    SEVERITY_WARN,
+    TimedMessage,
+    _finding,
+    _normalized_payload,
+    http_leak_scan,
+    image_get_signature,
+    matches_vendor,
+    scan_cleartext_payload,
+)
+from medleak.metadata import (
+    _decode_dns_name,
+    activity_periods,
+    endpoint_profiles,
+    periodicity_hint,
+    remote_address,
+    resolve_hostnames,
+)
+from medleak.payload import AppPayload, detect_tls, extract_payloads, looks_like_http_continuation, parse_http
+from medleak.report import DeviceReport, _finding_order, _status
 
 
 def byte_counts(data: bytes) -> dict[int, int]:
@@ -337,6 +357,39 @@ def resolve_hostnames_oracle(stream, dns_answers=None) -> dict[str, str]:
     return hostmap
 
 
+# --- DNS: the question loop runs qdcount times, past the end of the message --
+
+
+def parse_dns_response_oracle(data: bytes) -> dict[str, str]:
+    if len(data) < 12:
+        return {}
+    flags, qdcount, ancount = struct.unpack("!HHH", data[2:8])
+    if not flags & 0x8000:  # not a response
+        return {}
+    offset = 12
+    for _ in range(qdcount):
+        _, offset = _decode_dns_name(data, offset)
+        offset += 4  # qtype + qclass
+    answers: dict[str, str] = {}
+    for _ in range(ancount):
+        if offset >= len(data):
+            break
+        name, offset = _decode_dns_name(data, offset)
+        if offset + 10 > len(data):
+            break
+        rtype, _, _, rdlength = struct.unpack("!HHIH", data[offset : offset + 10])
+        if offset + 10 + rdlength > len(data):
+            break  # rdata cut off (e.g. by the snap length)
+        offset += 10
+        rdata = data[offset : offset + rdlength]
+        offset += rdlength
+        if rtype == 1 and rdlength == 4:  # A
+            answers.setdefault(str(ipaddress.IPv4Address(rdata)), name)
+        elif rtype == 28 and rdlength == 16:  # AAAA
+            answers.setdefault(str(ipaddress.IPv6Address(rdata)), name)
+    return answers
+
+
 # --- classifiers: one payload at a time, entropy over the non-empty bins -----
 
 
@@ -362,6 +415,38 @@ def classify_oracle(payload, config: ClassifierConfig = ClassifierConfig()) -> C
     ascii_verdict = _is_ascii(counts)
     entropy_bits = _entropy(counts, len(data))
     chi = _chi_squared(counts, len(data))
+    entropy_verdict = entropy_bits < config.entropy_threshold
+    chi_verdict = chi > config.chi_threshold
+
+    if len(data) < config.min_stat_len:
+        consensus = CLEARTEXT if ascii_verdict else INDETERMINATE
+    else:
+        votes = {
+            "ascii": ascii_verdict,
+            "entropy": entropy_verdict,
+            "chi_squared": chi_verdict,
+            "majority": (ascii_verdict + entropy_verdict + chi_verdict) >= 2,
+        }
+        consensus = CLEARTEXT if votes[config.decision_method] else ENCRYPTED
+
+    return ClassificationResult(
+        packet_index=payload.packet_index,
+        ascii_verdict=ascii_verdict,
+        entropy_bits=entropy_bits,
+        entropy_verdict=entropy_verdict,
+        chi_squared=chi,
+        chi_verdict=chi_verdict,
+        consensus=consensus,
+    )
+
+
+# --- classifiers: one payload at a time, one 256-bin histogram per call ------
+
+
+def classify_single_oracle(payload, config: ClassifierConfig = ClassifierConfig()) -> ClassificationResult:
+    data = payload.data
+    is_ascii, entropy, chi = _statistics(histogram(data), len(data))
+    ascii_verdict, entropy_bits, chi = bool(is_ascii), float(entropy), float(chi)
     entropy_verdict = entropy_bits < config.entropy_threshold
     chi_verdict = chi > config.chi_threshold
 
@@ -419,3 +504,80 @@ def compare_methods_oracle(corpus, config: ClassifierConfig = ClassifierConfig()
         for method, t in tallies.items()
     }
     return MethodReport(per_method=per_method, total=total)
+
+
+# --- report: detect, classify and scan each payload in one pass (the log line
+# for HTTP continuations left out, as it is not part of the report) ----------
+
+
+def analyze_stream_oracle(capture_name, stream, dns_answers, config, dictionaries) -> DeviceReport:
+    classifier_config = config.classifier_config()
+    packets_by_index = {p.index: p for p in stream.packets}
+
+    payloads = extract_payloads(stream)
+    findings = []
+    timed_messages = []
+    tls_count = cleartext_count = encrypted_count = indeterminate_count = 0
+    continuation_count = 0
+
+    for payload in payloads:
+        tls = detect_tls(payload)
+        if tls.is_tls:
+            tls_count += 1
+            continue
+        verdict = classify_single_oracle(payload, classifier_config)
+        if verdict.consensus == ENCRYPTED:
+            encrypted_count += 1
+            continue
+        if verdict.consensus == INDETERMINATE:
+            indeterminate_count += 1
+            continue
+        cleartext_count += 1
+        findings.extend(scan_cleartext_payload(payload, verdict, dictionaries))
+        message = parse_http(payload)
+        if message is None:
+            if looks_like_http_continuation(payload.data):
+                continuation_count += 1
+            continue
+        findings.extend(
+            http_leak_scan(
+                message,
+                config.vendor_patterns,
+                dictionaries=dictionaries,
+                identifier_keys=config.identifier_keys,
+                packet_index=payload.packet_index,
+                payload=payload.data,
+            )
+        )
+        timed_messages.append(
+            TimedMessage(
+                timestamp=packets_by_index[payload.packet_index].timestamp,
+                packet_index=payload.packet_index,
+                message=message,
+                outbound=payload.direction == "outbound",
+                vendor_endpoint=matches_vendor(message.host, config.vendor_patterns),
+                payload=payload.data,
+            )
+        )
+
+    findings.extend(image_get_signature(timed_messages, config.image_window))
+    findings.sort(key=_finding_order)
+
+    hostnames = resolve_hostnames(stream, dns_answers)
+    activity = activity_periods(stream, config.gap_threshold, hostnames)
+    return DeviceReport(
+        capture=capture_name,
+        device_id=stream.device_id,
+        mac=stream.mac,
+        packet_count=len(stream.packets),
+        payload_count=len(payloads),
+        cleartext_count=cleartext_count,
+        tls_count=tls_count,
+        encrypted_count=encrypted_count,
+        indeterminate_count=indeterminate_count,
+        findings=findings,
+        activity=activity,
+        endpoints=endpoint_profiles(stream, dns_answers, config.vendor_patterns),
+        periodicity=periodicity_hint(activity),
+        status=_status(findings),
+    )

@@ -19,6 +19,7 @@ from medleak.classifiers import (
     EmptyPayload,
     chi_squared,
     classify,
+    classify_all,
     classify_ascii,
     classify_chi,
     classify_entropy,
@@ -34,6 +35,7 @@ from _oracles import (
     chi_squared_double_loop_oracle,
     chi_squared_two_pass_oracle,
     classify_oracle,
+    classify_single_oracle,
     compare_methods_oracle,
     entropy_oracle,
 )
@@ -436,3 +438,73 @@ def _traced_peak(count):
 def test_compare_methods_memory_does_not_grow_with_a_generator_corpus():
     slack = 16 * 1024
     assert _traced_peak(4000) <= _traced_peak(400) + slack
+
+
+# --- classify_all: stacked batches against one histogram at a time ----------
+
+
+def _around_min_stat_len(config):
+    """Binary or ASCII payloads within two bytes of ``min_stat_len``."""
+    lengths = st.integers(-2, 2).map(lambda offset: max(1, config.min_stat_len + offset))
+    return lengths.flatmap(lambda n: st.one_of(
+        st.binary(min_size=n, max_size=n),
+        st.text(alphabet=st.characters(max_codepoint=127), min_size=n, max_size=n).map(str.encode),
+    ))
+
+
+def _assert_equals_the_single_histogram_oracle(rows, config):
+    payloads = [_payload(data, index) for index, data in enumerate(rows)]
+    for method in DECISION_METHODS:
+        method_config = dataclasses.replace(config, decision_method=method)
+        got = classify_all(payloads, method_config)
+        want = [classify_single_oracle(payload, method_config) for payload in payloads]
+        assert got == want  # entropy and chi² bit for bit, every verdict
+        assert all(g.ascii_verdict is w.ascii_verdict for g, w in zip(got, want))
+        assert all(type(g.entropy_bits) is type(g.chi_squared) is float for g in got)
+        assert classify_all(iter(payloads), method_config) == got
+
+
+@settings(deadline=None)
+@given(config=_configs, draw=st.data())
+def test_classify_all_equals_the_single_histogram_oracle(config, draw):
+    rows = draw.draw(st.lists(st.one_of(_payload_bytes, _around_min_stat_len(config)), max_size=40))
+    _assert_equals_the_single_histogram_oracle(rows, config)
+
+
+@pytest.mark.parametrize("size", [1, 15, 16, 17, 32, 33, 40])
+def test_classify_all_equals_the_oracle_across_batch_edges(size):
+    rng = random.Random(size)
+    rows = [
+        rng.randbytes(rng.randint(1, 300)) if rng.random() < 0.5 else b"status ok " * rng.randint(1, 30)
+        for _ in range(size)
+    ]
+    _assert_equals_the_single_histogram_oracle(rows, ClassifierConfig())
+
+
+def test_classify_all_of_nothing_is_empty():
+    assert classify_all([]) == []
+    assert classify_all(iter([])) == []
+
+
+@pytest.mark.parametrize("position", [0, 15, 16, 17])
+def test_an_empty_payload_anywhere_in_classify_all_raises(position):
+    payloads = [_payload(b"status ok " * 10, index) for index in range(20)]
+    payloads[position] = _payload(b"", position)
+    with pytest.raises(EmptyPayload):
+        classify_all(payloads)
+    with pytest.raises(EmptyPayload):
+        classify_all(iter(payloads))
+
+
+def test_classify_all_memory_is_bounded_by_one_batch():
+    """Beyond the results it returns, classify_all holds one batch's stack
+    at a time; a stack of all 4,000 payloads would take 8 MB per temporary."""
+    payloads = [_payload(deterministic_bytes(22, f"p{i}", 1024), i) for i in range(4000)]
+    tracemalloc.start()
+    try:
+        results = classify_all(payloads)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(results) == len(payloads)
+    assert peak - retained <= 256 * 1024

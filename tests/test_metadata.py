@@ -19,6 +19,7 @@ from medleak.corpus import (
     udp_frame,
     write_pcap,
 )
+from medleak import metadata
 from medleak.metadata import (
     ActivityPeriod,
     _parse_dns_response,
@@ -29,7 +30,7 @@ from medleak.metadata import (
     resolve_hostnames,
 )
 
-from _oracles import resolve_hostnames_oracle
+from _oracles import parse_dns_response_oracle, resolve_hostnames_oracle
 
 DEV = "00:24:e4:1b:20:31"
 AP = "b8:27:eb:5a:10:04"
@@ -249,6 +250,29 @@ def test_dns_response_parser_returns_normally_on_arbitrary_bytes(data):
     _assert_address_to_name_map(_parse_dns_response(data))
 
 
+@settings(max_examples=300)
+@given(data=st.binary(max_size=512), flags=st.integers(0, 0xFFFF), qdcount=st.integers(0, 0xFFFF))
+def test_dns_response_parser_equals_the_unbounded_question_loop(data, flags, qdcount):
+    assert _parse_dns_response(data) == parse_dns_response_oracle(data)
+    shaped = struct.pack("!HHH", 0x3A21, flags | 0x8000, qdcount) + data  # a response with any qdcount
+    assert _parse_dns_response(shaped) == parse_dns_response_oracle(shaped)
+
+
+@pytest.mark.parametrize("body", [b"", b"\x00", b"\x01a\x00\x00\x01\x00\x01", b"\xc0\x0c" * 8])
+def test_hostile_question_count_stops_at_the_end_of_the_message(body, monkeypatch):
+    calls = []
+    decode = metadata._decode_dns_name
+
+    def counted(data, offset):
+        calls.append(offset)
+        return decode(data, offset)
+
+    monkeypatch.setattr(metadata, "_decode_dns_name", counted)
+    data = struct.pack("!HHHHHH", 0x3A21, 0x8180, 0xFFFF, 0xFFFF, 0, 0) + body
+    assert _parse_dns_response(data) == {}
+    assert len(calls) <= len(data)
+
+
 # Bytes shaped like the sections of a response, so that questions are
 # skipped and A and AAAA records with short or long rdata are common.
 _NAME_LIKE = st.one_of(st.sampled_from((b"\x00", b"\xc0\x0c", b"\x01a\x00")), st.binary(max_size=12))
@@ -278,3 +302,18 @@ def test_dns_response_parser_returns_normally_after_a_response_header(
     body = body[: max(0, len(body) - cut)]  # a snap length may cut the last record short
     header = struct.pack("!HHHHHH", 0x3A21, flags | 0x8000, len(questions), len(records) + extra_answers, 0, 0)
     _assert_address_to_name_map(_parse_dns_response(header + body))
+
+
+@settings(max_examples=300)
+@given(
+    questions=st.lists(_QUESTION_LIKE, max_size=2),
+    records=st.lists(_RECORD_LIKE, max_size=4),
+    qdcount=st.one_of(st.integers(0, 4), st.just(0xFFFF)),
+    ancount=st.integers(0, 6),
+    cut=st.integers(0, 8),
+)
+def test_shaped_dns_responses_equal_the_unbounded_question_loop(questions, records, qdcount, ancount, cut):
+    body = b"".join(questions + records)
+    header = struct.pack("!HHHHHH", 0x3A21, 0x8180, qdcount, ancount, 0, 0)
+    data = header + body[: max(0, len(body) - cut)]
+    assert _parse_dns_response(data) == parse_dns_response_oracle(data)

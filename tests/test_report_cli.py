@@ -8,14 +8,16 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from medleak.capture import parse_capture
+from medleak.capture import parse_capture, split_by_device
 from medleak.classifiers import (
     DECISION_METHODS,
     DEFAULT_CHI_THRESHOLD,
     DEFAULT_ENTROPY_THRESHOLD,
     ClassifierConfig,
+    classify_all,
 )
 from medleak import cli
+from medleak import report as report_module
 from medleak.cli import _build_parser, main
 from medleak.config import (
     THRESHOLDS,
@@ -27,6 +29,7 @@ from medleak.config import (
     save_registry,
 )
 from medleak.corpus import (
+    SCENARIOS,
     build_fixture_capture,
     dns_response_payload,
     fixture_registry,
@@ -36,7 +39,7 @@ from medleak.corpus import (
     write_pcap,
 )
 from medleak.leaks import relocate
-from medleak.metadata import PeriodicityHint
+from medleak.metadata import PeriodicityHint, extract_dns_answers
 from medleak.report import (
     DEVICE_KEYS,
     ENDPOINT_KEYS,
@@ -48,6 +51,8 @@ from medleak.report import (
     render,
     reports_from_json,
 )
+
+from _oracles import analyze_stream_oracle
 
 
 def _config(scenario):
@@ -145,6 +150,42 @@ class TestAnalyze:
         assert report.status == "WARN"
         assert {f.category for f in report.findings} == {"user-identifier"}
         assert result.exit_code == 1
+
+    @pytest.fixture(scope="class")
+    def capture_streams(self):
+        """(capture name, stream, DNS answers) for every device stream of
+        random captures 0-29 and the three fixtures."""
+        captures = [(f"random_{seed}.pcap", *generate_random_capture(seed)) for seed in range(30)]
+        captures += [(f"{s}.pcap", build_fixture_capture(s), fixture_registry(s)) for s in SCENARIOS]
+        streams = []
+        for name, data, registry in captures:
+            packets = parse_capture(data).packets
+            answers = extract_dns_answers(packets)
+            streams += [(name, stream, answers) for stream in split_by_device(packets, registry)[0]]
+        return streams
+
+    @staticmethod
+    def _streams_unlike_the_oracle(streams):
+        dictionaries = load_dictionaries()
+        unlike = 0
+        for method in DECISION_METHODS:
+            config = RunConfig(decision_method=method)
+            for name, stream, answers in streams:
+                args = (name, stream, answers, config, dictionaries)
+                unlike += report_module.analyze_stream(*args) != analyze_stream_oracle(*args)
+        return unlike
+
+    def test_streams_report_as_the_per_payload_oracle(self, capture_streams):
+        assert len(capture_streams) > 40
+        assert self._streams_unlike_the_oracle(capture_streams) == 0
+
+    def test_oracle_comparison_catches_verdicts_paired_off_by_one(self, capture_streams, monkeypatch):
+        def shifted(payloads, config):
+            verdicts = classify_all(payloads, config)
+            return verdicts[1:] + verdicts[:1]
+
+        monkeypatch.setattr(report_module, "classify_all", shifted)
+        assert self._streams_unlike_the_oracle(capture_streams) > 0
 
 
 class TestRender:
