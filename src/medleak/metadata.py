@@ -60,36 +60,33 @@ def activity_periods(
 
     Consecutive packets whose inter-arrival time is at most ``gap_threshold``
     seconds share a period; a single packet forms a zero-duration period.
+    One pass adds up each period's packets, bytes and remote addresses.
     """
     if not stream.packets:
         return []
     hostnames = hostnames or {}
     gap_us = gap_threshold * 1_000_000
 
-    def finish(group: list[RawPacket]) -> ActivityPeriod:
-        endpoints = set()
-        for packet in group:
-            address = remote_address(packet, stream.mac)
-            if address is not None:
-                endpoints.add((address, hostnames.get(address)))
-        return ActivityPeriod(
-            device_id=stream.device_id,
-            start=group[0].timestamp,
-            end=group[-1].timestamp,
-            packet_count=len(group),
-            bytes_total=sum(p.frame_len for p in group),
-            endpoints=endpoints,
-        )
+    def period(first: RawPacket, last: RawPacket, count: int, size: int, addresses: set[str]) -> ActivityPeriod:
+        endpoints = {(address, hostnames.get(address)) for address in addresses}
+        return ActivityPeriod(stream.device_id, first.timestamp, last.timestamp, count, size, endpoints)
 
     periods: list[ActivityPeriod] = []
-    group = [stream.packets[0]]
-    for packet in stream.packets[1:]:
-        if packet.timestamp_us - group[-1].timestamp_us <= gap_us:
-            group.append(packet)
-        else:
-            periods.append(finish(group))
-            group = [packet]
-    periods.append(finish(group))
+    first = last = stream.packets[0]
+    count = size = 0
+    addresses: set[str] = set()
+    for packet in stream.packets:
+        # "not <=" rather than ">", so that a NaN threshold splits every packet
+        if count and not packet.timestamp_us - last.timestamp_us <= gap_us:
+            periods.append(period(first, last, count, size, addresses))
+            first, count, size, addresses = packet, 0, 0, set()
+        last = packet
+        count += 1
+        size += packet.frame_len
+        address = remote_address(packet, stream.mac)
+        if address is not None:
+            addresses.add(address)
+    periods.append(period(first, last, count, size, addresses))
     return periods
 
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .capture import DeviceStream
+from .capture import DeviceStream, RawPacket
 
 TLS_PORT = 443
 TLS_CONTENT_TYPES = frozenset({0x14, 0x15, 0x16, 0x17})
@@ -50,47 +51,48 @@ class HttpMessage:
     status_code: int | None = None
 
 
+def payload_packets(stream: DeviceStream) -> Iterator[RawPacket]:
+    """The packets of a stream that carry application bytes, in order: packets
+    without a transport layer (ARP and friends) and empty TCP segments are dropped."""
+    return (packet for packet in stream.packets if packet.transport is not None and packet.payload)
+
+
+def app_payload(packet: RawPacket, device_mac: str) -> AppPayload:
+    """The AppPayload of one payload-carrying packet of the device ``device_mac``."""
+    transport = packet.transport
+    direction = "outbound" if packet.src_mac == device_mac else "inbound"
+    return AppPayload(packet.index, direction, (transport.src_port, transport.dst_port), packet.payload, transport.kind)
+
+
 def extract_payloads(stream: DeviceStream) -> list[AppPayload]:
-    """One AppPayload per packet that carries application bytes.
-
-    Packets without a transport layer (ARP and friends) and empty TCP
-    segments / bare ACKs are dropped here.
-    """
-    payloads: list[AppPayload] = []
-    for packet in stream.packets:
-        if packet.transport is None or not packet.payload:
-            continue
-        direction = "outbound" if packet.src_mac == stream.mac else "inbound"
-        payloads.append(
-            AppPayload(
-                packet_index=packet.index,
-                direction=direction,
-                port_pair=(packet.transport.src_port, packet.transport.dst_port),
-                data=packet.payload,
-                transport_kind=packet.transport.kind,
-            )
-        )
-    return payloads
+    """One AppPayload per packet that ``payload_packets`` yields."""
+    return [app_payload(packet, stream.mac) for packet in payload_packets(stream)]
 
 
-def detect_tls(payload: AppPayload) -> TlsVerdict:
-    """Flag TLS/SSL payloads by well-known port and/or record header.
+# Every verdict the TLS rule can give, built once and shared (TlsVerdict is
+# frozen): not TLS, port only, and record or both for each minor 0..4.
+_NOT_TLS = TlsVerdict(False)
+_PORT_ONLY = TlsVerdict(True, "port-based")
+_RECORD = tuple(TlsVerdict(True, "record-based", (3, minor)) for minor in range(5))
+_BOTH = tuple(TlsVerdict(True, "both", (3, minor)) for minor in range(5))
+
+
+def tls_verdict(port_pair: tuple[int, int], data: bytes) -> TlsVerdict:
+    """Flag TLS/SSL bytes by well-known port and/or record header.
 
     Deterministic on (ports, first three payload bytes): port 443 on either
     side, or a record whose content type is 0x14-0x17 with version major 3
     and minor 0..4.
     """
-    port_hit = TLS_PORT in payload.port_pair
-    data = payload.data
-    record_hit = len(data) >= 3 and data[0] in TLS_CONTENT_TYPES and data[1] == 3 and data[2] <= 4
-    version = (data[1], data[2]) if record_hit else None
-    if port_hit and record_hit:
-        return TlsVerdict(True, "both", version)
-    if port_hit:
-        return TlsVerdict(True, "port-based")
-    if record_hit:
-        return TlsVerdict(True, "record-based", version)
-    return TlsVerdict(False)
+    port_hit = TLS_PORT in port_pair
+    if len(data) >= 3 and data[0] in TLS_CONTENT_TYPES and data[1] == 3 and data[2] <= 4:
+        return (_BOTH if port_hit else _RECORD)[data[2]]
+    return _PORT_ONLY if port_hit else _NOT_TLS
+
+
+def detect_tls(payload: AppPayload) -> TlsVerdict:
+    """``tls_verdict`` of a payload's ports and bytes."""
+    return tls_verdict(payload.port_pair, payload.data)
 
 
 def _parse_cookie_pairs(value: str) -> list[tuple[str, str]]:

@@ -30,7 +30,7 @@ from .metadata import (
     periodicity_hint,
     resolve_hostnames,
 )
-from .payload import detect_tls, extract_payloads, looks_like_http_continuation, parse_http
+from .payload import AppPayload, app_payload, looks_like_http_continuation, parse_http, payload_packets, tls_verdict
 
 log = logging.getLogger(__name__)
 
@@ -97,22 +97,23 @@ def analyze_stream(
     dictionaries,
 ) -> DeviceReport:
     classifier_config = config.classifier_config()
-    packets_by_index = {p.index: p for p in stream.packets}
-
-    payloads = extract_payloads(stream)
     findings: list[LeakFinding] = []
     timed_messages: list[TimedMessage] = []
     tls_count = cleartext_count = encrypted_count = indeterminate_count = 0
     continuation_count = 0
 
-    plain = []
-    for payload in payloads:
-        if detect_tls(payload).is_tls:
+    # TLS is only counted, so it is told apart before an AppPayload is built.
+    plain: list[AppPayload] = []
+    timestamps: list[float] = []
+    for packet in payload_packets(stream):
+        transport = packet.transport
+        if tls_verdict((transport.src_port, transport.dst_port), packet.payload).is_tls:
             tls_count += 1
         else:
-            plain.append(payload)
+            plain.append(app_payload(packet, stream.mac))
+            timestamps.append(packet.timestamp)
 
-    for payload, verdict in zip(plain, classify_all(plain, classifier_config)):
+    for payload, timestamp, verdict in zip(plain, timestamps, classify_all(plain, classifier_config)):
         if verdict.consensus == ENCRYPTED:
             encrypted_count += 1
             continue
@@ -138,7 +139,7 @@ def analyze_stream(
         )
         timed_messages.append(
             TimedMessage(
-                timestamp=packets_by_index[payload.packet_index].timestamp,
+                timestamp=timestamp,
                 packet_index=payload.packet_index,
                 message=message,
                 outbound=payload.direction == "outbound",
@@ -163,7 +164,7 @@ def analyze_stream(
         device_id=stream.device_id,
         mac=stream.mac,
         packet_count=len(stream.packets),
-        payload_count=len(payloads),
+        payload_count=tls_count + len(plain),
         cleartext_count=cleartext_count,
         tls_count=tls_count,
         encrypted_count=encrypted_count,

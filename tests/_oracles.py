@@ -49,14 +49,22 @@ from medleak.leaks import (
     scan_cleartext_payload,
 )
 from medleak.metadata import (
+    DEFAULT_GAP_THRESHOLD,
+    ActivityPeriod,
     _decode_dns_name,
-    activity_periods,
     endpoint_profiles,
     periodicity_hint,
     remote_address,
     resolve_hostnames,
 )
-from medleak.payload import AppPayload, detect_tls, extract_payloads, looks_like_http_continuation, parse_http
+from medleak.payload import (
+    TLS_CONTENT_TYPES,
+    TLS_PORT,
+    AppPayload,
+    TlsVerdict,
+    looks_like_http_continuation,
+    parse_http,
+)
 from medleak.report import DeviceReport, _finding_order, _status
 
 
@@ -357,6 +365,81 @@ def resolve_hostnames_oracle(stream, dns_answers=None) -> dict[str, str]:
     return hostmap
 
 
+# --- payloads: one AppPayload per payload packet, each TLS verdict built fresh
+
+
+def extract_payloads_oracle(stream) -> list[AppPayload]:
+    payloads: list[AppPayload] = []
+    for packet in stream.packets:
+        if packet.transport is None or not packet.payload:
+            continue
+        direction = "outbound" if packet.src_mac == stream.mac else "inbound"
+        payloads.append(
+            AppPayload(
+                packet_index=packet.index,
+                direction=direction,
+                port_pair=(packet.transport.src_port, packet.transport.dst_port),
+                data=packet.payload,
+                transport_kind=packet.transport.kind,
+            )
+        )
+    return payloads
+
+
+def detect_tls_oracle(payload: AppPayload) -> TlsVerdict:
+    port_hit = TLS_PORT in payload.port_pair
+    data = payload.data
+    record_hit = len(data) >= 3 and data[0] in TLS_CONTENT_TYPES and data[1] == 3 and data[2] <= 4
+    version = (data[1], data[2]) if record_hit else None
+    if port_hit and record_hit:
+        return TlsVerdict(True, "both", version)
+    if port_hit:
+        return TlsVerdict(True, "port-based")
+    if record_hit:
+        return TlsVerdict(True, "record-based", version)
+    return TlsVerdict(False)
+
+
+# --- activity: one packet list per period, summed when the period closes ------
+
+
+def activity_periods_oracle(
+    stream,
+    gap_threshold: float = DEFAULT_GAP_THRESHOLD,
+    hostnames: dict[str, str] | None = None,
+) -> list[ActivityPeriod]:
+    if not stream.packets:
+        return []
+    hostnames = hostnames or {}
+    gap_us = gap_threshold * 1_000_000
+
+    def finish(group: list[RawPacket]) -> ActivityPeriod:
+        endpoints = set()
+        for packet in group:
+            address = remote_address(packet, stream.mac)
+            if address is not None:
+                endpoints.add((address, hostnames.get(address)))
+        return ActivityPeriod(
+            device_id=stream.device_id,
+            start=group[0].timestamp,
+            end=group[-1].timestamp,
+            packet_count=len(group),
+            bytes_total=sum(p.frame_len for p in group),
+            endpoints=endpoints,
+        )
+
+    periods: list[ActivityPeriod] = []
+    group = [stream.packets[0]]
+    for packet in stream.packets[1:]:
+        if packet.timestamp_us - group[-1].timestamp_us <= gap_us:
+            group.append(packet)
+        else:
+            periods.append(finish(group))
+            group = [packet]
+    periods.append(finish(group))
+    return periods
+
+
 # --- DNS: the question loop runs qdcount times, past the end of the message --
 
 
@@ -506,22 +589,23 @@ def compare_methods_oracle(corpus, config: ClassifierConfig = ClassifierConfig()
     return MethodReport(per_method=per_method, total=total)
 
 
-# --- report: detect, classify and scan each payload in one pass (the log line
-# for HTTP continuations left out, as it is not part of the report) ----------
+# --- report: extract every payload, then detect, classify and scan each one
+# in one pass (the log line for HTTP continuations left out, as it is not part
+# of the report) ---------------------------------------------------------------
 
 
 def analyze_stream_oracle(capture_name, stream, dns_answers, config, dictionaries) -> DeviceReport:
     classifier_config = config.classifier_config()
     packets_by_index = {p.index: p for p in stream.packets}
 
-    payloads = extract_payloads(stream)
+    payloads = extract_payloads_oracle(stream)
     findings = []
     timed_messages = []
     tls_count = cleartext_count = encrypted_count = indeterminate_count = 0
     continuation_count = 0
 
     for payload in payloads:
-        tls = detect_tls(payload)
+        tls = detect_tls_oracle(payload)
         if tls.is_tls:
             tls_count += 1
             continue
@@ -564,7 +648,7 @@ def analyze_stream_oracle(capture_name, stream, dns_answers, config, dictionarie
     findings.sort(key=_finding_order)
 
     hostnames = resolve_hostnames(stream, dns_answers)
-    activity = activity_periods(stream, config.gap_threshold, hostnames)
+    activity = activity_periods_oracle(stream, config.gap_threshold, hostnames)
     return DeviceReport(
         capture=capture_name,
         device_id=stream.device_id,

@@ -1,7 +1,9 @@
 """Activity segmentation, endpoint profiling, DNS extraction, periodicity."""
 
 import ipaddress
+import math
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -30,10 +32,11 @@ from medleak.metadata import (
     resolve_hostnames,
 )
 
-from _oracles import parse_dns_response_oracle, resolve_hostnames_oracle
+from _oracles import activity_periods_oracle, parse_dns_response_oracle, resolve_hostnames_oracle
 
 DEV = "00:24:e4:1b:20:31"
 AP = "b8:27:eb:5a:10:04"
+_REMOTES = ("89.30.121.52", "89.30.121.60", "198.51.100.7")
 
 
 def _packet(index, t_seconds, outbound=True, remote="89.30.121.52", payload=b"", kind="TCP", sport=40000, dport=80):
@@ -108,6 +111,37 @@ class TestActivityPeriods:
         assert len(periods_large) <= len(periods_small)
         for earlier, later in zip(periods_small, periods_small[1:]):
             assert earlier.end < later.start  # disjoint and ordered
+
+    def test_nan_threshold_splits_every_packet_and_inf_joins_them(self):
+        stream = _stream([_packet(i, t) for i, t in enumerate((0.0, 0.0, 5.0))])
+        assert [p.packet_count for p in activity_periods(stream, gap_threshold=math.nan)] == [1, 1, 1]
+        assert [p.packet_count for p in activity_periods(stream, gap_threshold=math.inf)] == [3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_periods_equal_the_per_period_packet_lists(self, data):
+        threshold = data.draw(
+            st.sampled_from((0.0, -0.0, -1.0, 1.5, 60.0, math.inf, -math.inf, math.nan)) | st.floats(-10.0, 120.0)
+        )
+        exact_us = int(threshold * 1_000_000) if 0 < threshold < math.inf else 1_000_000
+        steps = st.sampled_from((0, 1, exact_us - 1, exact_us, exact_us + 1)) | st.integers(0, 3 * exact_us)
+        kinds = st.sampled_from(("arp", "outbound", "inbound"))
+        packets, t_us = [], 1_700_000_000_000_000
+        for index, (step, kind, remote, size) in enumerate(data.draw(
+            st.lists(st.tuples(steps, kinds, st.sampled_from(_REMOTES), st.integers(0, 1500)), max_size=30)
+        )):
+            t_us += step
+            if kind == "arp":
+                packets.append(RawPacket(index, t_us, DEV, "ff:ff:ff:ff:ff:ff", 0x0806, None, None, b"", bytes(60)))
+            else:
+                packet = _packet(index, 0.0, outbound=kind == "outbound", remote=remote, payload=bytes(size))
+                packets.append(replace(packet, timestamp_us=t_us))
+        names = st.sampled_from(("a.example", "b.example"))
+        hostnames = data.draw(st.none() | st.dictionaries(st.sampled_from(_REMOTES), names))
+        stream = _stream(packets)
+        assert activity_periods(stream, threshold, hostnames) == activity_periods_oracle(stream, threshold, hostnames)
+        if hostnames is None:
+            assert activity_periods(stream, threshold) == activity_periods_oracle(stream, threshold)
 
 
 class TestPeriodicity:

@@ -1,5 +1,7 @@
 """Payload extraction, TLS detection, and HTTP parsing."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,8 @@ from medleak.payload import (
     looks_like_http_continuation,
     parse_http,
 )
+
+from _oracles import detect_tls_oracle, extract_payloads_oracle
 
 DEV = "00:24:e4:1b:20:31"
 AP = "b8:27:eb:5a:10:04"
@@ -71,6 +75,24 @@ class TestExtractPayloads:
         extracted = extract_payloads(DeviceStream("monitor", DEV, packets))
         assert [p.direction for p in extracted] == ["outbound", "inbound"]
 
+    @settings(max_examples=100)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.binary(max_size=8), st.sampled_from(("TCP", "UDP")), st.booleans(), st.booleans(),
+                st.sampled_from((80, 443, 8883)),
+            ),
+            max_size=20,
+        )
+    )
+    def test_payloads_equal_the_per_packet_loop(self, rows):
+        packets = [
+            _packet(i, data, kind, *((DEV, AP) if outbound else (AP, DEV)), dport=port, with_transport=transport)
+            for i, (data, kind, outbound, transport, port) in enumerate(rows)
+        ]
+        stream = DeviceStream("monitor", DEV, packets)
+        assert extract_payloads(stream) == extract_payloads_oracle(stream)
+
 
 class TestDetectTls:
     def test_port_and_record(self):
@@ -114,6 +136,26 @@ class TestDetectTls:
         a = detect_tls(_payload(data, sport=sport, dport=dport))
         b = detect_tls(_payload(data + tail, sport=sport, dport=dport))
         assert a == b
+
+    _ports = st.sampled_from((443, 80, 8883, 0, 65535)) | st.integers(0, 65535)
+    _record_heads = st.tuples(st.integers(0x13, 0x18), st.integers(2, 4), st.integers(0, 5)).map(bytes)
+
+    @settings(max_examples=300)
+    @given(
+        sport=_ports,
+        dport=_ports,
+        data=st.binary(max_size=8)
+        | st.tuples(_record_heads, st.binary(max_size=8), st.integers(0, 12)).map(lambda t: (t[0] + t[1])[: t[2]]),
+    )
+    def test_verdict_equals_a_fresh_verdict(self, sport, dport, data):
+        payload = _payload(data, sport=sport, dport=dport)
+        assert detect_tls(payload) == detect_tls_oracle(payload)
+
+    def test_shared_verdicts_are_frozen(self):
+        verdict = detect_tls(_payload(b"\x17\x03\x03\x00\x10", dport=443))
+        assert verdict is detect_tls(_payload(b"\x17\x03\x03", sport=443))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            verdict.is_tls = False
 
 
 FIG_REQUEST = (

@@ -30,11 +30,13 @@ from medleak.config import (
 )
 from medleak.corpus import (
     SCENARIOS,
+    arp_frame,
     build_fixture_capture,
     dns_response_payload,
     fixture_registry,
     generate_random_capture,
     tcp_frame,
+    tls_record,
     udp_frame,
     write_pcap,
 )
@@ -186,6 +188,40 @@ class TestAnalyze:
 
         monkeypatch.setattr(report_module, "classify_all", shifted)
         assert self._streams_unlike_the_oracle(capture_streams) > 0
+
+    def test_hand_built_stream_reports_as_the_per_payload_oracle(self):
+        device, gateway, here = "02:11:22:33:44:55", "b8:27:eb:00:00:01", "192.168.9.5"
+        hub, t0 = "203.0.113.9", 1_700_000_000_000_000
+
+        def outbound(port, payload, kind=tcp_frame):
+            return kind(device, gateway, here, hub, 41000, port, payload)
+
+        # long enough that every decision method calls both requests cleartext
+        head = b"Host: hub.example\r\nUser-Agent: widget/1.0\r\nAccept: */*\r\nCache-Control: no-cache\r\n"
+        head += b"Connection: keep-alive\r\n\r\n"
+        records = [
+            (0.0, outbound(8883, tls_record(0x17, 3, bytes(range(64))))),  # TLS by record only
+            (0.5, arp_frame(device, here, "192.168.9.1")),
+            (1.0, outbound(443, b"GET /status HTTP/1.1\r\nHost: hub.example\r\n\r\n")),  # TLS by port only
+            (2.0, outbound(5000, b"a", udp_frame)),
+            (3.0, outbound(5000, b"\x00\xff", udp_frame)),
+            (100.0, outbound(80, b"POST /upload HTTP/1.1\r\n" + head + b"blood_pressure=120&heart_pulse=70")),
+            (101.0, arp_frame(device, here, "192.168.9.1")),
+            # an image GET 20 s after the upload; a timestamp carried from a
+            # neighbouring payload would put it 97 s or 380 s after it
+            (120.0, outbound(80, b"GET /reading.jpg HTTP/1.1\r\n" + head)),
+            (500.0, tcp_frame(gateway, device, hub, here, 80, 41000, b"HTTP/1.1 204 No Content\r\n\r\n")),
+        ]
+        packets = parse_capture(write_pcap([(t0 + int(t * 1_000_000), frame) for t, frame in records])).packets
+        (stream,), _ = split_by_device(packets, {device: "widget"})
+        dictionaries = load_dictionaries()
+        for method in DECISION_METHODS:
+            args = ("hand-built.pcap", stream, {}, RunConfig(decision_method=method), dictionaries)
+            report = report_module.analyze_stream(*args)
+            assert report == analyze_stream_oracle(*args)
+            assert (report.packet_count, report.payload_count, report.tls_count) == (9, 7, 2)
+            assert report.indeterminate_count == 1  # the 2-byte payload is not ASCII
+            assert "image-get-signature" in {f.category for f in report.findings}
 
 
 class TestRender:
