@@ -88,6 +88,12 @@ class MethodStats:
         return self.true_positives / positives if positives else None
 
     @property
+    def recall(self) -> float | None:
+        """TP/(TP+FN); None marks the undefined case (no cleartext)."""
+        cleartext = self.true_positives + self.false_negatives
+        return self.true_positives / cleartext if cleartext else None
+
+    @property
     def fraction_flagged(self) -> float:
         return self.flagged / self.total
 

@@ -14,13 +14,13 @@ from .classifiers import (
     DECISION_METHODS,
     DEFAULT_CHI_THRESHOLD,
     DEFAULT_ENTROPY_THRESHOLD,
-    METHODS,
     ClassifierConfig,
-    MethodReport,
+    MethodStats,
     compare_methods,
 )
 from .config import THRESHOLDS, ConfigError, RunConfig, load_config, load_registry, normalize_method, save_registry
 from .corpus import (
+    DEFAULT_LENGTH_RANGE,
     SCENARIOS,
     CorpusSpec,
     build_fixture_capture,
@@ -32,6 +32,8 @@ from .corpus import (
 from .report import EXIT_ERROR, analyze, render
 
 _METHOD_LABELS = {"ascii": "naive-ascii", "entropy": "shannon-entropy", "chi_squared": "chi-squared"}
+# each compare-methods JSON row: its threshold, then these MethodStats values
+_ROW_KEYS = ("precision", "recall", "fraction_flagged", "true_positives", "false_positives", "false_negatives")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,8 +64,8 @@ def _build_parser() -> _Parser:
     p_corpus.add_argument("--out", required=True, metavar="DIR")
     p_corpus.add_argument("--n-cleartext", type=int, default=1000)
     p_corpus.add_argument("--n-encrypted", type=int, default=1000)
-    p_corpus.add_argument("--min-len", type=int, default=64)
-    p_corpus.add_argument("--max-len", type=int, default=2048)
+    p_corpus.add_argument("--min-len", type=int, default=DEFAULT_LENGTH_RANGE[0])
+    p_corpus.add_argument("--max-len", type=int, default=DEFAULT_LENGTH_RANGE[1])
 
     p_fixture = sub.add_parser("gen-fixture", help="write a named golden-fixture capture")
     p_fixture.add_argument("scenario", choices=SCENARIOS)
@@ -76,10 +78,11 @@ def _build_parser() -> _Parser:
     group.add_argument("--seed", type=int, help="generate a fresh corpus from this seed")
     p_compare.add_argument("--n-cleartext", type=int, default=5000)
     p_compare.add_argument("--n-encrypted", type=int, default=5000)
-    p_compare.add_argument("--min-len", type=int, default=64)
-    p_compare.add_argument("--max-len", type=int, default=2048)
-    p_compare.add_argument("--entropy-threshold", type=float, default=DEFAULT_ENTROPY_THRESHOLD)
-    p_compare.add_argument("--chi-threshold", type=float, default=DEFAULT_CHI_THRESHOLD)
+    p_compare.add_argument("--min-len", type=int, default=DEFAULT_LENGTH_RANGE[0])
+    p_compare.add_argument("--max-len", type=int, default=DEFAULT_LENGTH_RANGE[1])
+    # several values make a sweep: one row per value
+    p_compare.add_argument("--entropy-threshold", type=float, nargs="+", default=[DEFAULT_ENTROPY_THRESHOLD])
+    p_compare.add_argument("--chi-threshold", type=float, nargs="+", default=[DEFAULT_CHI_THRESHOLD])
     p_compare.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
@@ -124,38 +127,53 @@ def _cmd_gen_fixture(args) -> int:
     return 0
 
 
-def _format_method_table(report: MethodReport) -> str:
-    lines = [f"{'Approach':<16} {'Precision':>10} {'% flagged cleartext':>20}"]
-    for method in METHODS:
-        stats = report.per_method[method]
-        precision = "n/a" if stats.precision is None else f"{stats.precision:.3f}"
-        lines.append(f"{_METHOD_LABELS[method]:<16} {precision:>10} {stats.fraction_flagged * 100:>19.1f}%")
+def _ratio(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.3f}"
+
+
+def _format_method_table(rows: dict[str, list[tuple[float | None, MethodStats]]]) -> str:
+    lines = [f"{'Approach':<16} {'Threshold':>9} {'Precision':>10} {'Recall':>7} {'% flagged cleartext':>20}"]
+    for method, method_rows in rows.items():
+        for threshold, stats in method_rows:
+            shown = "-" if threshold is None else f"{threshold:g}"
+            lines.append(
+                f"{_METHOD_LABELS[method]:<16} {shown:>9} {_ratio(stats.precision):>10} "
+                f"{_ratio(stats.recall):>7} {stats.fraction_flagged * 100:>19.1f}%"
+            )
     return "\n".join(lines) + "\n"
 
 
 def _cmd_compare_methods(args) -> int:
-    config = ClassifierConfig(entropy_threshold=args.entropy_threshold, chi_threshold=args.chi_threshold)
+    # One compare_methods pass per value of the longer threshold list; the
+    # shorter list repeats its last value. Every config is built (and so
+    # checked) before the corpus is.
+    entropy, chi = args.entropy_threshold, args.chi_threshold
+    configs = [
+        ClassifierConfig(entropy_threshold=entropy[min(i, len(entropy) - 1)], chi_threshold=chi[min(i, len(chi) - 1)])
+        for i in range(max(len(entropy), len(chi)))
+    ]
     if args.corpus:
         corpus = load_corpus(args.corpus)
     else:
         corpus = generate_corpus(
             CorpusSpec(args.n_cleartext, args.n_encrypted, (args.min_len, args.max_len), args.seed)
         )
-    report = compare_methods(corpus, config)
+    reports = [compare_methods(corpus, config) for config in configs]
+    # a row depends only on its own method's threshold
+    rows = {
+        "ascii": [(None, reports[0].per_method["ascii"])],
+        "entropy": [(value, report.per_method["entropy"]) for value, report in zip(entropy, reports)],
+        "chi_squared": [(value, report.per_method["chi_squared"]) for value, report in zip(chi, reports)],
+    }
     if args.format == "json":
         doc = {
-            method: {
-                "precision": stats.precision,
-                "fraction_flagged": stats.fraction_flagged,
-                "true_positives": stats.true_positives,
-                "false_positives": stats.false_positives,
-                "false_negatives": stats.false_negatives,
-            }
-            for method, stats in report.per_method.items()
+            method: [{"threshold": threshold, **{key: getattr(stats, key) for key in _ROW_KEYS}}
+                     for threshold, stats in method_rows]
+            for method, method_rows in rows.items()
         }
         print(json.dumps(doc, indent=2))
     else:
-        print(_format_method_table(report), end="")
+        print(_format_method_table(rows), end="")
     return 0
 
 

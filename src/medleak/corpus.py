@@ -46,6 +46,9 @@ WEB_TLS_ADDR = "142.250.74.36"
 
 _FIXTURE_STREAM_SEED = 0x5EED
 
+# payload lengths (bytes, inclusive) of a corpus when none are given
+DEFAULT_LENGTH_RANGE = (64, 2048)
+
 
 class InvalidCorpusSpec(ValueError):
     pass

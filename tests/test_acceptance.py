@@ -2,6 +2,7 @@
 PASS/FAIL line (run with -s to see them). Tolerances are pinned here and
 nowhere else."""
 
+import json
 import random
 import time
 
@@ -64,6 +65,20 @@ def test_criterion_1_classifier_ordering():
         f"entropy precision={entropy_stats.precision:.3f} ({entropy_stats.fraction_flagged:.1%}), "
         f"runtime {elapsed:.2f}s",
     )
+
+
+def test_recall_baseline_at_two_chi_thresholds(capsys):
+    # chi-squared recall on criterion 1's corpus at the default threshold and
+    # at the Wilson-Hilferty critical value for df = 255 at alpha = 1e-9
+    code = main(["compare-methods", "--seed", str(CORPUS_SEED), "--chi-threshold", "1000", "415", "--format", "json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [row["threshold"] for row in doc["chi_squared"]] == [1000.0, 415.0]
+    assert [(row["true_positives"], row["false_negatives"], row["false_positives"]) for row in doc["chi_squared"]] == [
+        (4937, 63, 0), (5000, 0, 0),
+    ]
+    assert [row["recall"] for row in doc["ascii"]] == [3816 / 5000]
+    assert [(row["recall"], row["false_positives"]) for row in doc["entropy"]] == [(1.0, 916)]
 
 
 def test_criterion_2_oracle_equivalence():

@@ -17,6 +17,7 @@ from medleak.classifiers import (
     ClassifierConfig,
     EmptyCorpus,
     EmptyPayload,
+    MethodStats,
     chi_squared,
     classify,
     classify_all,
@@ -261,6 +262,31 @@ class TestCompareMethods:
             assert stats.flagged == stats.true_positives + stats.false_positives
             assert stats.true_positives + stats.false_negatives == 50
             assert stats.total == 100
+
+    def test_recall_undefined_without_cleartext(self):
+        corpus = [LabeledPayload(deterministic_bytes(4, f"e{i}", 512), "encrypted", "xof", 4) for i in range(5)]
+        corpus.append(LabeledPayload(b"A" * 512, "encrypted", "mislabelled", 4))  # flagged by every method
+        for stats in compare_methods(corpus).per_method.values():
+            assert stats.true_positives == stats.false_negatives == 0
+            assert stats.recall is None
+
+    def test_recall_on_a_mixed_corpus(self):
+        corpus = generate_corpus(CorpusSpec(50, 50, (64, 512), seed=5))
+        cleartext = [item for item in corpus if item.label == CLEARTEXT]
+        caught = {
+            "ascii": sum(classify_ascii(item.data) for item in cleartext),
+            "entropy": sum(classify_entropy(item.data) for item in cleartext),
+            "chi_squared": sum(classify_chi(item.data) for item in cleartext),
+        }
+        for method, stats in compare_methods(corpus).per_method.items():
+            assert stats.recall == caught[method] / 50
+        assert 0 < caught["ascii"] < 50  # the mix has misses as well as hits
+
+    def test_recall_is_not_a_field(self):
+        # dataclasses.asdict(MethodStats) is digested by the corpus benchmark
+        assert [field.name for field in dataclasses.fields(MethodStats)] == [
+            "true_positives", "false_positives", "false_negatives", "flagged", "total",
+        ]
 
 
 # --- invariants ------------------------------------------------------------

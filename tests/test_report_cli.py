@@ -15,6 +15,7 @@ from medleak.classifiers import (
     DEFAULT_ENTROPY_THRESHOLD,
     ClassifierConfig,
     classify_all,
+    compare_methods,
 )
 from medleak import cli
 from medleak import report as report_module
@@ -29,6 +30,7 @@ from medleak.config import (
     save_registry,
 )
 from medleak.corpus import (
+    DEFAULT_LENGTH_RANGE,
     SCENARIOS,
     arp_frame,
     build_fixture_capture,
@@ -435,8 +437,11 @@ class TestConfigFiles:
     def test_defaults_have_one_home(self):
         assert RunConfig().classifier_config() == ClassifierConfig()
         compare = _build_parser().parse_args(["compare-methods", "--seed", "0"])
-        assert compare.entropy_threshold == DEFAULT_ENTROPY_THRESHOLD
-        assert compare.chi_threshold == DEFAULT_CHI_THRESHOLD
+        assert compare.entropy_threshold == [DEFAULT_ENTROPY_THRESHOLD]
+        assert compare.chi_threshold == [DEFAULT_CHI_THRESHOLD]
+        gen_corpus = _build_parser().parse_args(["gen-corpus", "--seed", "0", "--out", "x"])
+        for args in (compare, gen_corpus):
+            assert (args.min_len, args.max_len) == DEFAULT_LENGTH_RANGE
         for method in DECISION_METHODS:
             args = ["analyze", "--capture", "x.pcap", "--decision-method", method]
             assert _build_parser().parse_args(args).decision_method == method
@@ -591,7 +596,54 @@ class TestCli:
                      "--min-len", "64", "--max-len", "256", "--format", "json"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert set(doc) == {"ascii", "entropy", "chi_squared"}
+        assert list(doc) == ["ascii", "entropy", "chi_squared"]
+        assert [row["threshold"] for rows in doc.values() for row in rows] == [
+            None, DEFAULT_ENTROPY_THRESHOLD, DEFAULT_CHI_THRESHOLD,
+        ]
+        for (row,) in doc.values():
+            assert list(row) == ["threshold", "precision", "recall", "fraction_flagged",
+                                 "true_positives", "false_positives", "false_negatives"]
+            assert row["recall"] == row["true_positives"] / (row["true_positives"] + row["false_negatives"])
+
+    def test_compare_methods_sweep_prints_one_row_per_value_with_recall(self, capsys):
+        code = main(["compare-methods", "--seed", "3", "--n-cleartext", "40", "--n-encrypted", "40",
+                     "--entropy-threshold", "6", "7.5", "7.75", "--chi-threshold", "415", "1000"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["Approach", "Threshold", "Precision", "Recall", "%", "flagged", "cleartext"]
+        assert [line.split()[:2] for line in lines[1:]] == [
+            ["naive-ascii", "-"],
+            ["shannon-entropy", "6"], ["shannon-entropy", "7.5"], ["shannon-entropy", "7.75"],
+            ["chi-squared", "415"], ["chi-squared", "1000"],
+        ]
+        for line in lines[1:]:
+            recall = float(line.split()[3])
+            assert 0.0 <= recall <= 1.0
+
+    @pytest.mark.parametrize("argv, passes, rows", [
+        ([], 1, 3),
+        (["--entropy-threshold", "7.5", "7"], 2, 4),
+        (["--entropy-threshold", "6", "7", "--chi-threshold", "415", "1000", "2000"], 3, 6),
+    ])
+    def test_compare_methods_scores_the_corpus_once_per_pass(self, capsys, monkeypatch, argv, passes, rows):
+        calls = []
+
+        def counting(corpus, config):
+            calls.append(config)
+            return compare_methods(corpus, config)
+
+        monkeypatch.setattr(cli, "compare_methods", counting)
+        assert main(["compare-methods", "--seed", "3", "--n-cleartext", "10", "--n-encrypted", "10", *argv]) == 0
+        assert len(calls) == passes
+        assert len(capsys.readouterr().out.splitlines()) == 1 + rows
+
+    def test_compare_methods_bad_length_range_is_a_one_line_error(self, capsys):
+        code = main(["compare-methods", "--seed", "3", "--n-cleartext", "10", "--n-encrypted", "10",
+                     "--min-len", "100", "--max-len", "10"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["medleak: error: bad length range (100, 10)"]
 
     def test_nan_threshold_flag_is_operational_error(self, fixture_dir, tmp_path, capsys):
         registry = tmp_path / "reg.conf"
@@ -615,12 +667,15 @@ class TestCli:
     @pytest.mark.parametrize("flag, value, name", [
         ("--chi-threshold", "nan", "chi_threshold"),
         ("--entropy-threshold", "-1", "entropy_threshold"),
+        ("--entropy-threshold", "7 nan", "entropy_threshold"),
     ])
-    def test_bad_compare_methods_threshold_is_operational_error(self, capsys, flag, value, name):
-        code = main(["compare-methods", "--seed", "3", "--n-cleartext", "10", "--n-encrypted", "10", flag, value])
+    def test_bad_compare_methods_threshold_is_operational_error(self, capsys, monkeypatch, flag, value, name):
+        monkeypatch.setattr(cli, "generate_corpus", lambda spec: pytest.fail("corpus built before the check"))
+        code = main(["compare-methods", "--seed", "3", "--n-cleartext", "10", "--n-encrypted", "10",
+                     flag, *value.split()])
         assert code == 3
         captured = capsys.readouterr()
-        assert f"{name} must be a positive number" in captured.err
+        assert captured.err.splitlines() == [f"medleak: error: {name} must be a positive number"]
         assert captured.out == ""
 
     def test_percent_device_label_is_reported(self, fixture_dir, tmp_path, capsys):
