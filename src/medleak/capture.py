@@ -62,9 +62,9 @@ class TransportInfo:
 class RawPacket:
     """One captured frame, decoded through the transport layer.
 
-    ``payload`` holds whatever remains after every decoded header; ``frame``
-    keeps the raw captured bytes so a capture can be re-serialized losslessly.
-    Timestamps are normalized to integer microseconds since the epoch
+    ``payload`` holds whatever remains after every decoded header, and
+    ``frame_len`` is the captured frame's length; the frame itself is not
+    kept. Timestamps are normalized to integer microseconds since the epoch
     regardless of the capture's native precision.
     """
 
@@ -76,16 +76,12 @@ class RawPacket:
     ip: IpInfo | None
     transport: TransportInfo | None
     payload: bytes
-    frame: bytes
+    frame_len: int
 
     @property
     def timestamp(self) -> float:
         """Capture time in seconds since the epoch."""
         return self.timestamp_us / 1_000_000
-
-    @property
-    def frame_len(self) -> int:
-        return len(self.frame)
 
 
 @dataclass
@@ -215,7 +211,7 @@ def _decode_frame(
             return None, f"frame {index}: truncated {kind} header"
         transport, start, end = decoded_t
 
-    packet = RawPacket(index, ts_us, pair[1], pair[0], ethertype, ip, transport, frame[start:end], frame)
+    packet = RawPacket(index, ts_us, pair[1], pair[0], ethertype, ip, transport, frame[start:end], len(frame))
     return packet, None
 
 

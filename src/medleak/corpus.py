@@ -256,13 +256,18 @@ def load_corpus(path) -> list[LabeledPayload]:
                 if obj["label"] not in (CLEARTEXT, ENCRYPTED):
                     raise ValueError(f"unknown label {obj['label']!r}")
                 note = obj.get("generator_note", "")
+                if not isinstance(note, str):
+                    raise ValueError(f"generator_note {note!r} is not a string")
+                data = base64.b64decode(obj["data_b64"], validate=True)
+                if not data:
+                    raise ValueError("empty payload")
                 # a corpus has a handful of distinct labels and notes: share
                 # one string object per value instead of one per record
                 items.append(
                     LabeledPayload(
-                        data=base64.b64decode(obj["data_b64"], validate=True),
+                        data=data,
                         label=sys.intern(obj["label"]),
-                        generator_note=sys.intern(note) if isinstance(note, str) else note,
+                        generator_note=sys.intern(note),
                         seed_record=int(obj.get("seed_record", 0)),
                     )
                 )
@@ -392,11 +397,6 @@ def write_pcap(records: list[tuple[int, bytes]]) -> bytes:
         out.append(struct.pack("<IIII", sec, usec, len(frame), len(frame)))
         out.append(frame)
     return b"".join(out)
-
-
-def reserialize(packets) -> bytes:
-    """Write parsed packets back out as a capture (lossless round trip)."""
-    return write_pcap([(p.timestamp_us, p.frame) for p in packets])
 
 
 # --- golden fixtures ----------------------------------------------------------

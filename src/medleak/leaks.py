@@ -133,9 +133,8 @@ def _finding(
     if at < 0:
         context = matched
     else:
+        # the cap keeps the match shorter than the window, so the window holds it
         start = max(0, at - (CONTEXT_LEN - len(matched)) // 2)
-        if start + CONTEXT_LEN < at + len(matched):
-            start = at
         context = normalized_payload[start : start + CONTEXT_LEN]
     return LeakFinding(
         packet_index=packet_index,

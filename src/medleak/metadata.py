@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .capture import DeviceStream, RawPacket
 from .leaks import matches_vendor
-from .payload import _START_LINE_PREFIXES, AppPayload, parse_http
+from .payload import _START_LINE_PREFIXES, parse_http
 
 DEFAULT_GAP_THRESHOLD = 60.0  # seconds of silence that end an activity period
 
@@ -173,9 +173,7 @@ def resolve_hostnames(stream: DeviceStream, dns_answers: dict[str, str] | None =
         address = remote_address(packet, stream.mac)
         if address is None or address in hostmap:
             continue
-        message = parse_http(
-            AppPayload(packet.index, "outbound", (0, 0), packet.payload, "TCP")
-        )
+        message = parse_http(packet.payload)
         if message is not None and message.host:
             hostmap[address] = message.host
     return hostmap

@@ -30,7 +30,6 @@ class AppPayload:
     direction: str  # "outbound" | "inbound" relative to the device
     port_pair: tuple[int, int]  # (src_port, dst_port)
     data: bytes
-    transport_kind: str  # "TCP" | "UDP"
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ def app_payload(packet: RawPacket, device_mac: str) -> AppPayload:
     """The AppPayload of one payload-carrying packet of the device ``device_mac``."""
     transport = packet.transport
     direction = "outbound" if packet.src_mac == device_mac else "inbound"
-    return AppPayload(packet.index, direction, (transport.src_port, transport.dst_port), packet.payload, transport.kind)
+    return AppPayload(packet.index, direction, (transport.src_port, transport.dst_port), packet.payload)
 
 
 def extract_payloads(stream: DeviceStream) -> list[AppPayload]:
@@ -105,16 +104,16 @@ def _parse_cookie_pairs(value: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def parse_http(payload: AppPayload) -> HttpMessage | None:
+def parse_http(data: bytes) -> HttpMessage | None:
     """Parse a plaintext HTTP/1.x message head, or None for anything else.
 
     Lenient on purpose: consumer devices emit nonconforming HTTP, so
     malformed header lines are skipped instead of rejecting the message.
     Only the first segment of a message is seen (no reassembly).
     """
-    if not payload.data.startswith(_START_LINE_PREFIXES):
+    if not data.startswith(_START_LINE_PREFIXES):
         return None
-    text = payload.data.decode("latin-1")
+    text = data.decode("latin-1")
     lines = _LINE_SPLIT.split(text)
     first = lines[0] if lines else ""
 

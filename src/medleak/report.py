@@ -122,7 +122,7 @@ def analyze_stream(
             continue
         cleartext_count += 1
         findings.extend(scan_cleartext_payload(payload, verdict, dictionaries))
-        message = parse_http(payload)
+        message = parse_http(payload.data)
         if message is None:
             if looks_like_http_continuation(payload.data):
                 continuation_count += 1

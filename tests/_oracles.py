@@ -294,7 +294,7 @@ def _decode_frame(index: int, ts_us: int, frame: bytes) -> tuple[RawPacket | Non
         ip=ip,
         transport=transport,
         payload=payload,
-        frame=frame,
+        frame_len=len(frame),
     )
     return packet, None
 
@@ -359,7 +359,7 @@ def resolve_hostnames_oracle(stream, dns_answers=None) -> dict[str, str]:
         address = remote_address(packet, stream.mac)
         if address is None or address in hostmap:
             continue
-        message = parse_http(AppPayload(packet.index, "outbound", (0, 0), packet.payload, "TCP"))
+        message = parse_http(packet.payload)
         if message is not None and message.host:
             hostmap[address] = message.host
     return hostmap
@@ -380,7 +380,6 @@ def extract_payloads_oracle(stream) -> list[AppPayload]:
                 direction=direction,
                 port_pair=(packet.transport.src_port, packet.transport.dst_port),
                 data=packet.payload,
-                transport_kind=packet.transport.kind,
             )
         )
     return payloads
@@ -618,7 +617,7 @@ def analyze_stream_oracle(capture_name, stream, dns_answers, config, dictionarie
             continue
         cleartext_count += 1
         findings.extend(scan_cleartext_payload(payload, verdict, dictionaries))
-        message = parse_http(payload)
+        message = parse_http(payload.data)
         if message is None:
             if looks_like_http_continuation(payload.data):
                 continuation_count += 1

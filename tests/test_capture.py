@@ -26,7 +26,7 @@ from medleak.capture import (
     parse_capture,
     split_by_device,
 )
-from medleak.corpus import SCENARIOS, build_fixture_capture, generate_random_capture, reserialize
+from medleak.corpus import SCENARIOS, build_fixture_capture, generate_random_capture
 from medleak.payload import AppPayload, extract_payloads
 
 from _oracles import ipv4_oracle, parse_capture_oracle
@@ -237,7 +237,7 @@ def _mk_packet(index: int, src_mac: str, dst_mac: str) -> RawPacket:
         ip=None,
         transport=None,
         payload=b"",
-        frame=b"\x00" * 14,
+        frame_len=14,
     )
 
 
@@ -302,15 +302,6 @@ def test_partition_conservation(seed):
     # disjointness: every packet lands exactly once
     seen = [p.index for s in streams for p in s.packets] + [p.index for p in unattributed]
     assert sorted(seen) == sorted(p.index for p in packets)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_reparse_of_reserialized_capture_is_idempotent(seed):
-    data, _ = generate_random_capture(seed)
-    first = parse_capture(data).packets
-    second = parse_capture(reserialize(first)).packets
-    assert first == second
 
 
 # --- decode against the oracle ------------------------------------------------
@@ -493,7 +484,8 @@ def test_a_huge_declared_caplen_in_a_file_warns_without_allocating_it(tmp_path):
 def test_parsing_a_file_holds_no_more_than_its_result(tmp_path, size):
     """Near-MTU TLS frames, the shape of a long device capture: the parse's
     traced peak is what its packets keep plus a slack that does not grow
-    with the file."""
+    with the file, and the packets keep less than the file plus a quarter
+    (each keeps its payload, not its frame)."""
     frame = _tcp_frame_by_hand(DEV_MAC, AP_MAC, b"\xc0\xa8\x01\x15", b"\x59\x1e\x79\x34", 43211, 443,
                                b"\x17\x03\x03\x05\x78" + bytes(1395))
     count = (size - GLOBAL_HEADER_LEN) // (RECORD_HEADER_LEN + len(frame))
@@ -506,6 +498,7 @@ def test_parsing_a_file_holds_no_more_than_its_result(tmp_path, size):
         result, peak, retained = _traced(lambda: parse_capture(fh))
     assert len(result.packets) == count and result.warnings == []
     assert peak - retained < 256 * 1024
+    assert retained < 1.25 * size
 
 
 _IP = IpInfo("192.168.4.21", "89.30.121.52", 6)
@@ -516,13 +509,13 @@ _TCP = TransportInfo(40000, 80, "TCP")
     (_IP, ("src_addr", "dst_addr", "protocol"),
      "IpInfo(src_addr='192.168.4.21', dst_addr='89.30.121.52', protocol=6)"),
     (_TCP, ("src_port", "dst_port", "kind"), "TransportInfo(src_port=40000, dst_port=80, kind='TCP')"),
-    (RawPacket(3, 1_000_000, "aa", "bb", 0x0800, _IP, _TCP, b"GET", b"frame"),
-     ("index", "timestamp_us", "src_mac", "dst_mac", "ethertype", "ip", "transport", "payload", "frame"),
+    (RawPacket(3, 1_000_000, "aa", "bb", 0x0800, _IP, _TCP, b"GET", 57),
+     ("index", "timestamp_us", "src_mac", "dst_mac", "ethertype", "ip", "transport", "payload", "frame_len"),
      f"RawPacket(index=3, timestamp_us=1000000, src_mac='aa', dst_mac='bb', ethertype=2048, ip={_IP!r}, "
-     f"transport={_TCP!r}, payload=b'GET', frame=b'frame')"),
-    (AppPayload(3, "outbound", (40000, 80), b"GET", "TCP"),
-     ("packet_index", "direction", "port_pair", "data", "transport_kind"),
-     "AppPayload(packet_index=3, direction='outbound', port_pair=(40000, 80), data=b'GET', transport_kind='TCP')"),
+     f"transport={_TCP!r}, payload=b'GET', frame_len=57)"),
+    (AppPayload(3, "outbound", (40000, 80), b"GET"),
+     ("packet_index", "direction", "port_pair", "data"),
+     "AppPayload(packet_index=3, direction='outbound', port_pair=(40000, 80), data=b'GET')"),
 ], ids=["IpInfo", "TransportInfo", "RawPacket", "AppPayload"])
 def test_packet_records_are_slotted_frozen_values(record, field_names, text):
     assert not hasattr(record, "__dict__")

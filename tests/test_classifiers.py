@@ -49,7 +49,7 @@ ENTROPY_ORACLE_TOLERANCE = 1e-12
 
 
 def _payload(data, index=0):
-    return AppPayload(index, "outbound", (40000, 80), data, "TCP")
+    return AppPayload(index, "outbound", (40000, 80), data)
 
 
 class TestHistogram:

@@ -15,7 +15,6 @@ from medleak.corpus import (
     generate_corpus,
     generate_random_capture,
     load_corpus,
-    reserialize,
     save_corpus,
 )
 
@@ -85,6 +84,8 @@ class TestGenerateCorpus:
         ('{"label": "Cleartext", "data_b64": "aGk="}', "unknown label 'Cleartext'"),
         ('["cleartext", "aGk="]', "not a JSON object"),
         ("{not json", "Expecting"),
+        ('{"label": "cleartext", "data_b64": ""}', "empty payload"),
+        ('{"label": "cleartext", "data_b64": "aGk=", "generator_note": 5}', "generator_note 5 is not a string"),
     ])
     def test_malformed_record_names_its_line(self, tmp_path, record, reason):
         path = tmp_path / "corpus.jsonl"
@@ -123,12 +124,6 @@ class TestFixtures:
             assert parsed.warnings == []
             timestamps = [p.timestamp_us for p in parsed.packets]
             assert timestamps == sorted(timestamps)
-
-    def test_fixture_round_trip_is_lossless(self):
-        for scenario in SCENARIOS:
-            first = parse_capture(build_fixture_capture(scenario)).packets
-            second = parse_capture(reserialize(first)).packets
-            assert first == second
 
     def test_bp_fixture_contains_expected_cleartext(self):
         data = build_fixture_capture("bp-monitor-leaky")

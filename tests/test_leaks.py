@@ -9,11 +9,14 @@ from medleak.classifiers import ClassificationResult, classify
 from medleak.config import parse_dictionary_text
 from medleak.corpus import deterministic_bytes
 from medleak.leaks import (
+    _MATCH_TEXT_CAP,
+    CONTEXT_LEN,
     DICTIONARIES,
     Dictionary,
     LeakFinding,
     TimedMessage,
     _dictionary_hits,
+    _finding,
     dictionary_match,
     http_leak_scan,
     image_get_signature,
@@ -33,7 +36,7 @@ DICTS = [MEDICAL, NAMES, PII]
 
 
 def _payload(data, index=0):
-    return AppPayload(index, "outbound", (40000, 80), data, "TCP")
+    return AppPayload(index, "outbound", (40000, 80), data)
 
 
 class TestTokenize:
@@ -110,12 +113,23 @@ class TestDictionaryMatch:
         findings = dictionary_match(["glucose", "glucose", "glucose"], DICTS)
         assert len(findings) == 1
 
-    def test_context_contains_match(self):
-        data = b"x=1&" + b"filler&" * 40 + b"measure=blood_pressure&" + b"tail&" * 40
-        findings = dictionary_match(tokenize(data), [MEDICAL], payload=data)
-        for f in findings:
-            assert f.matched_text in f.context
-            assert len(f.context) <= 120
+    @settings(max_examples=300, deadline=None)
+    @given(
+        at=st.integers(0, 300),
+        length=st.integers(1, _MATCH_TEXT_CAP),
+        after=st.integers(0, 300),
+        data=st.data(),
+    )
+    def test_context_contains_match(self, at, length, after, data):
+        """A match of any length up to the cap, anywhere in the payload, lies
+        inside its context window."""
+        size = at + length + after
+        normalized = data.draw(st.text("abcdefghijklmnopqrstuvwxyz0123456789 =&/.:\xe9", min_size=size, max_size=size))
+        matched = normalized[at : at + length]
+        finding = _finding(0, "medical-terms", "LEAK", matched, normalized)
+        assert finding.matched_text == matched
+        assert matched in finding.context
+        assert len(finding.context) <= CONTEXT_LEN
 
     @settings(max_examples=40)
     @given(extra=st.sets(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=3, max_size=10)))
@@ -151,7 +165,7 @@ class TestDictionaryMatch:
 
 class TestScanBoundary:
     def test_rejects_tls_payload(self):
-        payload = AppPayload(0, "outbound", (40000, 443), b"\x17\x03\x03\x00\x10" + b"\x00" * 16, "TCP")
+        payload = AppPayload(0, "outbound", (40000, 443), b"\x17\x03\x03\x00\x10" + b"\x00" * 16)
         verdict = ClassificationResult(0, True, 0.0, True, 9999.0, True, "cleartext")
         with pytest.raises(ValueError, match="TLS"):
             scan_cleartext_payload(payload, verdict, DICTS)

@@ -51,7 +51,7 @@ def _packet(index, t_seconds, outbound=True, remote="89.30.121.52", payload=b"",
         ip=ip,
         transport=TransportInfo(sport, dport, kind),
         payload=payload,
-        frame=b"\x00" * (54 + len(payload)),
+        frame_len=54 + len(payload),
     )
 
 
@@ -132,7 +132,7 @@ class TestActivityPeriods:
         )):
             t_us += step
             if kind == "arp":
-                packets.append(RawPacket(index, t_us, DEV, "ff:ff:ff:ff:ff:ff", 0x0806, None, None, b"", bytes(60)))
+                packets.append(RawPacket(index, t_us, DEV, "ff:ff:ff:ff:ff:ff", 0x0806, None, None, b"", 60))
             else:
                 packet = _packet(index, 0.0, outbound=kind == "outbound", remote=remote, payload=bytes(size))
                 packets.append(replace(packet, timestamp_us=t_us))

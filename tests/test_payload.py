@@ -37,12 +37,12 @@ def _packet(index, payload, kind="TCP", src=DEV, dst=AP, sport=40000, dport=80, 
         ip=IpInfo("192.168.4.21", "89.30.121.52", 6 if kind == "TCP" else 17),
         transport=TransportInfo(sport, dport, kind) if with_transport else None,
         payload=payload,
-        frame=b"\x00" * (54 + len(payload)),
+        frame_len=54 + len(payload),
     )
 
 
-def _payload(data, sport=40000, dport=80, direction="outbound", kind="TCP", index=0):
-    return AppPayload(index, direction, (sport, dport), data, kind)
+def _payload(data, sport=40000, dport=80, direction="outbound", index=0):
+    return AppPayload(index, direction, (sport, dport), data)
 
 
 class TestExtractPayloads:
@@ -64,7 +64,6 @@ class TestExtractPayloads:
         extracted = extract_payloads(stream)
         assert len(extracted) == 1
         assert extracted[0].data == dns
-        assert extracted[0].transport_kind == "UDP"
 
     def test_packet_without_transport_is_excluded(self):
         arp = _packet(0, b"\x00\x01\x08\x00", with_transport=False)
@@ -168,7 +167,7 @@ FIG_REQUEST = (
 
 class TestParseHttp:
     def test_request_with_health_terms(self):
-        message = parse_http(_payload(FIG_REQUEST))
+        message = parse_http(FIG_REQUEST)
         assert message.kind == "request"
         assert message.method == "GET"
         assert "blood_pressure" in message.url
@@ -178,39 +177,39 @@ class TestParseHttp:
 
     def test_response(self):
         raw = b"HTTP/1.1 200 OK\r\nContent-Type: image/jpeg\r\n\r\n\xff\xd8\xff\xe0"
-        message = parse_http(_payload(raw, sport=80, dport=40000, direction="inbound"))
+        message = parse_http(raw)
         assert message.kind == "response"
         assert message.status_code == 200
         assert ("Content-Type", "image/jpeg") in message.headers
 
     def test_dns_bytes_are_not_http(self):
-        assert parse_http(_payload(b"\x3a\x21\x81\x80\x00\x01\x00\x01")) is None
+        assert parse_http(b"\x3a\x21\x81\x80\x00\x01\x00\x01") is None
 
     def test_unknown_method_is_not_http(self):
-        assert parse_http(_payload(b"FROB / HTTP/1.1\r\n\r\n")) is None
+        assert parse_http(b"FROB / HTTP/1.1\r\n\r\n") is None
 
     def test_status_code_out_of_range_rejected(self):
-        assert parse_http(_payload(b"HTTP/1.1 999 Nope\r\n\r\n")) is None
-        assert parse_http(_payload(b"HTTP/1.1 099 Nope\r\n\r\n")) is None
+        assert parse_http(b"HTTP/1.1 999 Nope\r\n\r\n") is None
+        assert parse_http(b"HTTP/1.1 099 Nope\r\n\r\n") is None
 
     def test_malformed_header_lines_are_skipped(self):
         raw = b"GET /x HTTP/1.1\r\nHost: h.example\r\ngarbage line no colon\r\nX-Ok: 1\r\n\r\n"
-        message = parse_http(_payload(raw))
+        message = parse_http(raw)
         assert message.host == "h.example"
         assert ("X-Ok", "1") in message.headers
         assert all(name != "garbage line no colon" for name, _ in message.headers)
 
     def test_set_cookie_takes_first_segment_only(self):
         raw = b"HTTP/1.1 200 OK\r\nSet-Cookie: sid=99; Path=/; HttpOnly\r\n\r\n"
-        message = parse_http(_payload(raw))
+        message = parse_http(raw)
         assert message.cookies == [("sid", "99")]
 
     def test_request_round_trip_on_parsed_subset(self):
-        message = parse_http(_payload(FIG_REQUEST))
+        message = parse_http(FIG_REQUEST)
         serialized = f"{message.method} {message.url} HTTP/1.1\r\n"
         serialized += "".join(f"{name}: {value}\r\n" for name, value in message.headers)
         serialized += "\r\n"
-        reparsed = parse_http(_payload(serialized.encode("latin-1")))
+        reparsed = parse_http(serialized.encode("latin-1"))
         assert reparsed == message
 
 
@@ -265,7 +264,7 @@ _VALID_START_LINE = st.one_of(
 @settings(max_examples=300)
 @given(data=st.binary(max_size=1024))
 def test_http_parsers_return_normally_on_arbitrary_bytes(data):
-    message = parse_http(_payload(data))
+    message = parse_http(data)
     assert message is None or isinstance(message, HttpMessage)
     assert looks_like_http_continuation(data) in (True, False)
 
@@ -275,7 +274,7 @@ def test_http_parsers_return_normally_on_arbitrary_bytes(data):
 def test_http_parsers_return_normally_after_a_valid_start_line(start, newline, tail):
     line, kind = start
     data = line.encode("latin-1") + newline + tail
-    message = parse_http(_payload(data))
+    message = parse_http(data)
     assert message.kind == kind
     assert all(isinstance(name, str) and isinstance(value, str) for name, value in message.headers)
     assert looks_like_http_continuation(data) is False

@@ -2,13 +2,14 @@
 
 import json
 import re
+import struct
 import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from medleak.capture import parse_capture, split_by_device
+from medleak.capture import GLOBAL_HEADER_LEN, RECORD_HEADER_LEN, parse_capture, split_by_device
 from medleak.classifiers import (
     DECISION_METHODS,
     DEFAULT_CHI_THRESHOLD,
@@ -310,7 +311,12 @@ class TestRender:
         records, registry = [], {}
         for seed in range(80):
             data, seed_registry = generate_random_capture(seed)
-            records += [(p.timestamp_us + seed * 86_400_000_000, p.frame) for p in parse_capture(data).packets]
+            offset = GLOBAL_HEADER_LEN  # the generator writes little-endian microsecond records
+            while offset < len(data):
+                sec, usec, caplen, _ = struct.unpack_from("<IIII", data, offset)
+                offset += RECORD_HEADER_LEN
+                records.append((sec * 1_000_000 + usec + seed * 86_400_000_000, data[offset : offset + caplen]))
+                offset += caplen
             registry.update(seed_registry)
         path = tmp_path / "stitched.pcap"
         path.write_bytes(write_pcap(records))
@@ -657,7 +663,12 @@ class TestCli:
         assert "chi_threshold must be a positive number" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("record", ['{"label": "cleartext"}', '{"label": "plaintext", "data_b64": "aGk="}'])
+    @pytest.mark.parametrize("record", [
+        '{"label": "cleartext"}',
+        '{"label": "plaintext", "data_b64": "aGk="}',
+        '{"label": "cleartext", "data_b64": ""}',
+        '{"label": "cleartext", "data_b64": "aGk=", "generator_note": 5}',
+    ])
     def test_malformed_corpus_record_is_operational_error(self, tmp_path, capsys, record):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"label": "encrypted", "data_b64": "aGk="}\n' + record + "\n")
