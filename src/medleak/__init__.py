@@ -14,8 +14,6 @@ from .classifiers import (
     classify,
     classify_all,
     classify_ascii,
-    classify_chi,
-    classify_entropy,
     compare_methods,
     histogram,
     shannon_entropy,

@@ -143,22 +143,10 @@ def shannon_entropy(data: bytes) -> float:
     return float(_statistics(histogram(data), len(data))[1])
 
 
-def classify_entropy(data: bytes, threshold: float = DEFAULT_ENTROPY_THRESHOLD) -> bool:
-    """True (cleartext) when entropy is strictly below the threshold; a tie
-    counts as encrypted."""
-    return shannon_entropy(data) < threshold
-
-
 def chi_squared(data: bytes) -> float:
     """Chi-squared statistic of byte frequencies against a uniform
     expectation over all 256 bins. Zero iff every bin count is equal."""
     return float(_statistics(histogram(data), len(data))[2])
-
-
-def classify_chi(data: bytes, threshold: float = DEFAULT_CHI_THRESHOLD) -> bool:
-    """True (cleartext) when the statistic is strictly above the threshold;
-    a tie counts as encrypted."""
-    return chi_squared(data) > threshold
 
 
 def classify(payload: AppPayload, config: ClassifierConfig = ClassifierConfig()) -> ClassificationResult:
@@ -178,45 +166,52 @@ def classify_all(
     """``classify`` for each payload, in order, scoring ``_BATCH`` payloads
     at a time as one stacked histogram matrix."""
     results = []
-    for batch, statistics in _scored_batches(payloads):
-        for payload, ascii_verdict, entropy_bits, chi in zip(batch, *(column.tolist() for column in statistics)):
-            entropy_verdict = entropy_bits < config.entropy_threshold
-            chi_verdict = chi > config.chi_threshold
-
-            if len(payload.data) < config.min_stat_len:
-                consensus = CLEARTEXT if ascii_verdict else INDETERMINATE
-            else:
-                votes = {
-                    "ascii": ascii_verdict,
-                    "entropy": entropy_verdict,
-                    "chi_squared": chi_verdict,
-                    "majority": (ascii_verdict + entropy_verdict + chi_verdict) >= 2,
-                }
-                consensus = CLEARTEXT if votes[config.decision_method] else ENCRYPTED
-
+    for batch, lengths, entropy, chi, flags in _scored_batches(payloads, config):
+        if config.decision_method == "majority":
+            decided = flags.sum(axis=0) >= 2
+        else:
+            decided = flags[METHODS.index(config.decision_method)]
+        # below min_stat_len the ASCII test decides instead
+        short = lengths < config.min_stat_len
+        columns = (short, np.where(short, flags[0], decided), *flags, entropy, chi)
+        for payload, is_short, cleartext, ascii_verdict, entropy_verdict, chi_verdict, entropy_bits, chi_value in zip(
+            batch, *(column.tolist() for column in columns)
+        ):
             results.append(
                 ClassificationResult(
                     packet_index=payload.packet_index,
                     ascii_verdict=ascii_verdict,
                     entropy_bits=entropy_bits,
                     entropy_verdict=entropy_verdict,
-                    chi_squared=chi,
+                    chi_squared=chi_value,
                     chi_verdict=chi_verdict,
-                    consensus=consensus,
+                    consensus=CLEARTEXT if cleartext else INDETERMINATE if is_short else ENCRYPTED,
                 )
             )
     return results
 
 
-def _scored_batches(items: Iterable) -> Iterator[tuple[list, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+def _scored_batches(
+    items: Iterable, config: ClassifierConfig
+) -> Iterator[tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Read ``items`` (anything with a ``data`` attribute) in lists of at most
     ``_BATCH`` and score each list as one stacked ``(k, 256)`` histogram
-    matrix, so an iterable is never held in memory whole."""
+    matrix, so an iterable is never held in memory whole.
+
+    Yields each list with its lengths, entropies and chi-squared values, and
+    a ``(3, k)`` array of cleartext flags, one row per method in ``METHODS``
+    order. This is the one place the thresholds are applied: entropy flags
+    cleartext when strictly below ``entropy_threshold``, chi-squared when
+    strictly above ``chi_threshold``, and a tie at either counts as
+    encrypted.
+    """
     items = iter(items)
     while batch := list(islice(items, _BATCH)):
         counts = np.array([histogram(item.data) for item in batch], dtype=np.float64)
         lengths = np.array([len(item.data) for item in batch], dtype=np.float64)
-        yield batch, _statistics(counts, lengths[:, np.newaxis])
+        is_ascii, entropy, chi = _statistics(counts, lengths[:, np.newaxis])
+        flags = np.array((is_ascii, entropy < config.entropy_threshold, chi > config.chi_threshold))
+        yield batch, lengths, entropy, chi, flags
 
 
 def compare_methods(
@@ -234,8 +229,7 @@ def compare_methods(
     true_positives = np.zeros(len(METHODS), dtype=np.int64)
     flagged = np.zeros(len(METHODS), dtype=np.int64)
     total = cleartext = 0
-    for batch, (is_ascii, entropy, chi) in _scored_batches(corpus):
-        flags = np.stack((is_ascii, entropy < config.entropy_threshold, chi > config.chi_threshold))
+    for batch, _, _, _, flags in _scored_batches(corpus, config):
         is_cleartext = np.array([item.label == CLEARTEXT for item in batch])
         true_positives += (flags & is_cleartext).sum(axis=1)
         flagged += flags.sum(axis=1)

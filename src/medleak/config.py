@@ -101,6 +101,9 @@ def _read_ini(path) -> configparser.ConfigParser:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from None
+    # configparser copies [DEFAULT] keys into every section, past the key checks
+    if parser.defaults():
+        raise ConfigError(f"{path}: unknown section [DEFAULT]")
     return parser
 
 

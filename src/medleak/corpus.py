@@ -258,6 +258,9 @@ def load_corpus(path) -> list[LabeledPayload]:
                 note = obj.get("generator_note", "")
                 if not isinstance(note, str):
                     raise ValueError(f"generator_note {note!r} is not a string")
+                seed_record = obj.get("seed_record", 0)
+                if type(seed_record) is not int:  # not isinstance: JSON true would pass as 1
+                    raise ValueError(f"seed_record {seed_record!r} is not an integer")
                 data = base64.b64decode(obj["data_b64"], validate=True)
                 if not data:
                     raise ValueError("empty payload")
@@ -268,7 +271,7 @@ def load_corpus(path) -> list[LabeledPayload]:
                         data=data,
                         label=sys.intern(obj["label"]),
                         generator_note=sys.intern(note),
-                        seed_record=int(obj.get("seed_record", 0)),
+                        seed_record=seed_record,
                     )
                 )
             except KeyError as exc:

@@ -186,24 +186,20 @@ def endpoint_profiles(
 ) -> list[EndpointProfile]:
     """One profile per distinct remote address the device exchanged IP
     traffic with, in first-seen order."""
-    counts: Counter[str] = Counter()
-    order: list[str] = []
+    counts: Counter[str] = Counter()  # iterates in first-seen order
     for packet in stream.packets:
         address = remote_address(packet, stream.mac)
-        if address is None:
-            continue
-        if address not in counts:
-            order.append(address)
-        counts[address] += 1
+        if address is not None:
+            counts[address] += 1
     hostmap = resolve_hostnames(stream, dns_answers)
     profiles = []
-    for address in order:
+    for address, count in counts.items():
         hostname = hostmap.get(address)
         profiles.append(
             EndpointProfile(
                 address=address,
                 hostname=hostname,
-                packet_count=counts[address],
+                packet_count=count,
                 vendor_flag=matches_vendor(hostname, vendor_patterns)
                 or matches_vendor(address, vendor_patterns),
             )

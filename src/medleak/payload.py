@@ -115,14 +115,13 @@ def parse_http(data: bytes) -> HttpMessage | None:
         return None
     text = data.decode("latin-1")
     lines = _LINE_SPLIT.split(text)
-    first = lines[0] if lines else ""
 
     message: HttpMessage
-    request = _REQUEST_LINE.match(first)
+    request = _REQUEST_LINE.match(lines[0])
     if request:
         message = HttpMessage(kind="request", method=request.group(1), url=request.group(2))
     else:
-        status = _STATUS_LINE.match(first)
+        status = _STATUS_LINE.match(lines[0])
         if not status:
             return None
         code = int(status.group(1))

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 
 from .capture import DeviceStream, parse_capture, split_by_device
-from .classifiers import ENCRYPTED, INDETERMINATE, classify_all
+from .classifiers import CLEARTEXT, ENCRYPTED, INDETERMINATE, classify_all
 from .config import RunConfig, load_dictionaries
 from .leaks import (
     LeakFinding,
@@ -44,6 +45,8 @@ EXIT_OK = 0
 EXIT_WARN = 1
 EXIT_LEAK = 2
 EXIT_ERROR = 3
+
+_TLS = "tls"  # analyze_stream's tally key beside the three classifier verdicts
 
 
 @dataclass
@@ -99,7 +102,7 @@ def analyze_stream(
     classifier_config = config.classifier_config()
     findings: list[LeakFinding] = []
     timed_messages: list[TimedMessage] = []
-    tls_count = cleartext_count = encrypted_count = indeterminate_count = 0
+    tally: Counter[str] = Counter()
     continuation_count = 0
 
     # TLS is only counted, so it is told apart before an AppPayload is built.
@@ -108,19 +111,15 @@ def analyze_stream(
     for packet in payload_packets(stream):
         transport = packet.transport
         if tls_verdict((transport.src_port, transport.dst_port), packet.payload).is_tls:
-            tls_count += 1
+            tally[_TLS] += 1
         else:
             plain.append(app_payload(packet, stream.mac))
             timestamps.append(packet.timestamp)
 
     for payload, timestamp, verdict in zip(plain, timestamps, classify_all(plain, classifier_config)):
-        if verdict.consensus == ENCRYPTED:
-            encrypted_count += 1
+        tally[verdict.consensus] += 1
+        if verdict.consensus != CLEARTEXT:
             continue
-        if verdict.consensus == INDETERMINATE:
-            indeterminate_count += 1
-            continue
-        cleartext_count += 1
         findings.extend(scan_cleartext_payload(payload, verdict, dictionaries))
         message = parse_http(payload.data)
         if message is None:
@@ -164,11 +163,11 @@ def analyze_stream(
         device_id=stream.device_id,
         mac=stream.mac,
         packet_count=len(stream.packets),
-        payload_count=tls_count + len(plain),
-        cleartext_count=cleartext_count,
-        tls_count=tls_count,
-        encrypted_count=encrypted_count,
-        indeterminate_count=indeterminate_count,
+        payload_count=sum(tally.values()),
+        cleartext_count=tally[CLEARTEXT],
+        tls_count=tally[_TLS],
+        encrypted_count=tally[ENCRYPTED],
+        indeterminate_count=tally[INDETERMINATE],
         findings=findings,
         activity=activity,
         endpoints=endpoint_profiles(stream, dns_answers, config.vendor_patterns),

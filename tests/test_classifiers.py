@@ -2,6 +2,7 @@
 threshold tie rules, consensus logic, and distributional invariants."""
 
 import dataclasses
+import math
 import random
 import tracemalloc
 
@@ -22,8 +23,6 @@ from medleak.classifiers import (
     classify,
     classify_all,
     classify_ascii,
-    classify_chi,
-    classify_entropy,
     compare_methods,
     _statistics,
     histogram,
@@ -50,6 +49,18 @@ ENTROPY_ORACLE_TOLERANCE = 1e-12
 
 def _payload(data, index=0):
     return AppPayload(index, "outbound", (40000, 80), data)
+
+
+def _results(payloads, **thresholds):
+    return classify_all([_payload(data) for data in payloads], ClassifierConfig(**thresholds))
+
+
+def _entropy_verdict(data, **thresholds):
+    return _results([data], **thresholds)[0].entropy_verdict
+
+
+def _chi_verdict(data, **thresholds):
+    return _results([data], **thresholds)[0].chi_verdict
 
 
 class TestHistogram:
@@ -148,23 +159,23 @@ class TestThresholdRules:
     def test_high_entropy_is_presumed_encrypted(self):
         data = deterministic_bytes(7, "high-entropy", 4096)  # measured H well above 7.5
         assert shannon_entropy(data) > 7.5
-        assert classify_entropy(data) is False
+        assert _entropy_verdict(data) is False
 
     def test_low_entropy_is_cleartext(self):
-        assert classify_entropy(b"AAAA") is True
+        assert _entropy_verdict(b"AAAA") is True
 
     def test_entropy_tie_counts_as_encrypted(self):
         data = ALL_256_ONCE  # entropy exactly 8.0
-        assert classify_entropy(data, threshold=8.0) is False
-        assert classify_entropy(data, threshold=8.0 + 1e-9) is True
+        assert _entropy_verdict(data, entropy_threshold=8.0) is False
+        assert _entropy_verdict(data, entropy_threshold=8.0 + 1e-9) is True
 
     def test_chi_tie_counts_as_encrypted(self):
         data = b"\x41" * 256  # chi-squared exactly 65280
-        assert classify_chi(data, threshold=65280.0) is False
-        assert classify_chi(data, threshold=65279.0) is True
+        assert _chi_verdict(data, chi_threshold=65280.0) is False
+        assert _chi_verdict(data, chi_threshold=65279.0) is True
 
     def test_chi_uniform_payload_not_flagged(self):
-        assert classify_chi(ALL_256_ONCE) is False
+        assert _chi_verdict(ALL_256_ONCE) is False
 
     def test_english_http_requests_exceed_chi_threshold(self):
         corpus = generate_corpus(CorpusSpec(30, 1, (256, 600), seed=11))
@@ -172,11 +183,27 @@ class TestThresholdRules:
         assert any(item.generator_note.startswith("http-request") for item in cleartext)
         for item in cleartext:
             assert chi_squared_two_pass_oracle(item.data) > 1000
-            assert classify_chi(item.data) is True
+        assert all(result.chi_verdict is True for result in _results([item.data for item in cleartext]))
 
     def test_pseudorandom_2048_bytes_never_flagged_by_chi(self):
         rng = random.Random(4242)
-        assert not any(classify_chi(rng.randbytes(2048)) for _ in range(1000))
+        assert not any(result.chi_verdict for result in _results([rng.randbytes(2048) for _ in range(1000)]))
+
+    @pytest.mark.parametrize("method, threshold, field, data, statistic, past", [
+        ("entropy", "entropy_threshold", "entropy_bits", ALL_256_ONCE, 8.0, math.inf),
+        ("chi_squared", "chi_threshold", "chi_squared", b"A" * 256, 65280.0, -math.inf),
+    ], ids=["entropy", "chi_squared"])
+    def test_tie_is_encrypted_in_classify_all_and_compare_methods(self, method, threshold, field, data, statistic,
+                                                                   past):
+        # entropy flags cleartext strictly below its threshold, chi-squared
+        # strictly above; one ulp toward that side turns the tie into cleartext
+        for value, expected in ((statistic, ENCRYPTED), (math.nextafter(statistic, past), CLEARTEXT)):
+            config = ClassifierConfig(**{threshold: value}, decision_method=method)
+            [result] = classify_all([_payload(data)], config)
+            assert getattr(result, field) == statistic
+            assert result.consensus == expected
+            report = compare_methods([LabeledPayload(data, CLEARTEXT, "tie", 0)], config)
+            assert report.per_method[method].flagged == (expected == CLEARTEXT)
 
 
 class TestClassifyConsensus:
@@ -273,10 +300,11 @@ class TestCompareMethods:
     def test_recall_on_a_mixed_corpus(self):
         corpus = generate_corpus(CorpusSpec(50, 50, (64, 512), seed=5))
         cleartext = [item for item in corpus if item.label == CLEARTEXT]
+        config = ClassifierConfig()
         caught = {
-            "ascii": sum(classify_ascii(item.data) for item in cleartext),
-            "entropy": sum(classify_entropy(item.data) for item in cleartext),
-            "chi_squared": sum(classify_chi(item.data) for item in cleartext),
+            "ascii": sum(max(item.data) < 128 for item in cleartext),
+            "entropy": sum(entropy_oracle(item.data) < config.entropy_threshold for item in cleartext),
+            "chi_squared": sum(chi_squared_two_pass_oracle(item.data) > config.chi_threshold for item in cleartext),
         }
         for method, stats in compare_methods(corpus).per_method.items():
             assert stats.recall == caught[method] / 50

@@ -86,6 +86,9 @@ class TestGenerateCorpus:
         ("{not json", "Expecting"),
         ('{"label": "cleartext", "data_b64": ""}', "empty payload"),
         ('{"label": "cleartext", "data_b64": "aGk=", "generator_note": 5}', "generator_note 5 is not a string"),
+        ('{"label": "cleartext", "data_b64": "aGk=", "seed_record": 5.9}', "seed_record 5.9 is not an integer"),
+        ('{"label": "cleartext", "data_b64": "aGk=", "seed_record": "7"}', "seed_record '7' is not an integer"),
+        ('{"label": "cleartext", "data_b64": "aGk=", "seed_record": true}', "seed_record True is not an integer"),
     ])
     def test_malformed_record_names_its_line(self, tmp_path, record, reason):
         path = tmp_path / "corpus.jsonl"

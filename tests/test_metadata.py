@@ -181,13 +181,17 @@ class TestEndpoints:
 
     def test_profile_counts_sum_to_ip_packet_count(self):
         packets = [
-            _packet(0, 0.0, remote="198.51.100.7"),
-            _packet(1, 1.0, remote="198.51.100.7", outbound=False),
-            _packet(2, 2.0, remote="198.51.100.9"),
+            _packet(0, 0.0, remote="198.51.100.9"),
+            _packet(1, 1.0, remote="198.51.100.7"),
+            _packet(2, 2.0, remote="198.51.100.9", outbound=False),
+            _packet(3, 3.0, remote="198.51.100.10"),
         ]
         profiles = endpoint_profiles(_stream(packets), {}, ())
-        assert sum(p.packet_count for p in profiles) == 3
-        assert {p.address for p in profiles} == {"198.51.100.7", "198.51.100.9"}
+        assert sum(p.packet_count for p in profiles) == 4
+        # first-seen order, which is neither numeric nor string address order
+        assert [(p.address, p.packet_count) for p in profiles] == [
+            ("198.51.100.9", 2), ("198.51.100.7", 1), ("198.51.100.10", 1),
+        ]
 
     def test_http_host_resolves_hostname_without_dns(self):
         request = b"GET /x HTTP/1.1\r\nHost: api.vendor.example\r\n\r\n"

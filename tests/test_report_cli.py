@@ -338,6 +338,13 @@ class TestConfigFiles:
         path.write_text("[devices]\n00:24:e4:1b:20:31 = bp_monitor\n")
         assert load_registry(path) == {"00:24:e4:1b:20:31": "bp_monitor"}
 
+    def test_registry_default_section_rejected(self, tmp_path):
+        # configparser would copy the key into [devices] as a device named 'foo'
+        path = tmp_path / "devices.conf"
+        path.write_text("[DEFAULT]\nfoo = bar\n[devices]\n00:24:e4:1b:20:31 = bp_monitor\n")
+        with pytest.raises(ConfigError, match=re.escape("section [DEFAULT]")):
+            load_registry(path)
+
     def test_registry_missing_section(self, tmp_path):
         path = tmp_path / "devices.conf"
         path.write_text("[names]\nx = y\n")
@@ -394,6 +401,8 @@ class TestConfigFiles:
         ("[vendor-patterns]\npattern = *acme*\n", "'pattern' in [vendor-patterns]"),
         ("[threshold]\nentropy_threshold = 1\n", "section [threshold]"),
         ("[devices]\n00:24:e4:1b:20:31 = bp\n[device]\n00:24:e4:9c:41:72 = scale\n", "section [device]"),
+        ("[DEFAULT]\nchi_threshold = 5\n", "section [DEFAULT]"),
+        ("[DEFAULT]\nchi_threshold = 5\n[thresholds]\nentropy_threshold = 7\n", "section [DEFAULT]"),
     ])
     def test_unknown_key_or_section_rejected(self, tmp_path, capsys, text, unknown):
         path = tmp_path / "typo.conf"
@@ -668,6 +677,9 @@ class TestCli:
         '{"label": "plaintext", "data_b64": "aGk="}',
         '{"label": "cleartext", "data_b64": ""}',
         '{"label": "cleartext", "data_b64": "aGk=", "generator_note": 5}',
+        '{"label": "cleartext", "data_b64": "aGk=", "seed_record": 5.9}',
+        '{"label": "cleartext", "data_b64": "aGk=", "seed_record": "7"}',
+        '{"label": "cleartext", "data_b64": "aGk=", "seed_record": true}',
     ])
     def test_malformed_corpus_record_is_operational_error(self, tmp_path, capsys, record):
         path = tmp_path / "corpus.jsonl"
