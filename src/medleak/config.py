@@ -104,11 +104,17 @@ def _read_ini(path) -> configparser.ConfigParser:
     # configparser copies [DEFAULT] keys into every section, past the key checks
     if parser.defaults():
         raise ConfigError(f"{path}: unknown section [DEFAULT]")
+    for name in parser.sections():
+        if name not in _SECTION_KEYS:
+            raise ConfigError(f"{path}: unknown section [{name}]")
+        for key in parser[name]:
+            if _SECTION_KEYS[name] is not None and key not in _SECTION_KEYS[name]:
+                raise ConfigError(f"{path}: unknown key {key!r} in [{name}]")
     return parser
 
 
 def load_registry(path) -> dict[str, str]:
-    """MAC -> device label, from the [devices] section of an INI file."""
+    """MAC -> device label, from the [devices] section of a registry or config file."""
     parser = _read_ini(path)
     if not parser.has_section("devices"):
         raise ConfigError(f"{path}: missing [devices] section")
@@ -121,12 +127,6 @@ def load_registry(path) -> dict[str, str]:
 def load_config(path) -> RunConfig:
     """Build a RunConfig from an INI file; unspecified keys keep defaults."""
     parser = _read_ini(path)
-    for name in parser.sections():
-        if name not in _SECTION_KEYS:
-            raise ConfigError(f"{path}: unknown section [{name}]")
-        for key in parser[name]:
-            if _SECTION_KEYS[name] is not None and key not in _SECTION_KEYS[name]:
-                raise ConfigError(f"{path}: unknown key {key!r} in [{name}]")
     config = RunConfig()
     if parser.has_section("thresholds"):
         section = parser["thresholds"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fnmatch import translate
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .classifiers import CLEARTEXT, ClassificationResult
 from .payload import AppPayload, HttpMessage, detect_tls
@@ -89,10 +89,6 @@ def normalize_text(text: str) -> str:
     return _JOINERS.sub(" ", text.lower())
 
 
-def payload_text(data: bytes) -> str:
-    return data.decode("latin-1")
-
-
 def tokenize(data: bytes) -> list[str]:
     """Lowercased tokens of a cleartext payload.
 
@@ -101,7 +97,7 @@ def tokenize(data: bytes) -> list[str]:
     individual components; a secondary pass splits digits from letters
     ("alice123" also yields "alice").
     """
-    text = payload_text(data).lower()
+    text = data.decode("latin-1").lower()
     tokens: list[str] = []
     for word in _WORD.findall(text):
         tokens.append(word)
@@ -120,7 +116,7 @@ def tokenize(data: bytes) -> list[str]:
 
 
 def _normalized_payload(data: bytes) -> str:
-    return normalize_text(payload_text(data)) if data else ""
+    return normalize_text(data.decode("latin-1")) if data else ""
 
 
 def _finding(
@@ -147,7 +143,7 @@ def _finding(
 
 def relocate(finding: LeakFinding, data: bytes) -> bool:
     """Independently re-locate a finding's evidence in its payload."""
-    return normalize_text(finding.matched_text) in normalize_text(payload_text(data))
+    return normalize_text(finding.matched_text) in _normalized_payload(data)
 
 
 def _dictionary_hits(tokens: list[str], dictionaries: list[Dictionary]):
@@ -175,6 +171,7 @@ def dictionary_match(
     dictionaries: list[Dictionary],
     packet_index: int = 0,
     payload: bytes = b"",
+    run: _MiningRun | None = None,
 ) -> list[LeakFinding]:
     """One finding per distinct (token, dictionary) hit.
 
@@ -184,7 +181,7 @@ def dictionary_match(
     hits = list(_dictionary_hits(tokens, dictionaries))
     if not hits:
         return []
-    normalized = _normalized_payload(payload)
+    normalized = (run or _MiningRun()).normalized(payload)
     return [_finding(packet_index, *DICTIONARIES[name], token, normalized) for token, name in hits]
 
 
@@ -192,6 +189,7 @@ def scan_cleartext_payload(
     payload: AppPayload,
     verdict: ClassificationResult,
     dictionaries: list[Dictionary],
+    run: _MiningRun | None = None,
 ) -> list[LeakFinding]:
     """Dictionary-mine one payload that already passed cleartext
     classification. Refuses TLS or non-cleartext payloads outright."""
@@ -199,9 +197,9 @@ def scan_cleartext_payload(
         raise ValueError("leak scan refused: payload is TLS")
     if verdict.consensus != CLEARTEXT:
         raise ValueError(f"leak scan refused: payload classified {verdict.consensus}")
-    return dictionary_match(
-        tokenize(payload.data), dictionaries, packet_index=payload.packet_index, payload=payload.data
-    )
+    run = run or _MiningRun(dictionaries)
+    tokens = run.dictionary_tokens(payload.data.decode("latin-1"))
+    return dictionary_match(tokens, dictionaries, packet_index=payload.packet_index, payload=payload.data, run=run)
 
 
 @lru_cache(maxsize=16)
@@ -222,11 +220,34 @@ def matches_vendor(subject: str | None, vendor_patterns) -> bool:
     return regex is not None and regex.match(subject.lower()) is not None
 
 
+class _MiningRun:
+    """Leak-mining memos for one ``analyze`` call, which builds this object and
+    drops it on return; a public function called without one builds its own.
+    It must be built from the dictionaries and vendor patterns passed with it."""
+
+    def __init__(self, dictionaries=(), vendor_patterns=()):
+        terms = self.terms = frozenset().union(*(dictionary.entries for dictionary in dictionaries))
+        # the dictionary tokens of a word that tokenize splits, once per distinct word
+        self.split_word = cache(lambda word: tuple(t for t in tokenize(word.encode("latin-1")) if t in terms))
+        self.vendor = cache(lambda subject: matches_vendor(subject, vendor_patterns))
+        # the latest payload's normalized text, shared by its dictionary and HTTP findings
+        self.normalized = lru_cache(maxsize=1)(_normalized_payload)
+
+    def dictionary_tokens(self, text: str) -> list[str]:
+        """The tokens of ``tokenize(text)`` that some dictionary holds, in order:
+        a word of only letters or only digits is its own only token."""
+        tokens: list[str] = []
+        for word in _WORD.findall(text.lower()):
+            if not (word.isalpha() or word.isdigit()):
+                tokens.extend(self.split_word(word))
+            elif word in self.terms:
+                tokens.append(word)
+        return tokens
+
+
 def _query_keys(url: str) -> list[str]:
     # raw split, no percent-decoding: evidence must stay relocatable as-is
-    if "?" not in url:
-        return []
-    query = url.split("?", 1)[1]
+    query = url.partition("?")[2]
     return [part.split("=", 1)[0] for part in query.split("&") if part]
 
 
@@ -237,6 +258,7 @@ def http_leak_scan(
     identifier_keys: frozenset[str] = DEFAULT_IDENTIFIER_KEYS,
     packet_index: int = 0,
     payload: bytes = b"",
+    run: _MiningRun | None = None,
 ) -> list[LeakFinding]:
     """Structural HTTP leak checks on one parsed message.
 
@@ -244,17 +266,18 @@ def http_leak_scan(
     - vendor-identifier: host or URL matches a vendor pattern
     - user-identifier: cookie/query key is a configured identifier key
     """
+    run = run or _MiningRun(dictionaries, vendor_patterns)
     hits: list[tuple[str, str, str]] = []  # (category, matched text, severity)
     url = message.url or ""
-    cookie_blob = " ".join(f"{k}={v}" for k, v in message.cookies)
-    for category, text in (("url-leak", url), ("cookie-leak", cookie_blob)):
-        if text:
-            for token, name in _dictionary_hits(tokenize(text.encode("latin-1")), dictionaries):
+    if dictionaries:
+        cookie_blob = " ".join(f"{k}={v}" for k, v in message.cookies)
+        for category, text in (("url-leak", url), ("cookie-leak", cookie_blob)):
+            for token, name in _dictionary_hits(run.dictionary_tokens(text), dictionaries):
                 hits.append((category, token, DICTIONARIES[name][1]))
 
-    if matches_vendor(message.host, vendor_patterns):
+    if run.vendor(message.host):
         hits.append(("vendor-identifier", message.host or "", SEVERITY_WARN))
-    elif matches_vendor(url, vendor_patterns):
+    elif matches_vendor(url, vendor_patterns):  # URLs seldom repeat, so they skip the memo
         hits.append(("vendor-identifier", url, SEVERITY_WARN))
 
     candidate_keys = [key for key, _ in message.cookies] + _query_keys(url)
@@ -267,7 +290,7 @@ def http_leak_scan(
 
     if not hits:
         return []
-    normalized = _normalized_payload(payload)
+    normalized = run.normalized(payload)
     return [
         _finding(packet_index, category, severity, matched, normalized)
         for category, matched, severity in hits

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .capture import DeviceStream, RawPacket
-from .leaks import matches_vendor
+from .leaks import _MiningRun, matches_vendor  # noqa: F401 (matches_vendor is re-exported)
 from .payload import _START_LINE_PREFIXES, parse_http
 
 DEFAULT_GAP_THRESHOLD = 60.0  # seconds of silence that end an activity period
@@ -183,9 +183,11 @@ def endpoint_profiles(
     stream: DeviceStream,
     dns_answers: dict[str, str] | None = None,
     vendor_patterns=(),
+    run: _MiningRun | None = None,
 ) -> list[EndpointProfile]:
     """One profile per distinct remote address the device exchanged IP
     traffic with, in first-seen order."""
+    vendor = (run or _MiningRun(vendor_patterns=vendor_patterns)).vendor
     counts: Counter[str] = Counter()  # iterates in first-seen order
     for packet in stream.packets:
         address = remote_address(packet, stream.mac)
@@ -200,8 +202,7 @@ def endpoint_profiles(
                 address=address,
                 hostname=hostname,
                 packet_count=count,
-                vendor_flag=matches_vendor(hostname, vendor_patterns)
-                or matches_vendor(address, vendor_patterns),
+                vendor_flag=vendor(hostname) or vendor(address),
             )
         )
     return profiles

@@ -16,9 +16,10 @@ from .leaks import (
     LeakFinding,
     SEVERITY_HIGH,
     TimedMessage,
+    _MiningRun,
     http_leak_scan,
     image_get_signature,
-    matches_vendor,
+    matches_vendor,  # noqa: F401 (re-exported, as from metadata)
     scan_cleartext_payload,
 )
 from .metadata import (
@@ -98,8 +99,9 @@ def analyze_stream(
     dns_answers: dict[str, str],
     config: RunConfig,
     dictionaries,
+    run: _MiningRun | None = None,
 ) -> DeviceReport:
-    classifier_config = config.classifier_config()
+    run = run or _MiningRun(dictionaries, config.vendor_patterns)
     findings: list[LeakFinding] = []
     timed_messages: list[TimedMessage] = []
     tally: Counter[str] = Counter()
@@ -116,11 +118,12 @@ def analyze_stream(
             plain.append(app_payload(packet, stream.mac))
             timestamps.append(packet.timestamp)
 
-    for payload, timestamp, verdict in zip(plain, timestamps, classify_all(plain, classifier_config)):
+    for payload, timestamp, verdict in zip(plain, timestamps, classify_all(plain, config.classifier_config())):
         tally[verdict.consensus] += 1
         if verdict.consensus != CLEARTEXT:
             continue
-        findings.extend(scan_cleartext_payload(payload, verdict, dictionaries))
+        payload_findings = scan_cleartext_payload(payload, verdict, dictionaries, run)
+        findings.extend(payload_findings)
         message = parse_http(payload.data)
         if message is None:
             if looks_like_http_continuation(payload.data):
@@ -130,10 +133,12 @@ def analyze_stream(
             http_leak_scan(
                 message,
                 config.vendor_patterns,
-                dictionaries=dictionaries,
+                # URL and cookie tokens are payload tokens: no payload hit, no URL or cookie hit
+                dictionaries=dictionaries if payload_findings else (),
                 identifier_keys=config.identifier_keys,
                 packet_index=payload.packet_index,
                 payload=payload.data,
+                run=run,
             )
         )
         timed_messages.append(
@@ -142,7 +147,7 @@ def analyze_stream(
                 packet_index=payload.packet_index,
                 message=message,
                 outbound=payload.direction == "outbound",
-                vendor_endpoint=matches_vendor(message.host, config.vendor_patterns),
+                vendor_endpoint=run.vendor(message.host),
                 payload=payload.data,
             )
         )
@@ -170,7 +175,7 @@ def analyze_stream(
         indeterminate_count=tally[INDETERMINATE],
         findings=findings,
         activity=activity,
-        endpoints=endpoint_profiles(stream, dns_answers, config.vendor_patterns),
+        endpoints=endpoint_profiles(stream, dns_answers, config.vendor_patterns, run),
         periodicity=periodicity_hint(activity),
         status=_status(findings),
     )
@@ -183,6 +188,7 @@ def analyze(captures, config: RunConfig) -> AnalysisResult:
     """
     config.validate()
     dictionaries = load_dictionaries(config.dict_dir)
+    run = _MiningRun(dictionaries, config.vendor_patterns)
     reports: list[DeviceReport] = []
     warnings: list[str] = []
     for capture_path in captures:
@@ -195,7 +201,7 @@ def analyze(captures, config: RunConfig) -> AnalysisResult:
             warnings.append(f"{path.name}: {len(unattributed)} packets unattributed")
         dns_answers = extract_dns_answers(parsed.packets)
         for stream in streams:
-            reports.append(analyze_stream(path.name, stream, dns_answers, config, dictionaries))
+            reports.append(analyze_stream(path.name, stream, dns_answers, config, dictionaries, run))
 
     return AnalysisResult(reports=reports, warnings=warnings)
 

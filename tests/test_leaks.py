@@ -2,7 +2,7 @@
 image-GET signatures, and evidence soundness."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from medleak.classifiers import ClassificationResult, classify
@@ -21,11 +21,12 @@ from medleak.leaks import (
     http_leak_scan,
     image_get_signature,
     matches_vendor,
+    normalize_text,
     relocate,
     scan_cleartext_payload,
     tokenize,
 )
-from medleak.payload import AppPayload, HttpMessage
+from medleak.payload import AppPayload, HttpMessage, parse_http
 
 from _oracles import dictionary_hits_oracle, image_get_signature_oracle, matches_vendor_oracle, tokenize_oracle
 
@@ -184,6 +185,72 @@ class TestScanBoundary:
         findings = scan_cleartext_payload(payload, verdict, DICTS)
         assert findings
         assert all(relocate(f, payload.data) for f in findings)
+
+
+# words that split in every way tokenize knows: joiners, letter-digit runs,
+# two-letter names, case and non-ASCII letters
+_WORDS = ("Blood", "pressure", "blood_pressure", "heart-Pulse", "v2", "fw-v2", "al", "Alice123", "x", "42", "\xe9t\xe9")
+_ENTRIES = ("blood", "blood pressure", "blood_pressure", "heart pulse", "heart-pulse", "v2", "al", "alice", "42", "x")
+_SEPARATORS = ("", " ", "_", "-", "=", "&", ";", "/", "\r\n", "\t", "\x85", "\xa0", "\xc0")
+_MIXED_TEXT = st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(_SEPARATORS)), max_size=10).map(
+    lambda pairs: "".join(word + separator for word, separator in pairs)
+)
+_BUILT_DICTIONARIES = st.lists(
+    st.tuples(st.sampled_from(list(DICTIONARIES)), st.sets(st.sampled_from(_ENTRIES), min_size=1)),
+    min_size=1,
+    max_size=4,
+).map(lambda specs: [Dictionary(name, frozenset(entries)) for name, entries in specs])
+_CLEARTEXT = ClassificationResult(0, True, 0.0, True, 9999.0, True, "cleartext")
+_URL_ALPHABET = "aZk09_-;=/?&.%\xc0"  # a URL in a request line holds no whitespace
+_HTTP_ALPHABET = _URL_ALPHABET + " \t\r\n\x85\xa0"
+
+
+class TestOneMiningPass:
+    """The one word scan per text gives the hits of every token, and the
+    URL and cookie tokens that analyze_stream skips are payload tokens."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_MIXED_TEXT, _BUILT_DICTIONARIES)
+    def test_scan_equals_matching_every_token(self, text, dictionaries):
+        data = text.encode("latin-1")
+        expected = dictionary_match(tokenize_oracle(data), dictionaries, packet_index=4, payload=data)
+        assert scan_cleartext_payload(_payload(data, 4), _CLEARTEXT, dictionaries) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(_MIXED_TEXT, _MIXED_TEXT, _MIXED_TEXT, _BUILT_DICTIONARIES)
+    def test_url_and_cookie_hits_equal_matching_every_token(self, url, key, value, dictionaries):
+        message = _request(url, cookies=[(key, value)])
+        expected = []
+        for category, text in (("url-leak", url), ("cookie-leak", f"{key}={value}")):
+            tokens = tokenize_oracle(text.encode("latin-1"))
+            expected += [(category, normalize_text(token)) for token, _ in dictionary_hits_oracle(tokens, dictionaries)]
+        findings = http_leak_scan(message, (), dictionaries=dictionaries, identifier_keys=frozenset())
+        assert [(f.category, f.matched_text) for f in findings] == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.sampled_from(["GET", "POST", "HTTP/1.1 200"]),
+        st.text(alphabet=_URL_ALPHABET, min_size=1, max_size=30),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["Cookie", "Cookie ", "cookie", "Set-Cookie", " Cookie", "Host"]),
+                st.lists(st.tuples(st.text(_HTTP_ALPHABET, max_size=12), st.text(_HTTP_ALPHABET, max_size=12)), max_size=3),
+            ),
+            max_size=4,
+        ),
+        st.text(alphabet=_HTTP_ALPHABET, max_size=20),
+    )
+    def test_url_and_cookie_tokens_are_payload_tokens(self, start, url, headers, body):
+        data = f"{start} {url} HTTP/1.1\r\n".encode("latin-1")
+        for name, pairs in headers:
+            data += f"{name}:{';'.join(f'{k}={v}' for k, v in pairs)}\r\n".encode("latin-1")
+        data += body.encode("latin-1")
+        message = parse_http(data)
+        assume(message is not None)
+        payload_tokens = set(tokenize(data))
+        cookie_blob = " ".join(f"{k}={v}" for k, v in message.cookies)
+        assert set(tokenize((message.url or "").encode("latin-1"))) <= payload_tokens
+        assert set(tokenize(cookie_blob.encode("latin-1"))) <= payload_tokens
 
 
 def _request(url, host=None, cookies=(), method="GET"):

@@ -1,8 +1,11 @@
 """Pipeline reports, rendering stability, schema validity, and CLI contract."""
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -22,6 +25,7 @@ from medleak import cli
 from medleak import report as report_module
 from medleak.cli import _build_parser, main
 from medleak.config import (
+    DEFAULT_VENDOR_PATTERNS,
     THRESHOLDS,
     ConfigError,
     RunConfig,
@@ -43,7 +47,7 @@ from medleak.corpus import (
     udp_frame,
     write_pcap,
 )
-from medleak.leaks import relocate
+from medleak.leaks import Dictionary, relocate
 from medleak.metadata import PeriodicityHint, extract_dns_answers
 from medleak.report import (
     DEVICE_KEYS,
@@ -192,39 +196,98 @@ class TestAnalyze:
         monkeypatch.setattr(report_module, "classify_all", shifted)
         assert self._streams_unlike_the_oracle(capture_streams) > 0
 
-    def test_hand_built_stream_reports_as_the_per_payload_oracle(self):
-        device, gateway, here = "02:11:22:33:44:55", "b8:27:eb:00:00:01", "192.168.9.5"
+    HAND_BUILT_DEVICE = "02:11:22:33:44:55"
+
+    @classmethod
+    def _hand_built_capture(cls) -> bytes:
+        device, gateway, here = cls.HAND_BUILT_DEVICE, "b8:27:eb:00:00:01", "192.168.9.5"
         hub, t0 = "203.0.113.9", 1_700_000_000_000_000
 
         def outbound(port, payload, kind=tcp_frame):
             return kind(device, gateway, here, hub, 41000, port, payload)
 
         # long enough that every decision method calls both requests cleartext
-        head = b"Host: hub.example\r\nUser-Agent: widget/1.0\r\nAccept: */*\r\nCache-Control: no-cache\r\n"
-        head += b"Connection: keep-alive\r\n\r\n"
+        head = b"Host: hub.example\r\nUser-Agent: widget/1.0 fw-v2\r\nAccept: */*\r\nCache-Control: no-cache\r\n"
+        head += b"Cookie: name=al; uid=7\r\nConnection: keep-alive\r\n\r\n"
         records = [
             (0.0, outbound(8883, tls_record(0x17, 3, bytes(range(64))))),  # TLS by record only
             (0.5, arp_frame(device, here, "192.168.9.1")),
             (1.0, outbound(443, b"GET /status HTTP/1.1\r\nHost: hub.example\r\n\r\n")),  # TLS by port only
             (2.0, outbound(5000, b"a", udp_frame)),
             (3.0, outbound(5000, b"\x00\xff", udp_frame)),
-            (100.0, outbound(80, b"POST /upload HTTP/1.1\r\n" + head + b"blood_pressure=120&heart_pulse=70")),
+            (100.0, outbound(80, b"POST /upload/v2 HTTP/1.1\r\n" + head + b"blood_pressure=120&heart_pulse=70")),
             (101.0, arp_frame(device, here, "192.168.9.1")),
             # an image GET 20 s after the upload; a timestamp carried from a
             # neighbouring payload would put it 97 s or 380 s after it
             (120.0, outbound(80, b"GET /reading.jpg HTTP/1.1\r\n" + head)),
             (500.0, tcp_frame(gateway, device, hub, here, 80, 41000, b"HTTP/1.1 204 No Content\r\n\r\n")),
         ]
-        packets = parse_capture(write_pcap([(t0 + int(t * 1_000_000), frame) for t, frame in records])).packets
-        (stream,), _ = split_by_device(packets, {device: "widget"})
-        dictionaries = load_dictionaries()
+        return write_pcap([(t0 + int(t * 1_000_000), frame) for t, frame in records])
+
+    def _hand_built_reports(self, dictionaries, vendor_patterns=DEFAULT_VENDOR_PATTERNS):
+        """analyze_stream's reports of the hand-built stream under each
+        decision method, each checked against the per-payload oracle."""
+        packets = parse_capture(self._hand_built_capture()).packets
+        (stream,), _ = split_by_device(packets, {self.HAND_BUILT_DEVICE: "widget"})
+        reports = []
         for method in DECISION_METHODS:
-            args = ("hand-built.pcap", stream, {}, RunConfig(decision_method=method), dictionaries)
-            report = report_module.analyze_stream(*args)
-            assert report == analyze_stream_oracle(*args)
+            config = RunConfig(decision_method=method, vendor_patterns=vendor_patterns)
+            args = ("hand-built.pcap", stream, {}, config, dictionaries)
+            reports.append(report_module.analyze_stream(*args))
+            assert reports[-1] == analyze_stream_oracle(*args)
+        return reports
+
+    def test_hand_built_stream_reports_as_the_per_payload_oracle(self):
+        for report in self._hand_built_reports(load_dictionaries()):
             assert (report.packet_count, report.payload_count, report.tls_count) == (9, 7, 2)
             assert report.indeterminate_count == 1  # the 2-byte payload is not ASCII
             assert "image-get-signature" in {f.category for f in report.findings}
+
+    def test_hand_built_stream_reports_as_the_oracle_under_built_dictionaries(self):
+        # entries a dictionary file cannot hold (a joined word), a multi-word
+        # entry, a letter-digit run inside a joined word, and a two-letter name
+        dictionaries = [
+            Dictionary("medical-terms", frozenset({"blood_pressure", "heart pulse", "v2"})),
+            Dictionary("first-names", frozenset({"al", "widget"})),
+            Dictionary("pii-fields", frozenset({"upload", "name"})),
+        ]
+        for report in self._hand_built_reports(dictionaries, vendor_patterns=["*.nowhere", "hub.*"]):
+            found = {(f.category, f.matched_text) for f in report.findings}
+            assert {("dictionary-medical", "blood pressure"), ("dictionary-medical", "heart pulse")} <= found
+            assert {("url-leak", "upload"), ("url-leak", "v2"), ("cookie-leak", "name")} <= found
+            assert ("vendor-identifier", "hub.example") in found
+            assert all(f.matched_text != "al" for f in report.findings)
+
+    def test_analyze_calls_share_no_mining_state(self, tmp_path):
+        """Runs in one process, with different dictionaries and vendor
+        patterns, each report as the same run in a fresh interpreter, so no
+        word, vendor match or payload text carries over between runs."""
+        capture = tmp_path / "hand-built.pcap"
+        capture.write_bytes(self._hand_built_capture())
+        custom = tmp_path / "dictionaries"
+        custom.mkdir()
+        for name, entry in (("medical-terms", "v2"), ("first-names", "widget"), ("pii-fields", "upload")):
+            (custom / f"{name}.txt").write_text(entry + "\n")
+        devices = f"[devices]\n{self.HAND_BUILT_DEVICE} = widget\n"
+        configs = {
+            "bundled": "[vendor-patterns]\npatterns = *hub.example\n" + devices,
+            "custom": f"[dictionaries]\ndir = {custom}\n[vendor-patterns]\npatterns = *.nowhere\n" + devices,
+        }
+        for name, text in configs.items():
+            (tmp_path / f"{name}.conf").write_text(text)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+        def alone(name):
+            argv = ["analyze", "--capture", str(capture), "--config", str(tmp_path / f"{name}.conf")]
+            return subprocess.run([sys.executable, "-m", "medleak.cli", *argv], capture_output=True, env=env).stdout
+
+        def in_process(name):
+            return render(analyze([capture], load_config(tmp_path / f"{name}.conf")).reports)
+
+        expected = {name: alone(name) for name in configs}
+        assert expected["bundled"] != expected["custom"]
+        for name in ("bundled", "custom", "bundled", "custom"):
+            assert in_process(name) == expected[name], name
 
 
 class TestRender:
@@ -379,6 +442,7 @@ class TestConfigFiles:
         assert config.vendor_patterns == ("*withings*", "*acme-health*")
         assert config.identifier_keys == frozenset({"current_user", "uid", "patient"})
         assert config.registry == {"00:24:e4:1b:20:31": "bp_monitor"}
+        assert load_registry(path) == config.registry  # a full config also works as --registry
 
     def test_bad_threshold_rejected(self, tmp_path):
         path = tmp_path / "bad.conf"
@@ -407,10 +471,11 @@ class TestConfigFiles:
     def test_unknown_key_or_section_rejected(self, tmp_path, capsys, text, unknown):
         path = tmp_path / "typo.conf"
         path.write_text(text)
-        with pytest.raises(ConfigError, match=re.escape(unknown)):
-            load_config(path)
-        assert main(["analyze", "--capture", "x.pcap", "--config", str(path)]) == EXIT_ERROR
-        assert unknown in capsys.readouterr().err
+        for load, flag in ((load_config, "--config"), (load_registry, "--registry")):
+            with pytest.raises(ConfigError, match=re.escape(unknown)):
+                load(path)
+            assert main(["analyze", "--capture", "x.pcap", flag, str(path)]) == EXIT_ERROR
+            assert unknown in capsys.readouterr().err
 
     @pytest.mark.parametrize("spelling", ["chi-squared", "chi_squared", " chi-squared "])
     def test_decision_method_is_spelt_the_same_in_file_and_flag(self, tmp_path, spelling):
