@@ -72,7 +72,6 @@ class RawPacket:
     timestamp_us: int
     src_mac: str
     dst_mac: str
-    ethertype: int
     ip: IpInfo | None
     transport: TransportInfo | None
     payload: bytes
@@ -211,7 +210,7 @@ def _decode_frame(
             return None, f"frame {index}: truncated {kind} header"
         transport, start, end = decoded_t
 
-    packet = RawPacket(index, ts_us, pair[1], pair[0], ethertype, ip, transport, frame[start:end], len(frame))
+    packet = RawPacket(index, ts_us, pair[1], pair[0], ip, transport, frame[start:end], len(frame))
     return packet, None
 
 

@@ -2,14 +2,13 @@
 
 Config files are flat key=value INI sections (see README for the exact
 keys). Dictionary files are UTF-8, one lowercase entry per line, with '#'
-comments; the bundled set can be overridden per run or via the
-MEDLEAK_DICT_DIR environment variable.
+comments; the bundled set can be replaced per run (``--dict-dir`` or
+``[dictionaries] dir``).
 """
 
 from __future__ import annotations
 
 import configparser
-import os
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -24,8 +23,6 @@ from .classifiers import (
 )
 from .leaks import DEFAULT_IDENTIFIER_KEYS, DEFAULT_IMAGE_WINDOW, DICTIONARIES, Dictionary, normalize_text
 from .metadata import DEFAULT_GAP_THRESHOLD
-
-ENV_DICT_DIR = "MEDLEAK_DICT_DIR"
 
 DEFAULT_VENDOR_PATTERNS = ("*withings*", "*ihealth*", "*1byone*")
 
@@ -175,10 +172,8 @@ def parse_dictionary_text(text: str, name: str) -> Dictionary:
 
 
 def load_dictionaries(dict_dir: Path | None = None) -> list[Dictionary]:
-    """Load the three dictionaries from dict_dir, $MEDLEAK_DICT_DIR, or the
-    bundled data files, in that order of preference."""
-    if dict_dir is None:
-        dict_dir = os.environ.get(ENV_DICT_DIR, "").strip() or None
+    """Load the three dictionaries from dict_dir, or from the bundled data
+    files when it is None."""
     root = Path(dict_dir) if dict_dir is not None else resources.files("medleak") / "data"
     dictionaries = []
     for name in DICTIONARIES:

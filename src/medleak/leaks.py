@@ -115,6 +115,8 @@ def tokenize(data: bytes) -> list[str]:
     return tokens
 
 
+# one entry: a payload's dictionary and HTTP findings share its normalized text
+@lru_cache(maxsize=1)
 def _normalized_payload(data: bytes) -> str:
     return normalize_text(data.decode("latin-1")) if data else ""
 
@@ -150,20 +152,14 @@ def _dictionary_hits(tokens: list[str], dictionaries: list[Dictionary]):
     """Yield each distinct (token, dictionary name) hit, dictionary by
     dictionary and in token order. Name matching skips tokens shorter than
     MIN_NAME_TOKEN_LEN."""
-    present = set(tokens)
-    yielded: dict[str, set[str]] = {}
+    seen: set[tuple[str, str]] = set()  # two dictionaries may share a name
     for dictionary in dictionaries:
-        hits = present.intersection(dictionary.entries)
-        if not hits:
-            continue
-        # two dictionaries may share a name; a token is yielded once per name
-        hits -= yielded.setdefault(dictionary.name, set())
         min_len = MIN_NAME_TOKEN_LEN if dictionary.name == "first-names" else 0
         for token in tokens:
-            if token in hits and len(token) >= min_len:
-                hits.discard(token)
-                yielded[dictionary.name].add(token)
-                yield token, dictionary.name
+            hit = (token, dictionary.name)
+            if token in dictionary.entries and len(token) >= min_len and hit not in seen:
+                seen.add(hit)
+                yield hit
 
 
 def dictionary_match(
@@ -171,7 +167,6 @@ def dictionary_match(
     dictionaries: list[Dictionary],
     packet_index: int = 0,
     payload: bytes = b"",
-    run: _MiningRun | None = None,
 ) -> list[LeakFinding]:
     """One finding per distinct (token, dictionary) hit.
 
@@ -181,7 +176,7 @@ def dictionary_match(
     hits = list(_dictionary_hits(tokens, dictionaries))
     if not hits:
         return []
-    normalized = (run or _MiningRun()).normalized(payload)
+    normalized = _normalized_payload(payload)
     return [_finding(packet_index, *DICTIONARIES[name], token, normalized) for token, name in hits]
 
 
@@ -199,7 +194,7 @@ def scan_cleartext_payload(
         raise ValueError(f"leak scan refused: payload classified {verdict.consensus}")
     run = run or _MiningRun(dictionaries)
     tokens = run.dictionary_tokens(payload.data.decode("latin-1"))
-    return dictionary_match(tokens, dictionaries, packet_index=payload.packet_index, payload=payload.data, run=run)
+    return dictionary_match(tokens, dictionaries, packet_index=payload.packet_index, payload=payload.data)
 
 
 @lru_cache(maxsize=16)
@@ -230,8 +225,6 @@ class _MiningRun:
         # the dictionary tokens of a word that tokenize splits, once per distinct word
         self.split_word = cache(lambda word: tuple(t for t in tokenize(word.encode("latin-1")) if t in terms))
         self.vendor = cache(lambda subject: matches_vendor(subject, vendor_patterns))
-        # the latest payload's normalized text, shared by its dictionary and HTTP findings
-        self.normalized = lru_cache(maxsize=1)(_normalized_payload)
 
     def dictionary_tokens(self, text: str) -> list[str]:
         """The tokens of ``tokenize(text)`` that some dictionary holds, in order:
@@ -290,7 +283,7 @@ def http_leak_scan(
 
     if not hits:
         return []
-    normalized = run.normalized(payload)
+    normalized = _normalized_payload(payload)
     return [
         _finding(packet_index, category, severity, matched, normalized)
         for category, matched, severity in hits

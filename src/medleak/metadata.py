@@ -22,7 +22,6 @@ DEFAULT_GAP_THRESHOLD = 60.0  # seconds of silence that end an activity period
 
 @dataclass
 class ActivityPeriod:
-    device_id: str
     start: float
     end: float
     packet_count: int
@@ -69,7 +68,7 @@ def activity_periods(
 
     def period(first: RawPacket, last: RawPacket, count: int, size: int, addresses: set[str]) -> ActivityPeriod:
         endpoints = {(address, hostnames.get(address)) for address in addresses}
-        return ActivityPeriod(stream.device_id, first.timestamp, last.timestamp, count, size, endpoints)
+        return ActivityPeriod(first.timestamp, last.timestamp, count, size, endpoints)
 
     periods: list[ActivityPeriod] = []
     first = last = stream.packets[0]

@@ -288,7 +288,7 @@ def reports_from_json(data: bytes | str | dict) -> list[DeviceReport]:
             **_items(device, DEVICE_KEYS),
             findings=[LeakFinding(**_items(f, FINDING_KEYS)) for f in device["findings"]],
             activity=[
-                ActivityPeriod(device["device_id"], **_items(p, PERIOD_KEYS), endpoints={(a, h) for a, h in p["endpoints"]})
+                ActivityPeriod(**_items(p, PERIOD_KEYS), endpoints={(a, h) for a, h in p["endpoints"]})
                 for p in device["activity"]
             ],
             endpoints=[EndpointProfile(**_items(e, ENDPOINT_KEYS)) for e in device["endpoints"]],

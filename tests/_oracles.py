@@ -37,16 +37,15 @@ from medleak.classifiers import (
     histogram,
 )
 from medleak.leaks import (
+    DICTIONARIES,
     IMAGE_EXTENSIONS,
     MIN_NAME_TOKEN_LEN,
     SEVERITY_WARN,
     TimedMessage,
     _finding,
     _normalized_payload,
-    http_leak_scan,
     image_get_signature,
-    matches_vendor,
-    scan_cleartext_payload,
+    normalize_text,
 )
 from medleak.metadata import (
     DEFAULT_GAP_THRESHOLD,
@@ -290,7 +289,6 @@ def _decode_frame(index: int, ts_us: int, frame: bytes) -> tuple[RawPacket | Non
         timestamp_us=ts_us,
         src_mac=src_mac,
         dst_mac=dst_mac,
-        ethertype=ethertype,
         ip=ip,
         transport=transport,
         payload=payload,
@@ -392,8 +390,6 @@ def detect_tls_oracle(payload: AppPayload) -> TlsVerdict:
     version = (data[1], data[2]) if record_hit else None
     if port_hit and record_hit:
         return TlsVerdict(True, "both", version)
-    if port_hit:
-        return TlsVerdict(True, "port-based")
     if record_hit:
         return TlsVerdict(True, "record-based", version)
     return TlsVerdict(False)
@@ -419,7 +415,6 @@ def activity_periods_oracle(
             if address is not None:
                 endpoints.add((address, hostnames.get(address)))
         return ActivityPeriod(
-            device_id=stream.device_id,
             start=group[0].timestamp,
             end=group[-1].timestamp,
             packet_count=len(group),
@@ -593,6 +588,29 @@ def compare_methods_oracle(corpus, config: ClassifierConfig = ClassifierConfig()
 # of the report) ---------------------------------------------------------------
 
 
+def http_hits_oracle(message, dictionaries, vendor_patterns, identifier_keys) -> list[tuple[str, str, str]]:
+    """(category, severity, matched text) of every structural HTTP tell: the
+    dictionary hits of the full URL and cookie token lists, with no gate on
+    the payload's own hits, then the vendor host or URL, then identifier keys."""
+    hits = []
+    url = message.url or ""
+    cookie_blob = " ".join(f"{k}={v}" for k, v in message.cookies)
+    for category, text in (("url-leak", url), ("cookie-leak", cookie_blob)):
+        for token, name in dictionary_hits_oracle(tokenize_oracle(text.encode("latin-1")), dictionaries):
+            hits.append((category, DICTIONARIES[name][1], token))
+    if matches_vendor_oracle(message.host, vendor_patterns):
+        hits.append(("vendor-identifier", SEVERITY_WARN, message.host))
+    elif matches_vendor_oracle(url, vendor_patterns):
+        hits.append(("vendor-identifier", SEVERITY_WARN, url))
+    query_keys = [part.split("=", 1)[0] for part in url.partition("?")[2].split("&") if part]
+    reported = set()
+    for key in [key for key, _ in message.cookies] + query_keys:
+        if key.lower() in identifier_keys and key.lower() not in reported:
+            reported.add(key.lower())
+            hits.append(("user-identifier", SEVERITY_WARN, key))
+    return hits
+
+
 def analyze_stream_oracle(capture_name, stream, dns_answers, config, dictionaries) -> DeviceReport:
     classifier_config = config.classifier_config()
     packets_by_index = {p.index: p for p in stream.packets}
@@ -616,29 +634,26 @@ def analyze_stream_oracle(capture_name, stream, dns_answers, config, dictionarie
             indeterminate_count += 1
             continue
         cleartext_count += 1
-        findings.extend(scan_cleartext_payload(payload, verdict, dictionaries))
+        hits = [
+            (*DICTIONARIES[name], token)
+            for token, name in dictionary_hits_oracle(tokenize_oracle(payload.data), dictionaries)
+        ]
         message = parse_http(payload.data)
+        if message is not None:
+            hits += http_hits_oracle(message, dictionaries, config.vendor_patterns, config.identifier_keys)
+        normalized = normalize_text(payload.data.decode("latin-1"))
+        findings.extend(_finding(payload.packet_index, *hit, normalized) for hit in hits)
         if message is None:
             if looks_like_http_continuation(payload.data):
                 continuation_count += 1
             continue
-        findings.extend(
-            http_leak_scan(
-                message,
-                config.vendor_patterns,
-                dictionaries=dictionaries,
-                identifier_keys=config.identifier_keys,
-                packet_index=payload.packet_index,
-                payload=payload.data,
-            )
-        )
         timed_messages.append(
             TimedMessage(
                 timestamp=packets_by_index[payload.packet_index].timestamp,
                 packet_index=payload.packet_index,
                 message=message,
                 outbound=payload.direction == "outbound",
-                vendor_endpoint=matches_vendor(message.host, config.vendor_patterns),
+                vendor_endpoint=matches_vendor_oracle(message.host, config.vendor_patterns),
                 payload=payload.data,
             )
         )

@@ -26,7 +26,7 @@ from medleak.capture import (
     parse_capture,
     split_by_device,
 )
-from medleak.corpus import SCENARIOS, build_fixture_capture, generate_random_capture
+from medleak.corpus import SCENARIOS, build_fixture_capture, generate_random_capture, tcp_frame, tls_record, write_pcap
 from medleak.payload import AppPayload, extract_payloads
 
 from _oracles import ipv4_oracle, parse_capture_oracle
@@ -78,7 +78,6 @@ def test_parse_three_hand_built_frames(three_frame_capture):
     assert first.index == 0
     assert first.src_mac == "00:24:e4:1b:20:31"
     assert first.dst_mac == "b8:27:eb:5a:10:04"
-    assert first.ethertype == 0x0800
     assert first.ip.src_addr == "192.168.1.21"
     assert first.ip.dst_addr == "89.30.121.52"
     assert (first.transport.src_port, first.transport.dst_port) == (43211, 80)
@@ -233,7 +232,6 @@ def _mk_packet(index: int, src_mac: str, dst_mac: str) -> RawPacket:
         timestamp_us=index,
         src_mac=src_mac,
         dst_mac=dst_mac,
-        ethertype=0x0800,
         ip=None,
         transport=None,
         payload=b"",
@@ -501,6 +499,20 @@ def test_parsing_a_file_holds_no_more_than_its_result(tmp_path, size):
     assert retained < 1.25 * size
 
 
+def test_a_small_parsed_packet_keeps_only_what_analysis_reads():
+    """A 75-byte TLS frame parses to a packet that keeps its 21-byte payload,
+    its index and timestamp, and shared headers: under 240 B, so a field that
+    nothing reads (one more int object per frame) shows here."""
+    record = tls_record(0x17, 3, bytes(16))
+    frame = tcp_frame(DEV_MAC.hex(":"), AP_MAC.hex(":"), "192.168.1.21", "89.30.121.52", 43211, 443, record)
+    assert len(frame) == 75
+    count = 20_000
+    data = write_pcap([(1_700_000_000_000_000 + i * 1000, frame) for i in range(count)])
+    result, _, retained = _traced(lambda: parse_capture(data))
+    assert len(result.packets) == count and result.warnings == []
+    assert retained / count < 240
+
+
 _IP = IpInfo("192.168.4.21", "89.30.121.52", 6)
 _TCP = TransportInfo(40000, 80, "TCP")
 
@@ -509,9 +521,9 @@ _TCP = TransportInfo(40000, 80, "TCP")
     (_IP, ("src_addr", "dst_addr", "protocol"),
      "IpInfo(src_addr='192.168.4.21', dst_addr='89.30.121.52', protocol=6)"),
     (_TCP, ("src_port", "dst_port", "kind"), "TransportInfo(src_port=40000, dst_port=80, kind='TCP')"),
-    (RawPacket(3, 1_000_000, "aa", "bb", 0x0800, _IP, _TCP, b"GET", 57),
-     ("index", "timestamp_us", "src_mac", "dst_mac", "ethertype", "ip", "transport", "payload", "frame_len"),
-     f"RawPacket(index=3, timestamp_us=1000000, src_mac='aa', dst_mac='bb', ethertype=2048, ip={_IP!r}, "
+    (RawPacket(3, 1_000_000, "aa", "bb", _IP, _TCP, b"GET", 57),
+     ("index", "timestamp_us", "src_mac", "dst_mac", "ip", "transport", "payload", "frame_len"),
+     f"RawPacket(index=3, timestamp_us=1000000, src_mac='aa', dst_mac='bb', ip={_IP!r}, "
      f"transport={_TCP!r}, payload=b'GET', frame_len=57)"),
     (AppPayload(3, "outbound", (40000, 80), b"GET"),
      ("packet_index", "direction", "port_pair", "data"),

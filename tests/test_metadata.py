@@ -47,7 +47,6 @@ def _packet(index, t_seconds, outbound=True, remote="89.30.121.52", payload=b"",
         timestamp_us=int(t_seconds * 1_000_000),
         src_mac=src_mac,
         dst_mac=dst_mac,
-        ethertype=0x0800,
         ip=ip,
         transport=TransportInfo(sport, dport, kind),
         payload=payload,
@@ -132,7 +131,7 @@ class TestActivityPeriods:
         )):
             t_us += step
             if kind == "arp":
-                packets.append(RawPacket(index, t_us, DEV, "ff:ff:ff:ff:ff:ff", 0x0806, None, None, b"", 60))
+                packets.append(RawPacket(index, t_us, DEV, "ff:ff:ff:ff:ff:ff", None, None, b"", 60))
             else:
                 packet = _packet(index, 0.0, outbound=kind == "outbound", remote=remote, payload=bytes(size))
                 packets.append(replace(packet, timestamp_us=t_us))
@@ -146,7 +145,7 @@ class TestActivityPeriods:
 
 class TestPeriodicity:
     def _period(self, start):
-        return ActivityPeriod("monitor", start, start, 1, 0, set())
+        return ActivityPeriod(start, start, 1, 0, set())
 
     def test_daily_pattern(self):
         hint = periodicity_hint([self._period(t) for t in (0, 86400, 172800)])

@@ -33,7 +33,6 @@ def _packet(index, payload, kind="TCP", src=DEV, dst=AP, sport=40000, dport=80, 
         timestamp_us=index * 1000,
         src_mac=src,
         dst_mac=dst,
-        ethertype=0x0800,
         ip=IpInfo("192.168.4.21", "89.30.121.52", 6 if kind == "TCP" else 17),
         transport=TransportInfo(sport, dport, kind) if with_transport else None,
         payload=payload,
@@ -113,9 +112,10 @@ class TestDetectTls:
         assert verdict.version == (3, 1)
 
     def test_port_443_without_record_shape(self):
+        # the port alone is no evidence: cleartext sent to port 443 is mined
         verdict = detect_tls(_payload(b"binary-but-not-tls", sport=443))
-        assert verdict.is_tls
-        assert verdict.reason == "port-based"
+        assert not verdict.is_tls
+        assert verdict.reason is None
         assert verdict.version is None
 
     def test_bad_version_minor_is_not_a_record(self):
