@@ -35,7 +35,7 @@ class AppPayload:
 @dataclass(frozen=True)
 class TlsVerdict:
     is_tls: bool
-    reason: str | None = None  # "record-based", or "both" for a record on port 443
+    reason: str | None = None  # "port-based" | "record-based" | "both"
     version: tuple[int, int] | None = None
 
 
@@ -69,23 +69,24 @@ def extract_payloads(stream: DeviceStream) -> list[AppPayload]:
 
 
 # Every verdict the TLS rule can give, built once and shared (TlsVerdict is
-# frozen): not TLS, and record or both for each minor 0..4.
+# frozen): not TLS, port only, and record or both for each minor 0..4.
 _NOT_TLS = TlsVerdict(False)
+_PORT_ONLY = TlsVerdict(True, "port-based")
 _RECORD = tuple(TlsVerdict(True, "record-based", (3, minor)) for minor in range(5))
 _BOTH = tuple(TlsVerdict(True, "both", (3, minor)) for minor in range(5))
 
 
 def tls_verdict(port_pair: tuple[int, int], data: bytes) -> TlsVerdict:
-    """Flag TLS/SSL bytes by their record header.
+    """Flag TLS/SSL bytes by well-known port and/or record header.
 
-    Deterministic on (ports, first three payload bytes): TLS is a record whose
-    content type is 0x14-0x17 with version major 3 and minor 0..4. The port
-    only names the reason, "both" when port 443 is on either side; port 443
-    alone does not make bytes TLS, so cleartext sent there is still mined.
+    Deterministic on (ports, first three payload bytes): port 443 on either
+    side, or a record whose content type is 0x14-0x17 with version major 3
+    and minor 0..4.
     """
+    port_hit = TLS_PORT in port_pair
     if len(data) >= 3 and data[0] in TLS_CONTENT_TYPES and data[1] == 3 and data[2] <= 4:
-        return (_BOTH if TLS_PORT in port_pair else _RECORD)[data[2]]
-    return _NOT_TLS
+        return (_BOTH if port_hit else _RECORD)[data[2]]
+    return _PORT_ONLY if port_hit else _NOT_TLS
 
 
 def detect_tls(payload: AppPayload) -> TlsVerdict:

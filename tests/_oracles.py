@@ -390,6 +390,8 @@ def detect_tls_oracle(payload: AppPayload) -> TlsVerdict:
     version = (data[1], data[2]) if record_hit else None
     if port_hit and record_hit:
         return TlsVerdict(True, "both", version)
+    if port_hit:
+        return TlsVerdict(True, "port-based")
     if record_hit:
         return TlsVerdict(True, "record-based", version)
     return TlsVerdict(False)

@@ -7,6 +7,7 @@ independent of the package's own frame builders.
 import dataclasses
 import pickle
 import struct
+import sys
 import tracemalloc
 
 import pytest
@@ -500,9 +501,13 @@ def test_parsing_a_file_holds_no_more_than_its_result(tmp_path, size):
 
 
 def test_a_small_parsed_packet_keeps_only_what_analysis_reads():
-    """A 75-byte TLS frame parses to a packet that keeps its 21-byte payload,
-    its index and timestamp, and shared headers: under 240 B, so a field that
-    nothing reads (one more int object per frame) shows here."""
+    """A 75-byte TLS frame parses to a packet that keeps its record, its
+    21-byte payload, its index and timestamp, and a list slot; its MACs and
+    headers are shared. The bound is those objects' sizes on the running
+    interpreter plus 24 B, so a field that holds one more object per frame
+    (an int is at least 28 B) shows here. On CPython 3.11 the packet keeps
+    226.3 B traced against a 242 B bound; with the unread ethertype int it
+    kept 266.3 B."""
     record = tls_record(0x17, 3, bytes(16))
     frame = tcp_frame(DEV_MAC.hex(":"), AP_MAC.hex(":"), "192.168.1.21", "89.30.121.52", 43211, 443, record)
     assert len(frame) == 75
@@ -510,7 +515,9 @@ def test_a_small_parsed_packet_keeps_only_what_analysis_reads():
     data = write_pcap([(1_700_000_000_000_000 + i * 1000, frame) for i in range(count)])
     result, _, retained = _traced(lambda: parse_capture(data))
     assert len(result.packets) == count and result.warnings == []
-    assert retained / count < 240
+    last = result.packets[-1]
+    kept = sum(map(sys.getsizeof, (last, last.payload, last.index, last.timestamp_us))) + 8
+    assert retained / count < kept + 24
 
 
 _IP = IpInfo("192.168.4.21", "89.30.121.52", 6)

@@ -112,10 +112,9 @@ class TestDetectTls:
         assert verdict.version == (3, 1)
 
     def test_port_443_without_record_shape(self):
-        # the port alone is no evidence: cleartext sent to port 443 is mined
         verdict = detect_tls(_payload(b"binary-but-not-tls", sport=443))
-        assert not verdict.is_tls
-        assert verdict.reason is None
+        assert verdict.is_tls
+        assert verdict.reason == "port-based"
         assert verdict.version is None
 
     def test_bad_version_minor_is_not_a_record(self):

