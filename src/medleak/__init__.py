@@ -23,6 +23,6 @@ from .corpus import CorpusSpec, LabeledPayload, build_fixture_capture, fixture_r
 from .leaks import Dictionary, LeakFinding, dictionary_match, http_leak_scan, image_get_signature, tokenize
 from .metadata import activity_periods, endpoint_profiles, extract_dns_answers, periodicity_hint
 from .payload import AppPayload, HttpMessage, TlsVerdict, detect_tls, extract_payloads, parse_http
-from .report import AnalysisResult, DeviceReport, analyze, render, reports_from_json
+from .report import AnalysisResult, DeviceReport, analyze, render
 
 __version__ = "0.1.0"

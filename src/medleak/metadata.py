@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .capture import DeviceStream, RawPacket
-from .leaks import _MiningRun, matches_vendor  # noqa: F401 (matches_vendor is re-exported)
+from .leaks import _MiningRun, matches_vendor  # noqa: F401 (unused: bench/tests/test_perfbench.py pins this binding)
 from .payload import _START_LINE_PREFIXES, parse_http
 
 DEFAULT_GAP_THRESHOLD = 60.0  # seconds of silence that end an activity period

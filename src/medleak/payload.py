@@ -19,7 +19,6 @@ _STATUS_LINE = re.compile(r"^HTTP/\S+ (\d{3})(?: |$)")
 # it begins with one of these byte strings.
 _START_LINE_PREFIXES = tuple(f"{method} ".encode() for method in HTTP_METHODS) + (b"HTTP/",)
 _LINE_SPLIT = re.compile(r"\r\n|\n")
-_HEADERISH_LINE = re.compile(r"^[A-Za-z][A-Za-z0-9-]*:\s")
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,8 +34,7 @@ class AppPayload:
 @dataclass(frozen=True)
 class TlsVerdict:
     is_tls: bool
-    reason: str | None = None  # "port-based" | "record-based" | "both"
-    version: tuple[int, int] | None = None
+    version: tuple[int, int] | None = None  # (3, minor) of a record header
 
 
 @dataclass
@@ -69,11 +67,10 @@ def extract_payloads(stream: DeviceStream) -> list[AppPayload]:
 
 
 # Every verdict the TLS rule can give, built once and shared (TlsVerdict is
-# frozen): not TLS, port only, and record or both for each minor 0..4.
+# frozen): not TLS, port 443 alone, and a record header of each minor 0..4.
 _NOT_TLS = TlsVerdict(False)
-_PORT_ONLY = TlsVerdict(True, "port-based")
-_RECORD = tuple(TlsVerdict(True, "record-based", (3, minor)) for minor in range(5))
-_BOTH = tuple(TlsVerdict(True, "both", (3, minor)) for minor in range(5))
+_PORT_ONLY = TlsVerdict(True)
+_RECORD = tuple(TlsVerdict(True, (3, minor)) for minor in range(5))
 
 
 def tls_verdict(port_pair: tuple[int, int], data: bytes) -> TlsVerdict:
@@ -83,10 +80,9 @@ def tls_verdict(port_pair: tuple[int, int], data: bytes) -> TlsVerdict:
     side, or a record whose content type is 0x14-0x17 with version major 3
     and minor 0..4.
     """
-    port_hit = TLS_PORT in port_pair
     if len(data) >= 3 and data[0] in TLS_CONTENT_TYPES and data[1] == 3 and data[2] <= 4:
-        return (_BOTH if port_hit else _RECORD)[data[2]]
-    return _PORT_ONLY if port_hit else _NOT_TLS
+        return _RECORD[data[2]]
+    return _PORT_ONLY if TLS_PORT in port_pair else _NOT_TLS
 
 
 def detect_tls(payload: AppPayload) -> TlsVerdict:
@@ -149,12 +145,3 @@ def parse_http(data: bytes) -> HttpMessage | None:
             message.cookies.extend(_parse_cookie_pairs(value.split(";", 1)[0]))
     return message
 
-
-def looks_like_http_continuation(data: bytes) -> bool:
-    """Heuristic for payloads that are probably a later TCP segment of an
-    HTTP message (headers or body split across packets)."""
-    text = data[:512].decode("latin-1")
-    first = _LINE_SPLIT.split(text)[0]
-    if _REQUEST_LINE.match(first) or _STATUS_LINE.match(first):
-        return False
-    return bool(_HEADERISH_LINE.match(first)) or " HTTP/1." in text

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import logging
 from collections import Counter
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -19,7 +18,7 @@ from .leaks import (
     _MiningRun,
     http_leak_scan,
     image_get_signature,
-    matches_vendor,  # noqa: F401 (re-exported, as from metadata)
+    matches_vendor,  # noqa: F401 (unused: bench/tests/test_perfbench.py pins this binding for the tracer)
     scan_cleartext_payload,
 )
 from .metadata import (
@@ -32,9 +31,7 @@ from .metadata import (
     periodicity_hint,
     resolve_hostnames,
 )
-from .payload import AppPayload, app_payload, looks_like_http_continuation, parse_http, payload_packets, tls_verdict
-
-log = logging.getLogger(__name__)
+from .payload import AppPayload, app_payload, parse_http, payload_packets, tls_verdict
 
 SCHEMA_VERSION = 1
 
@@ -105,7 +102,6 @@ def analyze_stream(
     findings: list[LeakFinding] = []
     timed_messages: list[TimedMessage] = []
     tally: Counter[str] = Counter()
-    continuation_count = 0
 
     # TLS is only counted, so it is told apart before an AppPayload is built.
     plain: list[AppPayload] = []
@@ -126,8 +122,6 @@ def analyze_stream(
         findings.extend(payload_findings)
         message = parse_http(payload.data)
         if message is None:
-            if looks_like_http_continuation(payload.data):
-                continuation_count += 1
             continue
         findings.extend(
             http_leak_scan(
@@ -154,12 +148,6 @@ def analyze_stream(
 
     findings.extend(image_get_signature(timed_messages, config.image_window))
     findings.sort(key=_finding_order)
-
-    if continuation_count:
-        log.info(
-            "%s/%s: %d payloads look like HTTP continuations (no reassembly in this version)",
-            capture_name, stream.device_id, continuation_count,
-        )
 
     hostnames = resolve_hostnames(stream, dns_answers)
     activity = activity_periods(stream, config.gap_threshold, hostnames)
@@ -208,9 +196,9 @@ def analyze(captures, config: RunConfig) -> AnalysisResult:
 
 # --- rendering -----------------------------------------------------------------
 
-# Scalar JSON keys in output order, read by render and reports_from_json; a device's
-# are followed by findings, activity, endpoints and periodicity, a period's by its
-# endpoints. EndpointProfile and PeriodicityHint declare their fields in key order.
+# Scalar JSON keys in output order, read by render; a device's are followed by
+# findings, activity, endpoints and periodicity, a period's by its endpoints.
+# EndpointProfile and PeriodicityHint declare their fields in key order.
 DEVICE_KEYS = (
     "capture", "device_id", "mac", "status", "packet_count", "payload_count",
     "cleartext_count", "tls_count", "encrypted_count", "indeterminate_count",
@@ -260,41 +248,24 @@ def render(reports: list[DeviceReport], format: str = "json") -> bytes:
     raise ValueError(f"unknown render format: {format!r}")
 
 
+# C0 controls, DEL and C1 controls as \xNN, so that text from the network or a
+# file name cannot move the cursor or retitle the terminal that shows the table.
+_CONTROL_ESCAPES = {code: f"\\x{code:02x}" for code in (*range(0x20), *range(0x7F, 0xA0))}
+
+
 def _render_text(reports: list[DeviceReport]) -> str:
     header = f"{'CAPTURE':<20} {'DEVICE':<14} {'MAC':<18} {'STATUS':<6} {'PKTS':>5} {'CLEAR':>5} {'TLS':>4} {'FINDINGS':>8}"
     lines = [header, "-" * len(header)]
     for r in reports:
+        capture, device_id = r.capture.translate(_CONTROL_ESCAPES), r.device_id.translate(_CONTROL_ESCAPES)
         lines.append(
-            f"{r.capture:<20} {r.device_id:<14} {r.mac:<18} {r.status:<6} "
+            f"{capture:<20} {device_id:<14} {r.mac:<18} {r.status:<6} "
             f"{r.packet_count:>5} {r.cleartext_count:>5} {r.tls_count:>4} {len(r.findings):>8}"
         )
         for f in r.findings:
-            lines.append(f"    [{f.severity}] {f.category} pkt {f.packet_index}: {f.matched_text}")
+            matched = f.matched_text.translate(_CONTROL_ESCAPES)
+            lines.append(f"    [{f.severity}] {f.category} pkt {f.packet_index}: {matched}")
     if not reports:
         lines.append("(no devices)")
     return "\n".join(lines) + "\n"
 
-
-def _items(doc: dict, keys) -> dict:
-    return {key: doc[key] for key in keys}
-
-
-def reports_from_json(data: bytes | str | dict) -> list[DeviceReport]:
-    """Rebuild DeviceReports from rendered JSON (render -> parse -> render
-    must be byte-identical)."""
-    doc = json.loads(data) if not isinstance(data, dict) else data
-    return [
-        DeviceReport(
-            **_items(device, DEVICE_KEYS),
-            findings=[LeakFinding(**_items(f, FINDING_KEYS)) for f in device["findings"]],
-            activity=[
-                ActivityPeriod(**_items(p, PERIOD_KEYS), endpoints={(a, h) for a, h in p["endpoints"]})
-                for p in device["activity"]
-            ],
-            endpoints=[EndpointProfile(**_items(e, ENDPOINT_KEYS)) for e in device["endpoints"]],
-            periodicity=(
-                PeriodicityHint(**_items(device["periodicity"], PERIODICITY_KEYS)) if device.get("periodicity") else None
-            ),
-        )
-        for device in doc.get("devices", [])
-    ]

@@ -61,7 +61,6 @@ from medleak.payload import (
     TLS_PORT,
     AppPayload,
     TlsVerdict,
-    looks_like_http_continuation,
     parse_http,
 )
 from medleak.report import DeviceReport, _finding_order, _status
@@ -388,13 +387,7 @@ def detect_tls_oracle(payload: AppPayload) -> TlsVerdict:
     data = payload.data
     record_hit = len(data) >= 3 and data[0] in TLS_CONTENT_TYPES and data[1] == 3 and data[2] <= 4
     version = (data[1], data[2]) if record_hit else None
-    if port_hit and record_hit:
-        return TlsVerdict(True, "both", version)
-    if port_hit:
-        return TlsVerdict(True, "port-based")
-    if record_hit:
-        return TlsVerdict(True, "record-based", version)
-    return TlsVerdict(False)
+    return TlsVerdict(port_hit or record_hit, version)
 
 
 # --- activity: one packet list per period, summed when the period closes ------
@@ -586,8 +579,7 @@ def compare_methods_oracle(corpus, config: ClassifierConfig = ClassifierConfig()
 
 
 # --- report: extract every payload, then detect, classify and scan each one
-# in one pass (the log line for HTTP continuations left out, as it is not part
-# of the report) ---------------------------------------------------------------
+# in one pass ------------------------------------------------------------------
 
 
 def http_hits_oracle(message, dictionaries, vendor_patterns, identifier_keys) -> list[tuple[str, str, str]]:
@@ -621,7 +613,6 @@ def analyze_stream_oracle(capture_name, stream, dns_answers, config, dictionarie
     findings = []
     timed_messages = []
     tls_count = cleartext_count = encrypted_count = indeterminate_count = 0
-    continuation_count = 0
 
     for payload in payloads:
         tls = detect_tls_oracle(payload)
@@ -646,8 +637,6 @@ def analyze_stream_oracle(capture_name, stream, dns_answers, config, dictionarie
         normalized = normalize_text(payload.data.decode("latin-1"))
         findings.extend(_finding(payload.packet_index, *hit, normalized) for hit in hits)
         if message is None:
-            if looks_like_http_continuation(payload.data):
-                continuation_count += 1
             continue
         timed_messages.append(
             TimedMessage(

@@ -1,11 +1,16 @@
 """numpy stays the only runtime dependency: every import in the package is
-from the standard library, numpy, or medleak itself."""
+from the standard library, numpy, or medleak itself. The README names only
+what the package exports."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "medleak"
+import medleak
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "medleak"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "medleak"}
 
 
@@ -28,3 +33,11 @@ def test_package_imports_only_stdlib_and_numpy():
         if root not in ALLOWED
     ]
     assert foreign == []
+
+
+def test_readme_lower_level_pieces_are_exported():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = re.search(r"^Lower-level pieces .*?(?=\n\n)", readme, re.M | re.S).group()
+    names = re.findall(r"`([^`]+)`", paragraph)
+    assert len(names) >= 8
+    assert [name for name in names if not hasattr(medleak, name)] == []

@@ -15,9 +15,9 @@ from medleak.payload import (
     HTTP_METHODS,
     AppPayload,
     HttpMessage,
+    TlsVerdict,
     detect_tls,
     extract_payloads,
-    looks_like_http_continuation,
     parse_http,
 )
 
@@ -96,25 +96,21 @@ class TestDetectTls:
     def test_port_and_record(self):
         verdict = detect_tls(_payload(b"\x17\x03\x03\x01\x00" + b"\x00" * 16, dport=443))
         assert verdict.is_tls
-        assert verdict.reason == "both"
         assert verdict.version == (3, 3)
 
     def test_plain_http_on_port_80(self):
         verdict = detect_tls(_payload(b"GET / HTTP/1.1\r\n\r\n", dport=80))
         assert not verdict.is_tls
-        assert verdict.reason is None
         assert verdict.version is None
 
     def test_record_on_nonstandard_port(self):
         verdict = detect_tls(_payload(b"\x16\x03\x01\x00\xa0" + b"\x00" * 8, dport=8883))
         assert verdict.is_tls
-        assert verdict.reason == "record-based"
         assert verdict.version == (3, 1)
 
     def test_port_443_without_record_shape(self):
         verdict = detect_tls(_payload(b"binary-but-not-tls", sport=443))
         assert verdict.is_tls
-        assert verdict.reason == "port-based"
         assert verdict.version is None
 
     def test_bad_version_minor_is_not_a_record(self):
@@ -154,6 +150,19 @@ class TestDetectTls:
         assert verdict is detect_tls(_payload(b"\x17\x03\x03", sport=443))
         with pytest.raises(dataclasses.FrozenInstanceError):
             verdict.is_tls = False
+
+    def test_verdicts_are_seven_shared_values(self):
+        """Not TLS, port 443 alone, and one per record minor version 0-4:
+        every verdict is one of seven shared objects."""
+        heads = [bytes((kind, major, minor)) for kind in range(0x13, 0x19) for major in (2, 3, 4) for minor in range(6)]
+        verdicts = [
+            detect_tls(_payload(data, sport=sport, dport=dport))
+            for data in (b"", b"GET", b"\x17\x03", *heads)
+            for sport, dport in ((40000, 443), (443, 40000), (40000, 80), (40000, 8883))
+        ]
+        assert len({id(verdict) for verdict in verdicts}) == 7
+        expected = {TlsVerdict(False), TlsVerdict(True), *(TlsVerdict(True, (3, minor)) for minor in range(5))}
+        assert set(verdicts) == expected
 
 
 FIG_REQUEST = (
@@ -237,17 +246,6 @@ def test_start_line_gate_never_rejects_a_start_line(data):
         assert data.startswith(_START_LINE_PREFIXES)
 
 
-class TestContinuationHeuristic:
-    def test_header_fragment_looks_like_continuation(self):
-        assert looks_like_http_continuation(b"Accept-Language: en-us\r\nCookie: a=1\r\n\r\n")
-
-    def test_full_request_is_not_a_continuation(self):
-        assert not looks_like_http_continuation(FIG_REQUEST)
-
-    def test_binary_is_not_a_continuation(self):
-        assert not looks_like_http_continuation(b"\x00\x01\x02\x03\xfe\xff")
-
-
 # --- robustness: the parsers return normally on anything ---------------------
 
 _VALID_START_LINE = st.one_of(
@@ -265,7 +263,6 @@ _VALID_START_LINE = st.one_of(
 def test_http_parsers_return_normally_on_arbitrary_bytes(data):
     message = parse_http(data)
     assert message is None or isinstance(message, HttpMessage)
-    assert looks_like_http_continuation(data) in (True, False)
 
 
 @settings(max_examples=300)
@@ -276,4 +273,3 @@ def test_http_parsers_return_normally_after_a_valid_start_line(start, newline, t
     message = parse_http(data)
     assert message.kind == kind
     assert all(isinstance(name, str) and isinstance(value, str) for name, value in message.headers)
-    assert looks_like_http_continuation(data) is False
