@@ -43,6 +43,12 @@ class EmptyCorpus(ValueError):
     """Method comparison was run on an empty corpus."""
 
 
+def numeric_fields(config) -> dict[str, type]:
+    """Name -> type of each field of a config dataclass (or instance) whose
+    default is an int or a float, in declaration order."""
+    return {f.name: type(f.default) for f in fields(config) if type(f.default) in (int, float)}
+
+
 @dataclass(frozen=True)
 class ClassifierConfig:
     entropy_threshold: float = DEFAULT_ENTROPY_THRESHOLD
@@ -53,9 +59,10 @@ class ClassifierConfig:
     decision_method: str = DEFAULT_DECISION_METHOD
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            if field.name != "decision_method" and not getattr(self, field.name) > 0:  # also rejects NaN
-                raise ValueError(f"{field.name} must be a positive number")
+        # every numeric field, a subclass's too, must be positive
+        for name in numeric_fields(self):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise ValueError(f"{name} must be a positive number")
         if self.decision_method not in DECISION_METHODS:
             raise ValueError(
                 f"unknown decision method {self.decision_method!r} (expected one of {DECISION_METHODS})"

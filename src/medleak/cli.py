@@ -89,13 +89,14 @@ def _build_parser() -> _Parser:
 
 def _cmd_analyze(args) -> int:
     config = load_config(args.config) if args.config else RunConfig()
+    overrides = {name: getattr(args, name) for name in (*THRESHOLDS, "decision_method", "dict_dir")}
     if args.registry:
-        config.registry = load_registry(args.registry)
+        overrides["registry"] = load_registry(args.registry)
+    # replace builds a new RunConfig, so the merged values are checked again
+    config = replace(config, **{name: value for name, value in overrides.items() if value is not None})
     if not config.registry:
         raise ConfigError("empty device registry: pass --registry or a config with a [devices] section")
-    overrides = {name: getattr(args, name) for name in (*THRESHOLDS, "decision_method", "dict_dir")}
-    config = replace(config, **{name: value for name, value in overrides.items() if value is not None})
-    result = analyze(args.capture, config)  # validates the merged config
+    result = analyze(args.capture, config)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     output = render(result.reports, args.format)

@@ -9,18 +9,12 @@ comments; the bundled set can be replaced per run (``--dict-dir`` or
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .capture import normalize_mac
-from .classifiers import (
-    DEFAULT_CHI_THRESHOLD,
-    DEFAULT_DECISION_METHOD,
-    DEFAULT_ENTROPY_THRESHOLD,
-    DEFAULT_MIN_STAT_LEN,
-    ClassifierConfig,
-)
+from .classifiers import ClassifierConfig, numeric_fields
 from .leaks import DEFAULT_IDENTIFIER_KEYS, DEFAULT_IMAGE_WINDOW, DICTIONARIES, Dictionary, normalize_text
 from .metadata import DEFAULT_GAP_THRESHOLD
 
@@ -31,60 +25,43 @@ class ConfigError(Exception):
     pass
 
 
-# The numeric knobs: RunConfig field -> type. Each is a [thresholds] key and
-# an analyze flag (--entropy-threshold for entropy_threshold).
-THRESHOLDS = {
-    "entropy_threshold": float,
-    "chi_threshold": float,
-    "min_stat_len": int,
-    "gap_threshold": float,
-    "image_window": float,
-}
-_CLASSIFIER_FIELDS = tuple(f.name for f in fields(ClassifierConfig))
-# The keys each config section may hold; None for any key ([devices] MACs).
-_SECTION_KEYS = {"thresholds": set(THRESHOLDS), "analysis": {"decision_method"}, "dictionaries": {"dir"},
-                 "vendor-patterns": {"patterns"}, "identifier-keys": {"keys"}, "devices": None}
-
-
 def normalize_method(name: str) -> str:
     """A decision method read with '-' as '_', in a config file and on the command line alike."""
     return name.strip().replace("-", "_")
 
 
-@dataclass
-class RunConfig:
-    entropy_threshold: float = DEFAULT_ENTROPY_THRESHOLD
-    chi_threshold: float = DEFAULT_CHI_THRESHOLD
-    min_stat_len: int = DEFAULT_MIN_STAT_LEN
+@dataclass(frozen=True)
+class RunConfig(ClassifierConfig):
+    """Everything one analyze run reads. It is checked when built, and
+    ``dataclasses.replace`` builds (and so checks) a variant."""
+
     gap_threshold: float = DEFAULT_GAP_THRESHOLD
     image_window: float = DEFAULT_IMAGE_WINDOW
-    decision_method: str = DEFAULT_DECISION_METHOD
     dict_dir: Path | None = None
     vendor_patterns: tuple[str, ...] = DEFAULT_VENDOR_PATTERNS
     identifier_keys: frozenset[str] = DEFAULT_IDENTIFIER_KEYS
     registry: dict[str, str] = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         try:
-            self.classifier_config()  # ClassifierConfig checks its own fields
+            super().__post_init__()
+            registry: dict[str, str] = {}
+            for mac, device_id in self.registry.items():
+                canonical = normalize_mac(mac)
+                if canonical in registry:
+                    raise ValueError(f"duplicate registry MAC {canonical}")
+                registry[canonical] = device_id
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        for name in THRESHOLDS:
-            if name not in _CLASSIFIER_FIELDS and not getattr(self, name) > 0:  # also rejects NaN
-                raise ConfigError(f"{name} must be a positive number")
-        normalized: dict[str, str] = {}
-        for mac, device_id in self.registry.items():
-            try:
-                canonical = normalize_mac(mac)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-            if canonical in normalized:
-                raise ConfigError(f"duplicate registry MAC {canonical}")
-            normalized[canonical] = device_id
-        self.registry = normalized
+        object.__setattr__(self, "registry", registry)
 
-    def classifier_config(self) -> ClassifierConfig:
-        return ClassifierConfig(**{name: getattr(self, name) for name in _CLASSIFIER_FIELDS})
+
+# The numeric knobs: RunConfig field -> type. Each is a [thresholds] key and
+# an analyze flag (--entropy-threshold for entropy_threshold).
+THRESHOLDS = numeric_fields(RunConfig)
+# The keys each config section may hold; None for any key ([devices] MACs).
+_SECTION_KEYS = {"thresholds": set(THRESHOLDS), "analysis": {"decision_method"}, "dictionaries": {"dir"},
+                 "vendor-patterns": {"patterns"}, "identifier-keys": {"keys"}, "devices": None}
 
 
 def _read_ini(path) -> configparser.ConfigParser:
@@ -124,32 +101,29 @@ def load_registry(path) -> dict[str, str]:
 def load_config(path) -> RunConfig:
     """Build a RunConfig from an INI file; unspecified keys keep defaults."""
     parser = _read_ini(path)
-    config = RunConfig()
+    values: dict = {}
     if parser.has_section("thresholds"):
-        section = parser["thresholds"]
         try:
-            for name, kind in THRESHOLDS.items():
-                if name in section:
-                    setattr(config, name, kind(section[name]))
+            for name, value in parser.items("thresholds"):
+                values[name] = THRESHOLDS[name](value)
         except ValueError as exc:
             raise ConfigError(f"{path}: bad threshold value: {exc}") from None
-    method = parser.get("analysis", "decision_method", fallback=config.decision_method)
-    config.decision_method = normalize_method(method)
+    if parser.has_option("analysis", "decision_method"):
+        values["decision_method"] = normalize_method(parser["analysis"]["decision_method"])
     directory = parser.get("dictionaries", "dir", fallback="").strip()
     if directory:
-        config.dict_dir = Path(directory)
+        values["dict_dir"] = Path(directory)
     patterns = parser.get("vendor-patterns", "patterns", fallback="")
     parsed = tuple(p.strip() for p in patterns.split(",") if p.strip())
     if parsed:
-        config.vendor_patterns = parsed
+        values["vendor_patterns"] = parsed
     keys = parser.get("identifier-keys", "keys", fallback="")
     parsed_keys = frozenset(k.strip().lower() for k in keys.split(",") if k.strip())
     if parsed_keys:
-        config.identifier_keys = parsed_keys
+        values["identifier_keys"] = parsed_keys
     if parser.has_section("devices"):
-        config.registry = dict(parser.items("devices"))
-    config.validate()
-    return config
+        values["registry"] = dict(parser.items("devices"))
+    return RunConfig(**values)
 
 
 def save_registry(registry: dict[str, str], path) -> None:

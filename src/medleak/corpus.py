@@ -300,7 +300,7 @@ def _ipv4_checksum(header: bytes) -> int:
     return ~total & 0xFFFF
 
 
-def ipv4_packet(src_ip: str, dst_ip: str, protocol: int, body: bytes, ttl: int = 64) -> bytes:
+def ipv4_packet(src_ip: str, dst_ip: str, protocol: int, body: bytes) -> bytes:
     header = struct.pack(
         "!BBHHHBBH4s4s",
         0x45,
@@ -308,7 +308,7 @@ def ipv4_packet(src_ip: str, dst_ip: str, protocol: int, body: bytes, ttl: int =
         20 + len(body),
         0,
         0x4000,  # don't fragment
-        ttl,
+        64,  # TTL
         protocol,
         0,
         ipaddress.IPv4Address(src_ip).packed,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -114,7 +115,7 @@ def analyze_stream(
             plain.append(app_payload(packet, stream.mac))
             timestamps.append(packet.timestamp)
 
-    for payload, timestamp, verdict in zip(plain, timestamps, classify_all(plain, config.classifier_config())):
+    for payload, timestamp, verdict in zip(plain, timestamps, classify_all(plain, config)):
         tally[verdict.consensus] += 1
         if verdict.consensus != CLEARTEXT:
             continue
@@ -172,9 +173,9 @@ def analyze_stream(
 def analyze(captures, config: RunConfig) -> AnalysisResult:
     """Run the full pipeline over capture files and build device reports.
 
-    Reports are deterministic for identical inputs.
+    Reports are deterministic for identical inputs. ``config`` was checked
+    when it was built and is only read.
     """
-    config.validate()
     dictionaries = load_dictionaries(config.dict_dir)
     run = _MiningRun(dictionaries, config.vendor_patterns)
     reports: list[DeviceReport] = []
@@ -240,7 +241,10 @@ def render(reports: list[DeviceReport], format: str = "json") -> bytes:
         for position, r in enumerate(ordered):
             if position:
                 pieces.append(b",")
-            pieces.append(json.dumps(_device_dict(r), separators=(",", ":"), ensure_ascii=False).encode("utf-8"))
+            text = json.dumps(_device_dict(r), separators=(",", ":"), ensure_ascii=False)
+            if not text.isascii() or "\x7f" in text:  # isascii is O(1): most dumps skip the search
+                text = _DEL_AND_C1.sub(_json_escape, text)
+            pieces.append(text.encode("utf-8"))
         pieces.append(b"]}\n")
         return b"".join(pieces)
     if format == "text":
@@ -251,6 +255,13 @@ def render(reports: list[DeviceReport], format: str = "json") -> bytes:
 # C0 controls, DEL and C1 controls as \xNN, so that text from the network or a
 # file name cannot move the cursor or retitle the terminal that shows the table.
 _CONTROL_ESCAPES = {code: f"\\x{code:02x}" for code in (*range(0x20), *range(0x7F, 0xA0))}
+# JSON escapes C0 controls itself but keeps DEL and C1 raw with
+# ensure_ascii=False; render writes those as \u00NN.
+_DEL_AND_C1 = re.compile("[\x7f-\x9f]")
+
+
+def _json_escape(match: re.Match) -> str:
+    return f"\\u{ord(match[0]):04x}"
 
 
 def _render_text(reports: list[DeviceReport]) -> str:

@@ -606,7 +606,6 @@ def http_hits_oracle(message, dictionaries, vendor_patterns, identifier_keys) ->
 
 
 def analyze_stream_oracle(capture_name, stream, dns_answers, config, dictionaries) -> DeviceReport:
-    classifier_config = config.classifier_config()
     packets_by_index = {p.index: p for p in stream.packets}
 
     payloads = extract_payloads_oracle(stream)
@@ -619,7 +618,7 @@ def analyze_stream_oracle(capture_name, stream, dns_answers, config, dictionarie
         if tls.is_tls:
             tls_count += 1
             continue
-        verdict = classify_single_oracle(payload, classifier_config)
+        verdict = classify_single_oracle(payload, config)
         if verdict.consensus == ENCRYPTED:
             encrypted_count += 1
             continue

@@ -70,6 +70,10 @@ def _config(scenario):
     return RunConfig(registry=fixture_registry(scenario))
 
 
+def _classifier_values(config):
+    return {f.name: getattr(config, f.name) for f in dataclasses.fields(ClassifierConfig)}
+
+
 @pytest.fixture(scope="module")
 def fixture_results(fixture_dir):
     results = {}
@@ -351,8 +355,7 @@ class TestRender:
     def test_text_escapes_control_characters_that_json_keeps(self, tmp_path):
         """A Host header, a capture file name and a device label with terminal
         control sequences reach the text table with each C0, DEL and C1
-        character as \\xNN; the JSON report is the one rendered before text
-        output escaped anything."""
+        character as \\xNN, and the JSON report with each as \\u00NN."""
         device, gateway = "02:11:22:33:44:55", "b8:27:eb:00:00:01"
         host = "a\x1b]0;owned\x07.withings.net"
         request = f"GET / HTTP/1.1\r\nHost: {host}\r\n\r\n".encode()
@@ -367,7 +370,11 @@ class TestRender:
         assert not set(text.decode()) & {chr(code) for code in (0x7F, *range(0x80, 0xA0))}
         for shown in ("home\\x1b[2J.pcap", "scale\\x7f\\x9b2J", "a\\x1b]0;owned\\x07.withings.net"):
             assert shown in text.decode()
-        assert hashlib.sha256(render(reports)).hexdigest() == "e1614a349ea592331ec9c764a2492e3bcdc04a1926c80e4582f2764310bc2036"
+        rendered = render(reports)
+        assert hashlib.sha256(rendered).hexdigest() == "71b7aaa1a3fbd6eb83b16b49e98040c787e6f449e137c6d28275ee159c64e815"
+        assert b"\x7f" not in rendered
+        assert not any(b"\xc2" + bytes([code]) in rendered for code in range(0x80, 0xA0))
+        assert json.loads(rendered)["devices"][0]["device_id"] == "scale\x7f\x9b2J"
 
     def test_text_keeps_printable_non_ascii(self, fixture_results):
         """Only C0, DEL and C1 characters are escaped: printable characters
@@ -488,7 +495,9 @@ class TestConfigFiles:
     @pytest.mark.parametrize("name", ["entropy_threshold", "chi_threshold", "gap_threshold", "image_window"])
     def test_nan_threshold_rejected(self, tmp_path, name):
         with pytest.raises(ConfigError):
-            RunConfig(**{name: float("nan")}).validate()
+            RunConfig(**{name: float("nan")})
+        with pytest.raises(ConfigError):
+            dataclasses.replace(RunConfig(), **{name: float("nan")})
         path = tmp_path / "nan.conf"
         path.write_text(f"[thresholds]\n{name} = nan\n")
         with pytest.raises(ConfigError):
@@ -527,14 +536,48 @@ class TestConfigFiles:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_malformed_mac_rejected(self):
-        config = RunConfig(registry={"zz:zz": "x"})
         with pytest.raises(ConfigError):
-            config.validate()
+            RunConfig(registry={"zz:zz": "x"})
+        with pytest.raises(ConfigError):
+            dataclasses.replace(RunConfig(), registry={"zz:zz": "x"})
 
     def test_duplicate_mac_forms_rejected(self):
-        config = RunConfig(registry={"00:24:e4:1b:20:31": "a", "00-24-E4-1B-20-31": "b"})
+        registry = {"00:24:e4:1b:20:31": "a", "00-24-E4-1B-20-31": "b"}
         with pytest.raises(ConfigError):
-            config.validate()
+            RunConfig(registry=registry)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(RunConfig(), registry=registry)
+
+    def test_run_config_is_a_frozen_classifier_config(self):
+        config = RunConfig()
+        assert isinstance(config, ClassifierConfig)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.gap_threshold = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.registry = {}
+
+    def test_registry_macs_are_normalized_at_construction(self):
+        registry = {"00-24-E4-1B-20-31": "bp"}
+        config = RunConfig(registry=registry)
+        assert config.registry == {"00:24:e4:1b:20:31": "bp"}
+        assert registry == {"00-24-E4-1B-20-31": "bp"}  # the caller's dict is not rewritten
+        assert dataclasses.replace(config, gap_threshold=5.0).registry == config.registry
+
+    def test_analyze_leaves_its_config_as_it_was(self, fixture_dir):
+        registry = {mac.upper().replace(":", "-"): label for mac, label in fixture_registry("mixed-home").items()}
+        config = RunConfig(registry=registry)
+        analyze([fixture_dir / "mixed-home.pcap"], config)
+        assert config == RunConfig(registry=registry)
+
+    def test_thresholds_are_the_numeric_fields_in_order(self):
+        # the [thresholds] keys, and the order of the analyze flags
+        assert list(THRESHOLDS.items()) == [
+            ("entropy_threshold", float),
+            ("chi_threshold", float),
+            ("min_stat_len", int),
+            ("gap_threshold", float),
+            ("image_window", float),
+        ]
 
     def test_dict_dir_is_set_only_by_argument_flag_or_config(self, tmp_path, fixture_dir, monkeypatch):
         custom = tmp_path / "dictionaries"
@@ -565,7 +608,7 @@ class TestConfigFiles:
         assert report("--dict-dir", str(custom)) != bundled_report
 
     def test_defaults_have_one_home(self):
-        assert RunConfig().classifier_config() == ClassifierConfig()
+        assert _classifier_values(RunConfig()) == _classifier_values(ClassifierConfig())
         compare = _build_parser().parse_args(["compare-methods", "--seed", "0"])
         assert compare.entropy_threshold == [DEFAULT_ENTROPY_THRESHOLD]
         assert compare.chi_threshold == [DEFAULT_CHI_THRESHOLD]
@@ -619,7 +662,7 @@ class TestConfigFiles:
         path = tmp_path / "medleak.conf"
         path.write_text(example)
         config = load_config(path)
-        assert config.classifier_config() == RunConfig().classifier_config()
+        assert _classifier_values(config) == _classifier_values(RunConfig())
         assert config.registry == {"00:24:e4:1b:20:31": "bp_monitor", "00:24:e4:9c:41:72": "scale"}
 
 
