@@ -13,7 +13,7 @@ import re
 import struct
 from dataclasses import dataclass
 from ipaddress import IPv6Address
-from typing import BinaryIO
+from typing import BinaryIO, Mapping
 
 log = logging.getLogger(__name__)
 
@@ -281,7 +281,7 @@ def parse_capture(source: bytes | BinaryIO) -> CaptureParse:
 
 
 def split_by_device(
-    packets: list[RawPacket], registry: dict[str, str]
+    packets: list[RawPacket], registry: Mapping[str, str]
 ) -> tuple[list[DeviceStream], list[RawPacket]]:
     """Partition packets into per-device streams keyed by MAC address.
 

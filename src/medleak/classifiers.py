@@ -27,8 +27,16 @@ METHODS = ("ascii", "entropy", "chi_squared")
 DECISION_METHODS = METHODS + ("majority",)
 
 # classify_all and compare_methods score this many payloads at a time, as one
-# stacked (k, 256) histogram matrix.
+# stacked (k, 256) count matrix; each row adds 2 KB to every statistics
+# temporary.
 _BATCH = 16
+# One bincount counts consecutive rows of a batch up to this many payload
+# bytes; it copies its index to 8 bytes per payload byte. A longer payload is
+# counted alone.
+_RUN_BYTES = 16 * 1024
+# Row r of a run counts its bytes in bins r * 256 .. r * 256 + 255; as uint16,
+# the index takes 2 bytes per payload byte until bincount copies it.
+_ROW_OFFSETS = np.arange(_BATCH, dtype=np.uint16) * 256
 
 CLEARTEXT = "cleartext"
 ENCRYPTED = "encrypted"
@@ -203,7 +211,9 @@ def _scored_batches(
 ) -> Iterator[tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Read ``items`` (anything with a ``data`` attribute) in lists of at most
     ``_BATCH`` and score each list as one stacked ``(k, 256)`` histogram
-    matrix, so an iterable is never held in memory whole.
+    matrix, so an iterable is never held in memory whole. The matrix is
+    counted by ``_batch_counts``, one bincount per run of rows rather than
+    one per payload.
 
     Yields each list with its lengths, entropies and chi-squared values, and
     a ``(3, k)`` array of cleartext flags, one row per method in ``METHODS``
@@ -214,11 +224,37 @@ def _scored_batches(
     """
     items = iter(items)
     while batch := list(islice(items, _BATCH)):
-        counts = np.array([histogram(item.data) for item in batch], dtype=np.float64)
-        lengths = np.array([len(item.data) for item in batch], dtype=np.float64)
-        is_ascii, entropy, chi = _statistics(counts, lengths[:, np.newaxis])
+        rows = [item.data for item in batch]
+        lengths = [len(row) for row in rows]
+        if not all(lengths):
+            raise EmptyPayload("payload is empty")
+        n = np.array(lengths, dtype=np.float64)
+        is_ascii, entropy, chi = _statistics(_batch_counts(rows, lengths), n[:, np.newaxis])
         flags = np.array((is_ascii, entropy < config.entropy_threshold, chi > config.chi_threshold))
-        yield batch, lengths, entropy, chi, flags
+        yield batch, n, entropy, chi, flags
+
+
+def _batch_counts(rows: Sequence[bytes], lengths: Sequence[int]) -> np.ndarray:
+    """``(k, 256)`` byte counts of ``k <= _BATCH`` payloads of the given
+    lengths, as float64; row ``r`` equals ``histogram(rows[r])``.
+
+    Consecutive rows are joined into runs of at most ``_RUN_BYTES`` (a longer
+    payload is a run alone), and each run is counted by one bincount with
+    every byte shifted into its row's 256 bins.
+    """
+    counts = np.empty((len(rows), 256))
+    start = 0
+    while start < len(rows):
+        stop, size = start + 1, lengths[start]
+        while stop < len(rows) and size + lengths[stop] <= _RUN_BYTES:
+            size += lengths[stop]
+            stop += 1
+        index = np.repeat(_ROW_OFFSETS[: stop - start], lengths[start:stop])
+        index += np.frombuffer(b"".join(rows[start:stop]), dtype=np.uint8)
+        counts[start:stop] = np.bincount(index, minlength=256 * (stop - start)).reshape(-1, 256)
+        del index
+        start = stop
+    return counts
 
 
 def compare_methods(

@@ -12,6 +12,8 @@ import configparser
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 from .capture import normalize_mac
 from .classifiers import ClassifierConfig, numeric_fields
@@ -33,14 +35,15 @@ def normalize_method(name: str) -> str:
 @dataclass(frozen=True)
 class RunConfig(ClassifierConfig):
     """Everything one analyze run reads. It is checked when built, and
-    ``dataclasses.replace`` builds (and so checks) a variant."""
+    ``dataclasses.replace`` builds (and so checks) a variant. The registry is
+    kept as a read-only mapping and left out of the hash."""
 
     gap_threshold: float = DEFAULT_GAP_THRESHOLD
     image_window: float = DEFAULT_IMAGE_WINDOW
     dict_dir: Path | None = None
     vendor_patterns: tuple[str, ...] = DEFAULT_VENDOR_PATTERNS
     identifier_keys: frozenset[str] = DEFAULT_IDENTIFIER_KEYS
-    registry: dict[str, str] = field(default_factory=dict)
+    registry: Mapping[str, str] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         try:
@@ -53,7 +56,7 @@ class RunConfig(ClassifierConfig):
                 registry[canonical] = device_id
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        object.__setattr__(self, "registry", registry)
+        object.__setattr__(self, "registry", MappingProxyType(registry))
 
 
 # The numeric knobs: RunConfig field -> type. Each is a [thresholds] key and

@@ -24,6 +24,9 @@ from medleak.classifiers import (
     classify_all,
     classify_ascii,
     compare_methods,
+    _BATCH,
+    _RUN_BYTES,
+    _batch_counts,
     _statistics,
     histogram,
     shannon_entropy,
@@ -550,6 +553,45 @@ def test_an_empty_payload_anywhere_in_classify_all_raises(position):
         classify_all(iter(payloads))
 
 
+# --- the batch kernel: one bincount per run of rows ---------------------------
+
+
+def _assert_batch_counts_equal_the_histograms(rows):
+    counts = _batch_counts(rows, [len(row) for row in rows])
+    assert counts.shape == (len(rows), 256)
+    for row, data in zip(counts, rows):
+        assert np.array_equal(row, histogram(data))
+
+
+# each row may start and end with 0x00 or 0xFF, next to its neighbours' edges
+_edged_row = st.tuples(st.sampled_from([b"", b"\x00", b"\xff"]), st.binary(max_size=3000),
+                       st.sampled_from([b"", b"\x00", b"\xff"])).map(b"".join).filter(bool)
+
+
+@given(rows=st.lists(st.one_of(_edged_row, st.sampled_from([b"\x00", b"\xff", b"a"])), min_size=1, max_size=_BATCH))
+def test_batch_counts_equal_one_histogram_per_row(rows):
+    _assert_batch_counts_equal_the_histograms(rows)
+
+
+@pytest.mark.parametrize("lengths", [
+    [_RUN_BYTES // _BATCH] * _BATCH,  # the whole batch is exactly one run
+    [1000, _RUN_BYTES - 1000],  # exactly at the cap
+    [1000, _RUN_BYTES - 999],  # one byte over it
+    [_RUN_BYTES - 1, 1, 1],
+    [_RUN_BYTES + 1],
+    [1, _RUN_BYTES + 1, 1, 2],  # a row longer than the cap between short ones
+    [3 * _RUN_BYTES, _RUN_BYTES, 1],
+    [1] * _BATCH,
+], ids=repr)
+def test_batch_counts_at_the_run_cap(lengths):
+    rng = random.Random(len(lengths))
+    # rows alternate between ending in 0xFF and starting with 0x00
+    rows = [(b"\x00" + rng.randbytes(n) + b"\xff")[:n] if i % 2 else (rng.randbytes(n) + b"\xff")[-n:]
+            for i, n in enumerate(lengths)]
+    assert [len(row) for row in rows] == lengths
+    _assert_batch_counts_equal_the_histograms(rows)
+
+
 def test_classify_all_memory_is_bounded_by_one_batch():
     """Beyond the results it returns, classify_all holds one batch's stack
     at a time; a stack of all 4,000 payloads would take 8 MB per temporary."""
@@ -562,3 +604,18 @@ def test_classify_all_memory_is_bounded_by_one_batch():
         tracemalloc.stop()
     assert len(results) == len(payloads)
     assert peak - retained <= 256 * 1024
+
+
+def test_classify_all_memory_is_bounded_for_large_payloads():
+    """A payload longer than the run cap is counted alone, so 64 payloads of
+    65,000 bytes hold about one payload's 8-byte bincount index at a time; an
+    index over a whole batch would take 8.3 MB."""
+    payloads = [_payload(deterministic_bytes(23, f"p{i}", 65_000), i) for i in range(64)]
+    tracemalloc.start()
+    try:
+        results = classify_all(payloads)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(results) == len(payloads)
+    assert peak - retained <= 1024 * 1024

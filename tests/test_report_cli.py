@@ -563,6 +563,20 @@ class TestConfigFiles:
         assert registry == {"00-24-E4-1B-20-31": "bp"}  # the caller's dict is not rewritten
         assert dataclasses.replace(config, gap_threshold=5.0).registry == config.registry
 
+    def test_registry_is_read_only_past_the_mac_check(self):
+        config = RunConfig(registry={"00:24:e4:1b:20:31": "bp"})
+        with pytest.raises(TypeError):
+            config.registry["not-a-mac"] = "scale"
+        with pytest.raises(AttributeError):
+            config.registry.clear()
+        assert config.registry == {"00:24:e4:1b:20:31": "bp"}
+
+    def test_run_config_is_hashable(self):
+        config = RunConfig(registry={"00:24:e4:1b:20:31": "bp"})
+        assert hash(config) == hash(dataclasses.replace(config))
+        assert hash(RunConfig()) == hash(RunConfig())
+        assert len({config, RunConfig(), dataclasses.replace(config)}) == 2
+
     def test_analyze_leaves_its_config_as_it_was(self, fixture_dir):
         registry = {mac.upper().replace(":", "-"): label for mac, label in fixture_registry("mixed-home").items()}
         config = RunConfig(registry=registry)
