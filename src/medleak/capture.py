@@ -109,77 +109,19 @@ def normalize_mac(mac: str) -> str:
 
 
 _IP = ETHERNET_HEADER_LEN  # offset of the IP header in a frame
-
-
-def _decode_ipv4(frame: bytes, ips: dict) -> tuple[IpInfo, int, int] | None:
-    """The IPv4 header after the Ethernet header: its IpInfo, shared by every
-    frame with the same protocol and addresses, and its payload's bounds."""
-    body_len = len(frame) - _IP
-    if body_len < 20:
-        return None
-    ver_ihl = frame[_IP]
-    if ver_ihl >> 4 != 4:
-        return None
-    header_len = (ver_ihl & 0x0F) * 4
-    if header_len < 20 or body_len < header_len:
-        return None
-    total_len = frame[_IP + 2] << 8 | frame[_IP + 3]
-    # total_length bounds the datagram so Ethernet trailer padding is dropped
-    end = min(total_len, body_len) if total_len >= header_len else body_len
-    key = (frame[_IP + 9], frame[_IP + 12 : _IP + 20])
-    info = ips.get(key)
-    if info is None:
-        info = ips[key] = IpInfo("%d.%d.%d.%d" % tuple(key[1][:4]), "%d.%d.%d.%d" % tuple(key[1][4:]), key[0])
-    return info, _IP + header_len, _IP + end
-
-
-def _decode_ipv6(frame: bytes, ips: dict) -> tuple[IpInfo, int, int] | None:
-    body_len = len(frame) - _IP
-    if body_len < 40:
-        return None
-    if frame[_IP] >> 4 != 6:
-        return None
-    payload_len = frame[_IP + 4] << 8 | frame[_IP + 5]
-    end = min(40 + payload_len, body_len)
-    key = (frame[_IP + 6], frame[_IP + 8 : _IP + 40])
-    info = ips.get(key)
-    if info is None:
-        info = ips[key] = IpInfo(str(IPv6Address(key[1][:16])), str(IPv6Address(key[1][16:])), key[0])
-    return info, _IP + 40, _IP + end
-
-
-def _decode_transport(
-    protocol: int, frame: bytes, start: int, end: int, transports: dict
-) -> tuple[TransportInfo, int, int] | None:
-    """The TCP (protocol 6) or UDP (17) header at ``frame[start:end]``: its
-    TransportInfo, shared like an IpInfo, and the payload bounds."""
-    if protocol == 6:  # TCP
-        if end - start < 20:
-            return None
-        data_offset = (frame[start + 12] >> 4) * 4
-        if data_offset < 20 or end - start < data_offset:
-            return None
-        payload_start = start + data_offset
-    else:  # UDP
-        if end - start < 8:
-            return None
-        udp_len = frame[start + 4] << 8 | frame[start + 5]
-        if udp_len < 8:
-            return None
-        payload_start, end = start + 8, min(start + udp_len, end)
-    key = (protocol, frame[start : start + 4])
-    info = transports.get(key)
-    if info is None:
-        kind = "TCP" if protocol == 6 else "UDP"
-        info = transports[key] = TransportInfo(*_PORTS.unpack_from(frame, start), kind)
-    return info, payload_start, end
+_TRANSPORT_KINDS = {6: "TCP", 17: "UDP"}  # by IP protocol number
 
 
 def _decode_frame(
     index: int, ts_us: int, frame: bytes, macs: dict, ips: dict, transports: dict
 ) -> tuple[RawPacket | None, str | None]:
-    if len(frame) < ETHERNET_HEADER_LEN:
-        return None, f"frame {index}: truncated Ethernet header ({len(frame)} bytes)"
+    """One frame, decoded from Ethernet through TCP or UDP, or the warning
+    that skips it. Each MAC pair, IP header and transport header is looked up
+    by its raw bytes in ``macs``, ``ips`` and ``transports`` and decoded only
+    when missing there, so every frame that repeats it shares one value."""
+    size = len(frame)
+    if size < ETHERNET_HEADER_LEN:
+        return None, f"frame {index}: truncated Ethernet header ({size} bytes)"
     key = frame[:12]
     pair = macs.get(key)
     if pair is None:
@@ -187,30 +129,51 @@ def _decode_frame(
     ethertype = frame[12] << 8 | frame[13]
 
     ip: IpInfo | None = None
-    start, end = ETHERNET_HEADER_LEN, len(frame)  # payload bounds
-    fragment_offset = 0
-    if ethertype == ETHERTYPE_IPV4:
-        decoded = _decode_ipv4(frame, ips)
-        if decoded is None:
-            return None, f"frame {index}: truncated or invalid IPv4 header"
-        ip, start, end = decoded
-        fragment_offset = (frame[_IP + 6] & 0x1F) << 8 | frame[_IP + 7]
-    elif ethertype == ETHERTYPE_IPV6:
-        decoded = _decode_ipv6(frame, ips)
-        if decoded is None:
-            return None, f"frame {index}: truncated or invalid IPv6 header"
-        ip, start, end = decoded
-
     transport: TransportInfo | None = None
-    # only the first fragment of a datagram starts with the transport header
-    if ip is not None and ip.protocol in (6, 17) and not fragment_offset:
-        decoded_t = _decode_transport(ip.protocol, frame, start, end, transports)
-        if decoded_t is None:
-            kind = "TCP" if ip.protocol == 6 else "UDP"
-            return None, f"frame {index}: truncated {kind} header"
-        transport, start, end = decoded_t
+    kind: str | None = None  # set when a TCP or UDP header should follow
+    start, end = _IP, size  # payload bounds
+    if ethertype == ETHERTYPE_IPV4:
+        header_len = (frame[_IP] & 0x0F) * 4 if size >= _IP + 20 and frame[_IP] >> 4 == 4 else 0
+        if header_len < 20 or size < _IP + header_len:
+            return None, f"frame {index}: truncated or invalid IPv4 header"
+        total_len = frame[_IP + 2] << 8 | frame[_IP + 3]
+        # total_length bounds the datagram so Ethernet trailer padding is dropped
+        if total_len >= header_len:
+            end = min(_IP + total_len, size)
+        start = _IP + header_len
+        key = (frame[_IP + 9], frame[_IP + 12 : _IP + 20])
+        ip = ips.get(key)
+        if ip is None:
+            ip = ips[key] = IpInfo("%d.%d.%d.%d" % tuple(key[1][:4]), "%d.%d.%d.%d" % tuple(key[1][4:]), key[0])
+        # only the first fragment of a datagram starts with the transport header
+        if not (frame[_IP + 6] & 0x1F or frame[_IP + 7]):
+            kind = _TRANSPORT_KINDS.get(ip.protocol)
+    elif ethertype == ETHERTYPE_IPV6:
+        if size < _IP + 40 or frame[_IP] >> 4 != 6:
+            return None, f"frame {index}: truncated or invalid IPv6 header"
+        start, end = _IP + 40, min(_IP + 40 + (frame[_IP + 4] << 8 | frame[_IP + 5]), size)
+        key = (frame[_IP + 6], frame[_IP + 8 : _IP + 40])
+        ip = ips.get(key)
+        if ip is None:
+            ip = ips[key] = IpInfo(str(IPv6Address(key[1][:16])), str(IPv6Address(key[1][16:])), key[0])
+        kind = _TRANSPORT_KINDS.get(ip.protocol)
 
-    packet = RawPacket(index, ts_us, pair[1], pair[0], ip, transport, frame[start:end], len(frame))
+    if kind is not None:
+        if kind == "TCP":  # the data offset bounds the header
+            header_len = (frame[start + 12] >> 4) * 4 if end - start >= 20 else 0
+            valid = header_len >= 20 and end - start >= header_len
+        else:  # the UDP length bounds the datagram
+            udp_len = frame[start + 4] << 8 | frame[start + 5] if end - start >= 8 else 0
+            header_len, end, valid = 8, min(start + udp_len, end), udp_len >= 8
+        if not valid:
+            return None, f"frame {index}: truncated {kind} header"
+        key = (kind, frame[start : start + 4])
+        transport = transports.get(key)
+        if transport is None:
+            transport = transports[key] = TransportInfo(*_PORTS.unpack_from(frame, start), kind)
+        start += header_len
+
+    packet = RawPacket(index, ts_us, pair[1], pair[0], ip, transport, frame[start:end], size)
     return packet, None
 
 

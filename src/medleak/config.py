@@ -90,6 +90,18 @@ def _read_ini(path) -> configparser.ConfigParser:
     return parser
 
 
+def _option(parser: configparser.ConfigParser, path, section: str, key: str, items: bool = False):
+    """A key's stripped value, or with ``items`` its comma-separated items;
+    None when the key is absent. An empty one is an error, never the default."""
+    if not parser.has_option(section, key):
+        return None
+    value = parser[section][key].strip()
+    parsed = [item.strip() for item in value.split(",") if item.strip()] if items else value
+    if not parsed:
+        raise ConfigError(f"{path}: empty value for {key!r} in [{section}]")
+    return parsed
+
+
 def load_registry(path) -> dict[str, str]:
     """MAC -> device label, from the [devices] section of a registry or config file."""
     parser = _read_ini(path)
@@ -113,17 +125,15 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"{path}: bad threshold value: {exc}") from None
     if parser.has_option("analysis", "decision_method"):
         values["decision_method"] = normalize_method(parser["analysis"]["decision_method"])
-    directory = parser.get("dictionaries", "dir", fallback="").strip()
-    if directory:
+    directory = _option(parser, path, "dictionaries", "dir")
+    if directory is not None:
         values["dict_dir"] = Path(directory)
-    patterns = parser.get("vendor-patterns", "patterns", fallback="")
-    parsed = tuple(p.strip() for p in patterns.split(",") if p.strip())
-    if parsed:
-        values["vendor_patterns"] = parsed
-    keys = parser.get("identifier-keys", "keys", fallback="")
-    parsed_keys = frozenset(k.strip().lower() for k in keys.split(",") if k.strip())
-    if parsed_keys:
-        values["identifier_keys"] = parsed_keys
+    patterns = _option(parser, path, "vendor-patterns", "patterns", items=True)
+    if patterns is not None:
+        values["vendor_patterns"] = tuple(patterns)
+    keys = _option(parser, path, "identifier-keys", "keys", items=True)
+    if keys is not None:
+        values["identifier_keys"] = frozenset(key.lower() for key in keys)
     if parser.has_section("devices"):
         values["registry"] = dict(parser.items("devices"))
     return RunConfig(**values)

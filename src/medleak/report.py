@@ -164,7 +164,7 @@ def analyze_stream(
         indeterminate_count=tally[INDETERMINATE],
         findings=findings,
         activity=activity,
-        endpoints=endpoint_profiles(stream, dns_answers, config.vendor_patterns, run),
+        endpoints=endpoint_profiles(stream, hostnames, config.vendor_patterns, run),
         periodicity=periodicity_hint(activity),
         status=_status(findings),
     )

@@ -332,11 +332,12 @@ def _assert_decodes_as_oracle(data: bytes) -> None:
 
 @st.composite
 def _hostile_frame(draw) -> bytes:
-    """An Ethernet frame with IPv4, IPv6 or ARP under it and TCP, UDP or ICMP
-    above that, whose length, version, IHL, total length, fragment, data
-    offset and UDP length fields are drawn from valid and invalid values, and
-    which may then be cut short."""
-    protocol = draw(st.sampled_from([6, 17, 1]))
+    """An Ethernet frame with IPv4, IPv6 or ARP under it and TCP, UDP, ICMP or
+    an IPv6 hop-by-hop (0) or fragment (44) extension header above that,
+    whose length, version, IHL, total length, fragment, data offset and UDP
+    length fields are drawn from valid and invalid values, and which may then
+    be cut short."""
+    protocol = draw(st.sampled_from([6, 17, 1, 0, 44]))
     data = draw(st.binary(max_size=24))
     ports = draw(st.sampled_from(_PORT_PAIRS))
     if protocol == 6:
@@ -345,6 +346,10 @@ def _hostile_frame(draw) -> bytes:
     elif protocol == 17:
         udp_len = draw(st.sampled_from([8 + len(data), 0, 7, 8]) | st.integers(0, 0xFFFF))
         segment = ports + struct.pack("!HH", udp_len, 0) + data
+    elif protocol in (0, 44):
+        # an 8-byte extension header naming TCP next, then a valid TCP header:
+        # the transport is not decoded, since the extension is not followed
+        segment = struct.pack("!BB6x", 6, 0) + ports + struct.pack("!IIBBHHH", 1, 0, 5 << 4, 0x18, 4096, 0, 0) + data
     else:
         segment = data
     ethertype = draw(st.sampled_from([0x0800, 0x86DD, 0x0806]))
@@ -387,17 +392,32 @@ def test_hostile_frames_decode_as_oracle(variant, records):
     _assert_decodes_as_oracle(_capture(variant, records))
 
 
+def _ipv6_capture() -> bytes:
+    """IPv6 TCP and UDP frames over the small pools, each header repeated
+    with another hop limit and payload."""
+    frames = []
+    for round_ in range(3):
+        for addrs in _IPV6_ADDRS:
+            for ports in _PORT_PAIRS:
+                tcp = ports + struct.pack("!IIBBHHH", round_, 0, 5 << 4, 0x18, 4096, 0, 0) + b"t" * round_
+                udp = ports + struct.pack("!HH", 8 + round_, 0) + b"u" * round_
+                for protocol, segment in ((6, tcp), (17, udp)):
+                    header = struct.pack("!IHBB", 6 << 28, len(segment), protocol, 64 - round_) + addrs
+                    frames.append(_MAC_PAIRS[round_ % 2] + b"\x86\xdd" + header + segment)
+    return _capture(_VARIANTS[0], [(1, 0, frame) for frame in frames])
+
+
 def test_headers_are_shared_within_a_parse_and_never_across_parses():
-    data = build_fixture_capture("mixed-home")
-    first, second = parse_capture(data).packets, parse_capture(data).packets
-    assert first == second
-    for field in ("ip", "transport"):
-        headers = [getattr(p, field) for p in first if getattr(p, field) is not None]
-        # one instance per distinct header: each is decoded once per parse
-        assert len({id(h) for h in headers}) == len(set(headers)) < len(headers)
-        # the cache lives for one call only
-        others = {id(getattr(p, field)) for p in second}
-        assert all(id(h) not in others for h in headers)
+    for data in (build_fixture_capture("mixed-home"), _ipv6_capture()):
+        first, second = parse_capture(data).packets, parse_capture(data).packets
+        assert first == second
+        for field in ("ip", "transport"):
+            headers = [getattr(p, field) for p in first if getattr(p, field) is not None]
+            # one instance per distinct header: each is decoded once per parse
+            assert len({id(h) for h in headers}) == len(set(headers)) < len(headers)
+            # the cache lives for one call only
+            others = {id(getattr(p, field)) for p in second}
+            assert all(id(h) not in others for h in headers)
 
 
 @settings(max_examples=300, deadline=None)

@@ -225,6 +225,20 @@ class TestEndpoints:
         for stream, dns in cases:
             assert resolve_hostnames(stream, dns) == resolve_hostnames_oracle(stream, dns)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), with_dns=st.booleans())
+    def test_profiles_from_resolved_hostnames_equal_profiles_from_dns_answers(self, seed, with_dns):
+        # analyze_stream hands endpoint_profiles the hostnames it has resolved
+        data, registry = generate_random_capture(seed)
+        packets = parse_capture(data).packets
+        streams, _ = split_by_device(packets, registry)
+        dns = extract_dns_answers(packets) if with_dns else {}
+        patterns = ("*vendor.example",)
+        for stream in streams:
+            hostnames = resolve_hostnames(stream, dns)
+            assert resolve_hostnames(stream, hostnames) == hostnames
+            assert endpoint_profiles(stream, hostnames, patterns) == endpoint_profiles(stream, dns, patterns)
+
 
 class TestDnsExtraction:
     def test_parses_a_records_from_response_frame(self):

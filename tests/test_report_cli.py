@@ -521,6 +521,19 @@ class TestConfigFiles:
             assert main(["analyze", "--capture", "x.pcap", flag, str(path)]) == EXIT_ERROR
             assert unknown in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, empty", [
+        ("[vendor-patterns]\npatterns =\n", "'patterns' in [vendor-patterns]"),
+        ("[identifier-keys]\nkeys = ,\n", "'keys' in [identifier-keys]"),
+        ("[dictionaries]\ndir =\n", "'dir' in [dictionaries]"),
+    ])
+    def test_empty_value_rejected_not_defaulted(self, tmp_path, capsys, text, empty):
+        path = tmp_path / "empty.conf"
+        path.write_text(text + "[devices]\n00:24:e4:1b:20:31 = bp\n")
+        with pytest.raises(ConfigError, match=re.escape(f"empty value for {empty}")):
+            load_config(path)
+        assert main(["analyze", "--capture", "x.pcap", "--config", str(path)]) == EXIT_ERROR
+        assert empty in capsys.readouterr().err
+
     @pytest.mark.parametrize("spelling", ["chi-squared", "chi_squared", " chi-squared "])
     def test_decision_method_is_spelt_the_same_in_file_and_flag(self, tmp_path, spelling):
         path = tmp_path / "medleak.conf"
