@@ -5,7 +5,15 @@ content, vendor and user identifiers, image-GET signatures) and profiles
 traffic metadata (activity periods, endpoints, periodicity) per device.
 """
 
-from .capture import DeviceStream, MalformedCapture, RawPacket, parse_capture, split_by_device
+from .capture import (
+    CaptureParse,
+    DeviceStream,
+    MalformedCapture,
+    PacketTable,
+    RawPacket,
+    parse_capture,
+    split_by_device,
+)
 from .classifiers import (
     ClassificationResult,
     ClassifierConfig,

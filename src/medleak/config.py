@@ -102,12 +102,21 @@ def _option(parser: configparser.ConfigParser, path, section: str, key: str, ite
     return parsed
 
 
+def _devices(parser: configparser.ConfigParser, path) -> dict[str, str]:
+    """MAC -> device label of the [devices] section; a MAC with no label is an error."""
+    registry = dict(parser.items("devices"))
+    for mac, label in registry.items():
+        if not label:
+            raise ConfigError(f"{path}: empty device label for {mac} in [devices]")
+    return registry
+
+
 def load_registry(path) -> dict[str, str]:
     """MAC -> device label, from the [devices] section of a registry or config file."""
     parser = _read_ini(path)
     if not parser.has_section("devices"):
         raise ConfigError(f"{path}: missing [devices] section")
-    registry = dict(parser.items("devices"))
+    registry = _devices(parser, path)
     if not registry:
         raise ConfigError(f"{path}: empty device registry")
     return registry
@@ -135,7 +144,7 @@ def load_config(path) -> RunConfig:
     if keys is not None:
         values["identifier_keys"] = frozenset(key.lower() for key in keys)
     if parser.has_section("devices"):
-        values["registry"] = dict(parser.items("devices"))
+        values["registry"] = _devices(parser, path)
     return RunConfig(**values)
 
 

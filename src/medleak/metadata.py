@@ -11,11 +11,14 @@ import ipaddress
 import statistics
 import struct
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .capture import DeviceStream, RawPacket
+import numpy as np
+
+from .capture import DeviceStream, PacketTable, RawPacket
 from .leaks import _MiningRun, matches_vendor  # noqa: F401 (unused: bench/tests/test_perfbench.py pins this binding)
-from .payload import _START_LINE_PREFIXES, parse_http
+from .payload import parse_http
 
 DEFAULT_GAP_THRESHOLD = 60.0  # seconds of silence that end an activity period
 
@@ -43,13 +46,6 @@ class PeriodicityHint:
     dispersion: float
 
 
-def remote_address(packet: RawPacket, device_mac: str) -> str | None:
-    """The non-device end of an IP packet, relative to the device MAC."""
-    if packet.ip is None:
-        return None
-    return packet.ip.dst_addr if packet.src_mac == device_mac else packet.ip.src_addr
-
-
 def activity_periods(
     stream: DeviceStream,
     gap_threshold: float = DEFAULT_GAP_THRESHOLD,
@@ -59,33 +55,25 @@ def activity_periods(
 
     Consecutive packets whose inter-arrival time is at most ``gap_threshold``
     seconds share a period; a single packet forms a zero-duration period.
-    One pass adds up each period's packets, bytes and remote addresses.
+    Each period's packets, bytes and remote addresses are added up over the
+    stream's columns.
     """
-    if not stream.packets:
+    table = stream.table
+    if not len(table):
         return []
     hostnames = hostnames or {}
-    gap_us = gap_threshold * 1_000_000
-
-    def period(first: RawPacket, last: RawPacket, count: int, size: int, addresses: set[str]) -> ActivityPeriod:
-        endpoints = {(address, hostnames.get(address)) for address in addresses}
-        return ActivityPeriod(first.timestamp, last.timestamp, count, size, endpoints)
-
-    periods: list[ActivityPeriod] = []
-    first = last = stream.packets[0]
-    count = size = 0
-    addresses: set[str] = set()
-    for packet in stream.packets:
-        # "not <=" rather than ">", so that a NaN threshold splits every packet
-        if count and not packet.timestamp_us - last.timestamp_us <= gap_us:
-            periods.append(period(first, last, count, size, addresses))
-            first, count, size, addresses = packet, 0, 0, set()
-        last = packet
-        count += 1
-        size += packet.frame_len
-        address = remote_address(packet, stream.mac)
-        if address is not None:
-            addresses.add(address)
-    periods.append(period(first, last, count, size, addresses))
+    ts_us = table.ts_us
+    # "not <=" rather than ">", so that a NaN threshold splits every packet
+    splits = ~(ts_us[1:] - ts_us[:-1] <= gap_threshold * 1_000_000)
+    firsts = [0, *(splits.nonzero()[0] + 1).tolist()]
+    sizes = np.add.reduceat(table.frame_len, firsts).tolist()
+    times, remote, addresses = ts_us.tolist(), stream.remote.tolist(), table.names.addresses
+    periods = []
+    for first, after, size in zip(firsts, [*firsts[1:], len(table)], sizes):
+        names = [addresses[address] for address in set(remote[first:after]) if address >= 0]
+        endpoints = {(name, hostnames.get(name)) for name in names}
+        start, end = times[first] / 1_000_000, times[after - 1] / 1_000_000
+        periods.append(ActivityPeriod(start, end, after - first, size, endpoints))
     return periods
 
 
@@ -148,15 +136,13 @@ def _parse_dns_response(data: bytes) -> dict[str, str]:
     return answers
 
 
-def extract_dns_answers(packets: list[RawPacket]) -> dict[str, str]:
-    """address -> hostname map from every DNS response in a capture."""
+def extract_dns_answers(packets: PacketTable | Iterable[RawPacket]) -> dict[str, str]:
+    """address -> hostname map from every DNS response (a UDP payload from
+    port 53) in a capture, given as a table or as RawPackets."""
+    table = PacketTable.of(packets)
     answers: dict[str, str] = {}
-    for packet in packets:
-        if packet.transport is None or packet.transport.kind != "UDP":
-            continue
-        if packet.transport.src_port != 53:
-            continue
-        for address, hostname in _parse_dns_response(packet.payload).items():
+    for row in ((table.proto == 17) & (table.src_port == 53)).nonzero()[0].tolist():
+        for address, hostname in _parse_dns_response(table.payloads[row]).items():
             answers.setdefault(address, hostname)
     return answers
 
@@ -164,17 +150,18 @@ def extract_dns_answers(packets: list[RawPacket]) -> dict[str, str]:
 def resolve_hostnames(stream: DeviceStream, dns_answers: dict[str, str] | None = None) -> dict[str, str]:
     """Merge DNS answers with HTTP Host evidence from the stream itself."""
     hostmap = dict(dns_answers or {})
-    for packet in stream.packets:
-        if packet.transport is None or packet.transport.kind != "TCP":
+    table = stream.table
+    addresses = table.names.addresses
+    # parse_http returns None for a payload that does not begin with a start line
+    rows = table.http.nonzero()[0]
+    if not len(rows):
+        return hostmap
+    for row, address in zip(rows.tolist(), stream.remote[rows].tolist()):
+        if address < 0 or addresses[address] in hostmap:
             continue
-        if not packet.payload.startswith(_START_LINE_PREFIXES):
-            continue  # parse_http would return None
-        address = remote_address(packet, stream.mac)
-        if address is None or address in hostmap:
-            continue
-        message = parse_http(packet.payload)
+        message = parse_http(table.payloads[row])
         if message is not None and message.host:
-            hostmap[address] = message.host
+            hostmap[addresses[address]] = message.host
     return hostmap
 
 
@@ -187,14 +174,13 @@ def endpoint_profiles(
     """One profile per distinct remote address the device exchanged IP
     traffic with, in first-seen order."""
     vendor = (run or _MiningRun(vendor_patterns=vendor_patterns)).vendor
-    counts: Counter[str] = Counter()  # iterates in first-seen order
-    for packet in stream.packets:
-        address = remote_address(packet, stream.mac)
-        if address is not None:
-            counts[address] += 1
+    counts = Counter(stream.remote.tolist())  # iterates in first-seen order
+    counts.pop(-1, None)  # rows without an IP layer
     hostmap = resolve_hostnames(stream, dns_answers)
+    addresses = stream.table.names.addresses
     profiles = []
     for address, count in counts.items():
+        address = addresses[address]
         hostname = hostmap.get(address)
         profiles.append(
             EndpointProfile(

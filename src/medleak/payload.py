@@ -3,21 +3,23 @@
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .capture import DeviceStream, RawPacket
+import numpy as np
 
-TLS_PORT = 443
-TLS_CONTENT_TYPES = frozenset({0x14, 0x15, 0x16, 0x17})
-
-HTTP_METHODS = ("GET", "POST", "PUT", "DELETE", "HEAD", "OPTIONS", "PATCH", "TRACE", "CONNECT")
+from .capture import (
+    _START_LINE_PREFIXES,
+    HTTP_METHODS,
+    TLS_CONTENT_TYPES,
+    TLS_PORT,
+    DeviceStream,
+    PacketTable,
+)
 
 _REQUEST_LINE = re.compile(r"^(%s) (\S+) HTTP/" % "|".join(HTTP_METHODS))
 _STATUS_LINE = re.compile(r"^HTTP/\S+ (\d{3})(?: |$)")
 # Both start-line patterns are anchored, so a payload can match one only if
-# it begins with one of these byte strings.
-_START_LINE_PREFIXES = tuple(f"{method} ".encode() for method in HTTP_METHODS) + (b"HTTP/",)
+# it begins with one of _START_LINE_PREFIXES.
 _LINE_SPLIT = re.compile(r"\r\n|\n")
 
 
@@ -48,22 +50,28 @@ class HttpMessage:
     status_code: int | None = None
 
 
-def payload_packets(stream: DeviceStream) -> Iterator[RawPacket]:
-    """The packets of a stream that carry application bytes, in order: packets
-    without a transport layer (ARP and friends) and empty TCP segments are dropped."""
-    return (packet for packet in stream.packets if packet.transport is not None and packet.payload)
+def payload_rows(table: PacketTable) -> np.ndarray:
+    """Which rows of a table carry application bytes: rows without a
+    transport layer (ARP and friends) and empty TCP segments carry none."""
+    return table.head >= 0
 
 
-def app_payload(packet: RawPacket, device_mac: str) -> AppPayload:
-    """The AppPayload of one payload-carrying packet of the device ``device_mac``."""
-    transport = packet.transport
-    direction = "outbound" if packet.src_mac == device_mac else "inbound"
-    return AppPayload(packet.index, direction, (transport.src_port, transport.dst_port), packet.payload)
+def app_payloads(table: PacketTable, rows: np.ndarray, device_mac: str) -> list[AppPayload]:
+    """The AppPayload of each of ``rows`` (payload rows, by number) of the
+    table of the device ``device_mac``, in order."""
+    outbound = table.src_mac[rows] == table.mac_id(device_mac)
+    payloads = table.payloads
+    return [
+        AppPayload(index, "outbound" if out else "inbound", (src_port, dst_port), payloads[row])
+        for index, out, src_port, dst_port, row in zip(
+            table.index[rows].tolist(), outbound.tolist(), table.src_port[rows].tolist(),
+            table.dst_port[rows].tolist(), rows.tolist())
+    ]
 
 
 def extract_payloads(stream: DeviceStream) -> list[AppPayload]:
-    """One AppPayload per packet that ``payload_packets`` yields."""
-    return [app_payload(packet, stream.mac) for packet in payload_packets(stream)]
+    """One AppPayload per row of the stream that ``payload_rows`` selects."""
+    return app_payloads(stream.table, payload_rows(stream.table).nonzero()[0], stream.mac)
 
 
 # Every verdict the TLS rule can give, built once and shared (TlsVerdict is

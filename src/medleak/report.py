@@ -9,6 +9,8 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
+
 from .capture import DeviceStream, parse_capture, split_by_device
 from .classifiers import CLEARTEXT, ENCRYPTED, INDETERMINATE, classify_all
 from .config import RunConfig, load_dictionaries
@@ -32,7 +34,7 @@ from .metadata import (
     periodicity_hint,
     resolve_hostnames,
 )
-from .payload import AppPayload, app_payload, parse_http, payload_packets, tls_verdict
+from .payload import app_payloads, parse_http, payload_rows
 
 SCHEMA_VERSION = 1
 
@@ -104,16 +106,12 @@ def analyze_stream(
     timed_messages: list[TimedMessage] = []
     tally: Counter[str] = Counter()
 
-    # TLS is only counted, so it is told apart before an AppPayload is built.
-    plain: list[AppPayload] = []
-    timestamps: list[float] = []
-    for packet in payload_packets(stream):
-        transport = packet.transport
-        if tls_verdict((transport.src_port, transport.dst_port), packet.payload).is_tls:
-            tally[_TLS] += 1
-        else:
-            plain.append(app_payload(packet, stream.mac))
-            timestamps.append(packet.timestamp)
+    # TLS rows are only counted: an AppPayload is built for the other payload rows.
+    table = stream.table
+    rows = (payload_rows(table) ^ table.tls).nonzero()[0]  # every TLS row is a payload row
+    tally[_TLS] = int(np.count_nonzero(table.tls))
+    plain = app_payloads(table, rows, stream.mac)
+    timestamps = (table.ts_us[rows] / 1_000_000).tolist()
 
     for payload, timestamp, verdict in zip(plain, timestamps, classify_all(plain, config)):
         tally[verdict.consensus] += 1
@@ -156,7 +154,7 @@ def analyze_stream(
         capture=capture_name,
         device_id=stream.device_id,
         mac=stream.mac,
-        packet_count=len(stream.packets),
+        packet_count=len(table),
         payload_count=sum(tally.values()),
         cleartext_count=tally[CLEARTEXT],
         tls_count=tally[_TLS],
@@ -185,10 +183,10 @@ def analyze(captures, config: RunConfig) -> AnalysisResult:
         with path.open("rb") as fh:
             parsed = parse_capture(fh)
         warnings.extend(f"{path.name}: {w}" for w in parsed.warnings)
-        streams, unattributed = split_by_device(parsed.packets, config.registry)
-        if unattributed:
+        streams, unattributed = split_by_device(parsed.table, config.registry)
+        if len(unattributed):
             warnings.append(f"{path.name}: {len(unattributed)} packets unattributed")
-        dns_answers = extract_dns_answers(parsed.packets)
+        dns_answers = extract_dns_answers(parsed.table)
         for stream in streams:
             reports.append(analyze_stream(path.name, stream, dns_answers, config, dictionaries, run))
 

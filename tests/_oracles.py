@@ -22,6 +22,7 @@ from medleak.capture import (
     MalformedCapture,
     RawPacket,
     TransportInfo,
+    normalize_mac,
 )
 from medleak.classifiers import (
     CLEARTEXT,
@@ -50,11 +51,9 @@ from medleak.leaks import (
 from medleak.metadata import (
     DEFAULT_GAP_THRESHOLD,
     ActivityPeriod,
+    EndpointProfile,
     _decode_dns_name,
-    endpoint_profiles,
     periodicity_hint,
-    remote_address,
-    resolve_hostnames,
 )
 from medleak.payload import (
     TLS_CONTENT_TYPES,
@@ -343,6 +342,57 @@ def parse_capture_oracle(data: bytes) -> CaptureParse:
 
     packets.sort(key=lambda p: p.timestamp_us)  # stable: capture order kept on ties
     return CaptureParse(packets=packets, warnings=warnings)
+
+
+# --- the remote end of a packet, one packet at a time -------------------------
+
+
+def remote_address(packet: RawPacket, device_mac: str) -> str | None:
+    """The non-device end of an IP packet, relative to the device MAC."""
+    if packet.ip is None:
+        return None
+    return packet.ip.dst_addr if packet.src_mac == device_mac else packet.ip.src_addr
+
+
+# --- split and endpoints: one packet at a time, over lists -------------------
+
+
+def split_by_device_oracle(packets, registry):
+    """((device_id, mac, packets) per registry entry, unattributed packets)."""
+    if not registry:
+        return [], list(packets)
+    streams = {}
+    for mac, device_id in registry.items():
+        mac = normalize_mac(mac)
+        streams[mac] = (device_id, mac, [])
+    unattributed = []
+    for packet in packets:
+        if packet.src_mac in streams:
+            streams[packet.src_mac][2].append(packet)
+        elif packet.dst_mac in streams:
+            streams[packet.dst_mac][2].append(packet)
+        else:
+            unattributed.append(packet)
+    return list(streams.values()), unattributed
+
+
+def endpoint_profiles_oracle(stream, dns_answers=None, vendor_patterns=()) -> list[EndpointProfile]:
+    counts = {}
+    for packet in stream.packets:
+        address = remote_address(packet, stream.mac)
+        if address is not None:
+            counts[address] = counts.get(address, 0) + 1
+    hostmap = resolve_hostnames_oracle(stream, dns_answers)
+    return [
+        EndpointProfile(
+            address=address,
+            hostname=hostmap.get(address),
+            packet_count=count,
+            vendor_flag=matches_vendor_oracle(hostmap.get(address), vendor_patterns)
+            or matches_vendor_oracle(address, vendor_patterns),
+        )
+        for address, count in counts.items()
+    ]
 
 
 # --- hostnames: every TCP payload of an unresolved remote goes through parse_http
@@ -651,7 +701,7 @@ def analyze_stream_oracle(capture_name, stream, dns_answers, config, dictionarie
     findings.extend(image_get_signature(timed_messages, config.image_window))
     findings.sort(key=_finding_order)
 
-    hostnames = resolve_hostnames(stream, dns_answers)
+    hostnames = resolve_hostnames_oracle(stream, dns_answers)
     activity = activity_periods_oracle(stream, config.gap_threshold, hostnames)
     return DeviceReport(
         capture=capture_name,
@@ -665,7 +715,7 @@ def analyze_stream_oracle(capture_name, stream, dns_answers, config, dictionarie
         indeterminate_count=indeterminate_count,
         findings=findings,
         activity=activity,
-        endpoints=endpoint_profiles(stream, dns_answers, config.vendor_patterns),
+        endpoints=endpoint_profiles_oracle(stream, dns_answers, config.vendor_patterns),
         periodicity=periodicity_hint(activity),
         status=_status(findings),
     )

@@ -534,6 +534,16 @@ class TestConfigFiles:
         assert main(["analyze", "--capture", "x.pcap", "--config", str(path)]) == EXIT_ERROR
         assert empty in capsys.readouterr().err
 
+    @pytest.mark.parametrize("loader, flag", [(load_registry, "--registry"), (load_config, "--config")])
+    def test_empty_device_label_rejected_not_named_empty(self, tmp_path, capsys, loader, flag):
+        path = tmp_path / "devices.conf"
+        path.write_text("[devices]\n00:24:e4:1b:20:31 = bp\n00:24:E4:9C:41:72 =\n")
+        message = "empty device label for 00:24:e4:9c:41:72 in [devices]"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            loader(path)
+        assert main(["analyze", "--capture", "x.pcap", flag, str(path)]) == EXIT_ERROR
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("spelling", ["chi-squared", "chi_squared", " chi-squared "])
     def test_decision_method_is_spelt_the_same_in_file_and_flag(self, tmp_path, spelling):
         path = tmp_path / "medleak.conf"
