@@ -483,26 +483,79 @@ class CaptureParse(_Rows):
             self.packets = packets
 
 
+class _Grouping:
+    """A table whose rows are grouped by device: group ``k`` is rows
+    ``bounds[k]:bounds[k + 1]``, the rows of the device ``macs[k]``, and any
+    rows past the last group belong to none. Each grouped row's direction
+    and remote end are computed here once, for every group at a time."""
+
+    __slots__ = ("table", "bounds", "outbound", "remote")
+
+    def __init__(self, table: PacketTable, bounds: list[int], macs: list[str]) -> None:
+        self.table = table
+        self.bounds = bounds
+        grouped = slice(0, bounds[-1])
+        device = np.repeat([table.mac_id(mac) for mac in macs], np.diff(bounds))
+        # the device sent the row
+        self.outbound = table.src_mac[grouped] == device
+        # the row's non-device end, as an id into the table's addresses (-1
+        # without an IP layer): the destination of a row the device sent,
+        # the source of any other
+        self.remote = np.where(self.outbound, table.dst_addr[grouped], table.src_addr[grouped])
+
+    @classmethod
+    def alone(cls, table: PacketTable, mac: str) -> _Grouping:
+        """The grouping of a table of one device's rows, as one group."""
+        return cls(table, [0, len(table)], [mac])
+
+    def rows(self, group: int) -> slice:
+        return slice(self.bounds[group], self.bounds[group + 1])
+
+
 class DeviceStream(_Rows):
     """One device's packets (in time order when they come from
-    ``split_by_device``); the stage functions read its table."""
+    ``split_by_device``); the stage functions read its table.
+
+    A stream is given its packets, its table, or its ``group`` of a
+    ``grouping`` of a capture's rows; then its table is taken from the
+    grouped table when first read.
+    """
 
     def __init__(self, device_id: str, mac: str, packets: Iterable[RawPacket] | None = None,
-                 table: PacketTable | None = None) -> None:
+                 table: PacketTable | None = None, *, grouping: _Grouping | None = None, group: int = 0) -> None:
         self.device_id = device_id
         self.mac = mac
-        if table is not None:
+        self.group = group
+        if grouping is not None:
+            self.grouping = grouping
+        elif table is not None:
             self.table = table
         else:
             self.packets = list(packets or ())
+
+    @cached_property
+    def table(self) -> PacketTable:
+        if "grouping" not in vars(self):
+            return PacketTable.from_packets(self.packets)
+        return self.grouping.table.take(self.grouping.rows(self.group))
+
+    @cached_property
+    def grouping(self) -> _Grouping:
+        """The grouping this stream is group ``group`` of: for a stream
+        given its packets or table, the grouping of its own rows alone."""
+        return _Grouping.alone(self.table, self.mac)
 
     @cached_property
     def remote(self) -> np.ndarray:
         """Each row's non-device end, as an id into the table's addresses
         (-1 without an IP layer): the destination of a packet the device
         sent, the source of any other."""
-        table = self.table
-        return np.where(table.src_mac == table.mac_id(self.mac), table.dst_addr, table.src_addr)
+        return self.grouping.remote[self.grouping.rows(self.group)]
+
+    @cached_property
+    def outbound(self) -> np.ndarray:
+        """Whether the device sent each row."""
+        return self.grouping.outbound[self.grouping.rows(self.group)]
 
     def __repr__(self) -> str:
         return f"DeviceStream(device_id={self.device_id!r}, mac={self.mac!r}, rows={len(self.table)})"
@@ -599,7 +652,9 @@ def split_by_device(
     packet is attributed to the source device. A stream is produced for every
     registry entry, empty or not, in registry order, and keeps its packets in
     their order in ``packets``: a stable argsort by owner groups the rows, and
-    each stream is one slice of the grouped table.
+    the streams are the groups of one ``_Grouping`` of the grouped table,
+    each taking its slice of it when its table is first read. Two registry
+    spellings of one MAC are a ValueError.
     """
     table = PacketTable.of(packets)
     if not registry:
@@ -607,7 +662,10 @@ def split_by_device(
         return [], table
     devices: dict[str, str] = {}
     for mac, device_id in registry.items():
-        devices[normalize_mac(mac)] = device_id
+        mac = normalize_mac(mac)
+        if mac in devices:
+            raise ValueError(f"duplicate registry MAC {mac}")
+        devices[mac] = device_id
     nobody = len(devices)  # the owner of an unattributed row
     owner_of_mac = np.full(len(table.names.macs), nobody)
     for position, mac in enumerate(devices):
@@ -617,8 +675,9 @@ def split_by_device(
     owner = np.where(by_source < nobody, by_source, owner_of_mac[table.dst_mac])
     grouped = table.take(np.argsort(owner, kind="stable"))
     bounds = [0, *np.cumsum(np.bincount(owner, minlength=nobody + 1)).tolist()]
+    grouping = _Grouping(grouped, bounds[:-1], list(devices))
     streams = [
-        DeviceStream(device_id, mac, table=grouped.take(slice(bounds[position], bounds[position + 1])))
+        DeviceStream(device_id, mac, grouping=grouping, group=position)
         for position, (mac, device_id) in enumerate(devices.items())
     ]
     return streams, grouped.take(slice(bounds[nobody], bounds[nobody + 1]))

@@ -9,8 +9,8 @@ labeled corpus.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from itertools import islice, tee
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -178,60 +178,102 @@ def classify_all(
     payloads: Sequence[AppPayload] | Iterable[AppPayload],
     config: ClassifierConfig = ClassifierConfig(),
 ) -> list[ClassificationResult]:
-    """``classify`` for each payload, in order, scoring ``_BATCH`` payloads
-    at a time as one stacked histogram matrix."""
-    results = []
-    for batch, lengths, entropy, chi, flags in _scored_batches(payloads, config):
+    """``classify`` for each payload, in order, read from the verdict
+    columns of each batch that ``_verdict_batches`` scores."""
+    indices: list[int] = []  # the batch being scored, added by data() as the batch is read
+
+    def data() -> Iterator[bytes]:
+        for payload in payloads:
+            indices.append(payload.packet_index)
+            yield payload.data
+
+    results: list[ClassificationResult] = []
+    for verdicts in _verdict_batches(data(), config):
+        results += verdicts.results(indices)
+        indices.clear()
+    return results
+
+
+# A consensus code is its verdict's position here.
+_CONSENSUS = (CLEARTEXT, ENCRYPTED, INDETERMINATE)
+
+
+class _VerdictColumns(NamedTuple):
+    """The verdicts of payloads, one entry per payload in order: a
+    ``consensus`` code (into ``_CONSENSUS``), a ``(3, n)`` array of ``flags``
+    (one row per method in ``METHODS`` order), and ``entropy`` and ``chi``
+    values. ``column[..., rows]`` selects rows of any of them."""
+
+    consensus: np.ndarray
+    flags: np.ndarray
+    entropy: np.ndarray
+    chi: np.ndarray
+
+    def results(self, packet_indices: list[int], rows: slice = slice(None)) -> list[ClassificationResult]:
+        """The ClassificationResult of each payload of ``rows``, as the
+        packets ``packet_indices`` in order."""
+        columns = (*self.flags[:, rows].tolist(), self.entropy[rows].tolist(), self.chi[rows].tolist())
+        return [
+            ClassificationResult(packet_index, ascii_verdict, entropy_bits, entropy_verdict, chi_value, chi_verdict,
+                                 _CONSENSUS[code])
+            for packet_index, code, ascii_verdict, entropy_verdict, chi_verdict, entropy_bits, chi_value in zip(
+                packet_indices, self.consensus[rows].tolist(), *columns)
+        ]
+
+
+def _verdict_batches(rows: Iterable[bytes], config: ClassifierConfig) -> Iterator[_VerdictColumns]:
+    """The verdict columns of each batch of payloads in ``rows`` that
+    ``_scored_batches`` scores.
+
+    This is the one place the verdict rule is applied: the configured
+    decision method decides payloads of at least ``min_stat_len`` bytes;
+    shorter ones fall back to the ASCII test and are indeterminate when that
+    test fails too.
+    """
+    for lengths, entropy, chi, flags in _scored_batches(rows, config):
         if config.decision_method == "majority":
             decided = flags.sum(axis=0) >= 2
         else:
             decided = flags[METHODS.index(config.decision_method)]
-        # below min_stat_len the ASCII test decides instead
         short = lengths < config.min_stat_len
-        columns = (short, np.where(short, flags[0], decided), *flags, entropy, chi)
-        for payload, is_short, cleartext, ascii_verdict, entropy_verdict, chi_verdict, entropy_bits, chi_value in zip(
-            batch, *(column.tolist() for column in columns)
-        ):
-            results.append(
-                ClassificationResult(
-                    packet_index=payload.packet_index,
-                    ascii_verdict=ascii_verdict,
-                    entropy_bits=entropy_bits,
-                    entropy_verdict=entropy_verdict,
-                    chi_squared=chi_value,
-                    chi_verdict=chi_verdict,
-                    consensus=CLEARTEXT if cleartext else INDETERMINATE if is_short else ENCRYPTED,
-                )
-            )
-    return results
+        cleartext = np.where(short, flags[0], decided)
+        consensus = np.where(cleartext, 0, np.where(short, 2, 1)).astype(np.int8)
+        yield _VerdictColumns(consensus, flags, entropy, chi)
+
+
+def _verdict_columns(rows: Iterable[bytes], config: ClassifierConfig) -> _VerdictColumns:
+    """The verdict columns of every payload in ``rows``, joined from those
+    of its batches."""
+    empty = _VerdictColumns(np.empty(0, np.int8), np.empty((3, 0), bool), np.empty(0), np.empty(0))
+    batches = zip(empty, *_verdict_batches(rows, config))
+    return _VerdictColumns(*(np.concatenate(column, axis=-1) for column in batches))
 
 
 def _scored_batches(
-    items: Iterable, config: ClassifierConfig
-) -> Iterator[tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Read ``items`` (anything with a ``data`` attribute) in lists of at most
-    ``_BATCH`` and score each list as one stacked ``(k, 256)`` histogram
-    matrix, so an iterable is never held in memory whole. The matrix is
-    counted by ``_batch_counts``, one bincount per run of rows rather than
-    one per payload.
+    rows: Iterable[bytes], config: ClassifierConfig
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Read payload bytes from ``rows`` in lists of at most ``_BATCH`` and
+    score each list as one stacked ``(k, 256)`` histogram matrix, so an
+    iterable is never held in memory whole. The matrix is counted by
+    ``_batch_counts``, one bincount per run of rows rather than one per
+    payload.
 
-    Yields each list with its lengths, entropies and chi-squared values, and
-    a ``(3, k)`` array of cleartext flags, one row per method in ``METHODS``
+    Yields each list's lengths, entropies and chi-squared values, and a
+    ``(3, k)`` array of cleartext flags, one row per method in ``METHODS``
     order. This is the one place the thresholds are applied: entropy flags
     cleartext when strictly below ``entropy_threshold``, chi-squared when
     strictly above ``chi_threshold``, and a tie at either counts as
     encrypted.
     """
-    items = iter(items)
-    while batch := list(islice(items, _BATCH)):
-        rows = [item.data for item in batch]
-        lengths = [len(row) for row in rows]
+    rows = iter(rows)
+    while batch := list(islice(rows, _BATCH)):
+        lengths = [len(row) for row in batch]
         if not all(lengths):
             raise EmptyPayload("payload is empty")
         n = np.array(lengths, dtype=np.float64)
-        is_ascii, entropy, chi = _statistics(_batch_counts(rows, lengths), n[:, np.newaxis])
+        is_ascii, entropy, chi = _statistics(_batch_counts(batch, lengths), n[:, np.newaxis])
         flags = np.array((is_ascii, entropy < config.entropy_threshold, chi > config.chi_threshold))
-        yield batch, n, entropy, chi, flags
+        yield n, entropy, chi, flags
 
 
 def _batch_counts(rows: Sequence[bytes], lengths: Sequence[int]) -> np.ndarray:
@@ -272,11 +314,13 @@ def compare_methods(
     true_positives = np.zeros(len(METHODS), dtype=np.int64)
     flagged = np.zeros(len(METHODS), dtype=np.int64)
     total = cleartext = 0
-    for batch, _, _, _, flags in _scored_batches(corpus, config):
-        is_cleartext = np.array([item.label == CLEARTEXT for item in batch])
+    # both copies advance a batch at a time, so tee holds at most one batch
+    items, labelled = tee(corpus)
+    for n, _, _, flags in _scored_batches((item.data for item in items), config):
+        is_cleartext = np.array([item.label == CLEARTEXT for item in islice(labelled, len(n))])
         true_positives += (flags & is_cleartext).sum(axis=1)
         flagged += flags.sum(axis=1)
-        total += len(batch)
+        total += len(n)
         cleartext += int(is_cleartext.sum())
     if total == 0:
         raise EmptyCorpus("corpus has no payloads")

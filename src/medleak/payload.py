@@ -56,22 +56,17 @@ def payload_rows(table: PacketTable) -> np.ndarray:
     return table.head >= 0
 
 
-def app_payloads(table: PacketTable, rows: np.ndarray, device_mac: str) -> list[AppPayload]:
-    """The AppPayload of each of ``rows`` (payload rows, by number) of the
-    table of the device ``device_mac``, in order."""
-    outbound = table.src_mac[rows] == table.mac_id(device_mac)
-    payloads = table.payloads
+def extract_payloads(stream: DeviceStream) -> list[AppPayload]:
+    """One AppPayload per row of the stream that ``payload_rows`` selects."""
+    table = stream.table
+    rows = payload_rows(table).nonzero()[0]
+    outbound = stream.outbound[rows]
     return [
-        AppPayload(index, "outbound" if out else "inbound", (src_port, dst_port), payloads[row])
+        AppPayload(index, "outbound" if out else "inbound", (src_port, dst_port), table.payloads[row])
         for index, out, src_port, dst_port, row in zip(
             table.index[rows].tolist(), outbound.tolist(), table.src_port[rows].tolist(),
             table.dst_port[rows].tolist(), rows.tolist())
     ]
-
-
-def extract_payloads(stream: DeviceStream) -> list[AppPayload]:
-    """One AppPayload per row of the stream that ``payload_rows`` selects."""
-    return app_payloads(stream.table, payload_rows(stream.table).nonzero()[0], stream.mac)
 
 
 # Every verdict the TLS rule can give, built once and shared (TlsVerdict is

@@ -4,15 +4,23 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .capture import DeviceStream, parse_capture, split_by_device
-from .classifiers import CLEARTEXT, ENCRYPTED, INDETERMINATE, classify_all
+from .capture import DeviceStream, _Grouping, parse_capture, split_by_device
+from .classifiers import (
+    _CONSENSUS,
+    CLEARTEXT,
+    ENCRYPTED,
+    INDETERMINATE,
+    ClassificationResult,
+    _VerdictColumns,
+    _verdict_columns,
+)
 from .config import RunConfig, load_dictionaries
 from .leaks import (
     LeakFinding,
@@ -34,7 +42,7 @@ from .metadata import (
     periodicity_hint,
     resolve_hostnames,
 )
-from .payload import app_payloads, parse_http, payload_rows
+from .payload import AppPayload, parse_http, payload_rows
 
 SCHEMA_VERSION = 1
 
@@ -46,9 +54,6 @@ EXIT_OK = 0
 EXIT_WARN = 1
 EXIT_LEAK = 2
 EXIT_ERROR = 3
-
-_TLS = "tls"  # analyze_stream's tally key beside the three classifier verdicts
-
 
 @dataclass
 class DeviceReport:
@@ -93,6 +98,50 @@ def _status(findings: list[LeakFinding]) -> str:
     return STATUS_OK
 
 
+class _CapturePass:
+    """What ``analyze_stream`` reads of the streams of one grouping, computed
+    once for all of them: each group's TLS tally and verdict tally, and each
+    cleartext row's fields and verdict, from one classification of every
+    grouped non-TLS payload. ``analyze`` builds this object per capture and
+    drops it with the capture; ``analyze_stream`` called without one builds
+    its own over its stream's rows alone."""
+
+    def __init__(self, grouping: _Grouping, config: RunConfig) -> None:
+        self.grouping = grouping
+        table, bounds = grouping.table, grouping.bounds
+        groups = len(bounds) - 1
+        grouped = slice(0, bounds[-1])
+        owner = np.repeat(np.arange(groups), np.diff(bounds))
+        tls = table.tls[grouped]
+        self.tls_counts = np.bincount(owner[tls], minlength=groups).tolist()
+        # TLS rows are only counted: the other payload rows are classified
+        plain = (payload_rows(table)[grouped] & ~tls).nonzero()[0]
+        verdicts = _verdict_columns((table.payloads[row] for row in plain.tolist()), config)
+        codes = verdicts.consensus
+        tallies = np.bincount(owner[plain] * len(_CONSENSUS) + codes, minlength=groups * len(_CONSENSUS))
+        self.tallies = tallies.reshape(groups, len(_CONSENSUS)).tolist()
+        # the cleartext rows' verdicts, and their fields as the rows of a matrix
+        cleartext = (codes == _CONSENSUS.index(CLEARTEXT)).nonzero()[0]
+        self.verdicts = _VerdictColumns(*(column[..., cleartext] for column in verdicts))
+        rows = plain[cleartext]
+        self.fields = np.array((rows, table.index[rows], grouping.outbound[rows], table.src_port[rows],
+                                table.dst_port[rows], table.ts_us[rows]), np.int64)
+        self.bounds = np.searchsorted(rows, bounds).tolist()
+
+    def cleartext_payloads(self, group: int) -> Iterator[tuple[AppPayload, float, ClassificationResult]]:
+        """Each cleartext payload of the group, in row order, with its
+        capture time in seconds and its verdict."""
+        first, after = self.bounds[group], self.bounds[group + 1]
+        if first == after:
+            return
+        payloads = self.grouping.table.payloads
+        fields = self.fields[:, first:after].tolist()
+        verdicts = self.verdicts.results(fields[1], slice(first, after))
+        for row, index, outbound, src_port, dst_port, ts_us, verdict in zip(*fields, verdicts):
+            payload = AppPayload(index, "outbound" if outbound else "inbound", (src_port, dst_port), payloads[row])
+            yield payload, ts_us / 1_000_000, verdict
+
+
 def analyze_stream(
     capture_name: str,
     stream: DeviceStream,
@@ -100,23 +149,17 @@ def analyze_stream(
     config: RunConfig,
     dictionaries,
     run: _MiningRun | None = None,
+    capture: _CapturePass | None = None,
 ) -> DeviceReport:
     run = run or _MiningRun(dictionaries, config.vendor_patterns)
+    if capture is None:
+        capture, group = _CapturePass(_Grouping.alone(stream.table, stream.mac), config), 0
+    else:
+        group = stream.group
     findings: list[LeakFinding] = []
     timed_messages: list[TimedMessage] = []
-    tally: Counter[str] = Counter()
 
-    # TLS rows are only counted: an AppPayload is built for the other payload rows.
-    table = stream.table
-    rows = (payload_rows(table) ^ table.tls).nonzero()[0]  # every TLS row is a payload row
-    tally[_TLS] = int(np.count_nonzero(table.tls))
-    plain = app_payloads(table, rows, stream.mac)
-    timestamps = (table.ts_us[rows] / 1_000_000).tolist()
-
-    for payload, timestamp, verdict in zip(plain, timestamps, classify_all(plain, config)):
-        tally[verdict.consensus] += 1
-        if verdict.consensus != CLEARTEXT:
-            continue
+    for payload, timestamp, verdict in capture.cleartext_payloads(group):
         payload_findings = scan_cleartext_payload(payload, verdict, dictionaries, run)
         findings.extend(payload_findings)
         message = parse_http(payload.data)
@@ -150,14 +193,15 @@ def analyze_stream(
 
     hostnames = resolve_hostnames(stream, dns_answers)
     activity = activity_periods(stream, config.gap_threshold, hostnames)
+    tls_count, tally = capture.tls_counts[group], dict(zip(_CONSENSUS, capture.tallies[group]))
     return DeviceReport(
         capture=capture_name,
         device_id=stream.device_id,
         mac=stream.mac,
-        packet_count=len(table),
-        payload_count=sum(tally.values()),
+        packet_count=len(stream.table),
+        payload_count=tls_count + sum(tally.values()),
         cleartext_count=tally[CLEARTEXT],
-        tls_count=tally[_TLS],
+        tls_count=tls_count,
         encrypted_count=tally[ENCRYPTED],
         indeterminate_count=tally[INDETERMINATE],
         findings=findings,
@@ -172,7 +216,9 @@ def analyze(captures, config: RunConfig) -> AnalysisResult:
     """Run the full pipeline over capture files and build device reports.
 
     Reports are deterministic for identical inputs. ``config`` was checked
-    when it was built and is only read.
+    when it was built and is only read. Each capture's streams share one
+    ``_CapturePass``; each stream's table is built when the stream is
+    analysed and dropped with the stream right after.
     """
     dictionaries = load_dictionaries(config.dict_dir)
     run = _MiningRun(dictionaries, config.vendor_patterns)
@@ -187,8 +233,10 @@ def analyze(captures, config: RunConfig) -> AnalysisResult:
         if len(unattributed):
             warnings.append(f"{path.name}: {len(unattributed)} packets unattributed")
         dns_answers = extract_dns_answers(parsed.table)
-        for stream in streams:
-            reports.append(analyze_stream(path.name, stream, dns_answers, config, dictionaries, run))
+        capture = _CapturePass(streams[0].grouping, config) if streams else None
+        for position in range(len(streams)):
+            stream, streams[position] = streams[position], None  # the list keeps no analysed stream
+            reports.append(analyze_stream(path.name, stream, dns_answers, config, dictionaries, run, capture))
 
     return AnalysisResult(reports=reports, warnings=warnings)
 

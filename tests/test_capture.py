@@ -280,6 +280,15 @@ class TestSplitByDevice:
         streams, _ = split_by_device([packet], {"00-24-E4-1B-20-31": "monitor"})
         assert len(streams[0].packets) == 1
 
+    def test_two_spellings_of_one_mac_are_rejected_not_merged(self):
+        """Each registry entry gets a stream, so two entries that name one
+        MAC cannot both have one: the split refuses the registry, as
+        RunConfig does, instead of keeping the last label."""
+        packets = parse_capture(build_fixture_capture("bp-monitor-leaky")).table
+        registry = {"00:24:E4:1B:20:31": "first", "00:24:e4:1b:20:31": "second"}
+        with pytest.raises(ValueError, match="duplicate registry MAC 00:24:e4:1b:20:31"):
+            split_by_device(packets, registry)
+
 
 def test_normalize_mac_accepts_common_forms():
     assert normalize_mac("AA:BB:CC:DD:EE:FF") == "aa:bb:cc:dd:ee:ff"

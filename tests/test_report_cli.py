@@ -6,22 +6,23 @@ import json
 import os
 import random
 import re
-import struct
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from medleak.capture import GLOBAL_HEADER_LEN, RECORD_HEADER_LEN, parse_capture, split_by_device
+from medleak.capture import parse_capture, split_by_device
 from medleak.classifiers import (
     DECISION_METHODS,
     DEFAULT_CHI_THRESHOLD,
     DEFAULT_ENTROPY_THRESHOLD,
     ClassifierConfig,
-    classify_all,
+    _verdict_columns,
+    _VerdictColumns,
     compare_methods,
 )
 from medleak import cli
@@ -64,6 +65,7 @@ from medleak.report import (
 )
 
 from _oracles import analyze_stream_oracle
+from conftest import stitch_random_captures
 
 
 def _config(scenario):
@@ -233,11 +235,11 @@ class TestAnalyze:
         assert self._streams_unlike_the_oracle(capture_streams) == 0
 
     def test_oracle_comparison_catches_verdicts_paired_off_by_one(self, capture_streams, monkeypatch):
-        def shifted(payloads, config):
-            verdicts = classify_all(payloads, config)
-            return verdicts[1:] + verdicts[:1]
+        def shifted(rows, config):
+            verdicts = _verdict_columns(rows, config)
+            return _VerdictColumns(*(np.roll(column, 1, axis=-1) for column in verdicts))
 
-        monkeypatch.setattr(report_module, "classify_all", shifted)
+        monkeypatch.setattr(report_module, "_verdict_columns", shifted)
         assert self._streams_unlike_the_oracle(capture_streams) > 0
 
     HAND_BUILT_DEVICE = "02:11:22:33:44:55"
@@ -413,18 +415,9 @@ class TestRender:
         rendering is at most twice the output's size plus a fixed slack, and
         the pieces join into exactly the document that one dump of the whole
         report gives."""
-        records, registry = [], {}
-        for seed in range(80):
-            data, seed_registry = generate_random_capture(seed)
-            offset = GLOBAL_HEADER_LEN  # the generator writes little-endian microsecond records
-            while offset < len(data):
-                sec, usec, caplen, _ = struct.unpack_from("<IIII", data, offset)
-                offset += RECORD_HEADER_LEN
-                records.append((sec * 1_000_000 + usec + seed * 86_400_000_000, data[offset : offset + caplen]))
-                offset += caplen
-            registry.update(seed_registry)
+        data, registry = stitch_random_captures(80)
         path = tmp_path / "stitched.pcap"
-        path.write_bytes(write_pcap(records))
+        path.write_bytes(data)
         reports = analyze([path], RunConfig(registry=registry)).reports
         assert len(reports) > 100
         tracemalloc.start()
