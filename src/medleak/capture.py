@@ -182,11 +182,6 @@ class PacketTable:
     names: Names
 
     @classmethod
-    def of(cls, packets: PacketTable | Iterable[RawPacket]) -> PacketTable:
-        """``packets`` itself when it is a table, else the table of those packets."""
-        return packets if isinstance(packets, PacketTable) else cls.from_packets(packets)
-
-    @classmethod
     def from_packets(cls, packets: Iterable[RawPacket]) -> PacketTable:
         """The table of RawPackets, one row each, in their order."""
         packets = list(packets)
@@ -456,31 +451,17 @@ class _Decoder:
         return table
 
 
-class _Rows:
-    """Rows held as a ``table`` or as a ``packets`` list: whichever one was
-    given, the other is built from it on first read."""
-
-    @cached_property
-    def table(self) -> PacketTable:
-        return PacketTable.from_packets(self.packets)
-
-    @cached_property
-    def packets(self) -> list[RawPacket]:
-        return self.table.packets()
-
-
-class CaptureParse(_Rows):
+@dataclass(eq=False)
+class CaptureParse:
     """A decoded capture: its rows and the warning of each skipped frame."""
 
-    def __init__(self, packets: list[RawPacket] | None = None, warnings: list[str] | None = None,
-                 table: PacketTable | None = None) -> None:
-        if (packets is None) == (table is None):
-            raise TypeError("CaptureParse takes packets or a table")
-        self.warnings = [] if warnings is None else warnings
-        if table is not None:
-            self.table = table
-        else:
-            self.packets = packets
+    table: PacketTable
+    warnings: list[str]
+
+    @property
+    def packets(self) -> PacketTable:
+        """The table, read as a collection of RawPackets."""
+        return self.table
 
 
 class _Grouping:
@@ -512,38 +493,30 @@ class _Grouping:
         return slice(self.bounds[group], self.bounds[group + 1])
 
 
-class DeviceStream(_Rows):
-    """One device's packets (in time order when they come from
+class DeviceStream:
+    """One device's rows (in time order when they come from
     ``split_by_device``); the stage functions read its table.
 
-    A stream is given its packets, its table, or its ``group`` of a
-    ``grouping`` of a capture's rows; then its table is taken from the
-    grouped table when first read.
+    A stream is group ``group`` of a ``grouping`` of a capture's rows, and
+    its table is taken from the grouped table when first read. A stream
+    given its own table (an empty one when given neither) is the one group
+    of ``_Grouping.alone`` of that table. ``mac`` is canonicalized by
+    ``normalize_mac``, so a malformed MAC is a ValueError.
     """
 
-    def __init__(self, device_id: str, mac: str, packets: Iterable[RawPacket] | None = None,
-                 table: PacketTable | None = None, *, grouping: _Grouping | None = None, group: int = 0) -> None:
+    def __init__(self, device_id: str, mac: str, table: PacketTable | None = None, *,
+                 grouping: _Grouping | None = None, group: int = 0) -> None:
         self.device_id = device_id
-        self.mac = mac
+        self.mac = normalize_mac(mac)
         self.group = group
-        if grouping is not None:
-            self.grouping = grouping
-        elif table is not None:
-            self.table = table
-        else:
-            self.packets = list(packets or ())
+        if grouping is None:
+            self.table = PacketTable.from_packets(()) if table is None else table
+            grouping = _Grouping.alone(self.table, self.mac)
+        self.grouping = grouping
 
     @cached_property
     def table(self) -> PacketTable:
-        if "grouping" not in vars(self):
-            return PacketTable.from_packets(self.packets)
         return self.grouping.table.take(self.grouping.rows(self.group))
-
-    @cached_property
-    def grouping(self) -> _Grouping:
-        """The grouping this stream is group ``group`` of: for a stream
-        given its packets or table, the grouping of its own rows alone."""
-        return _Grouping.alone(self.table, self.mac)
 
     @cached_property
     def remote(self) -> np.ndarray:
@@ -558,7 +531,8 @@ class DeviceStream(_Rows):
         return self.grouping.outbound[self.grouping.rows(self.group)]
 
     def __repr__(self) -> str:
-        return f"DeviceStream(device_id={self.device_id!r}, mac={self.mac!r}, rows={len(self.table)})"
+        rows = self.grouping.rows(self.group)
+        return f"DeviceStream(device_id={self.device_id!r}, mac={self.mac!r}, rows={rows.stop - rows.start})"
 
 
 _CANONICAL_MAC = re.compile(r"[0-9a-f]{2}(?::[0-9a-f]{2}){5}")
@@ -638,34 +612,39 @@ def parse_capture(source: bytes | BinaryIO) -> CaptureParse:
         decoder.block(block, starts, index)
         index += len(starts)
         offset += used
-    return CaptureParse(warnings=decoder.warnings, table=decoder.table())
+    return CaptureParse(decoder.table(), decoder.warnings)
 
 
-def split_by_device(
-    packets: PacketTable | Iterable[RawPacket], registry: Mapping[str, str]
-) -> tuple[list[DeviceStream], PacketTable]:
-    """Partition packets (a table, or RawPackets) into per-device streams
-    keyed by MAC address, and the table of the unattributed rest.
-
-    Each packet lands in exactly one stream (matched by source or destination
-    MAC) or in the unattributed table. When both endpoints are registered the
-    packet is attributed to the source device. A stream is produced for every
-    registry entry, empty or not, in registry order, and keeps its packets in
-    their order in ``packets``: a stable argsort by owner groups the rows, and
-    the streams are the groups of one ``_Grouping`` of the grouped table,
-    each taking its slice of it when its table is first read. Two registry
-    spellings of one MAC are a ValueError.
-    """
-    table = PacketTable.of(packets)
-    if not registry:
-        log.warning("empty device registry: all %d packets unattributed", len(table))
-        return [], table
+def canonical_registry(registry: Mapping[str, str]) -> dict[str, str]:
+    """The device registry keyed by canonical MAC, in its order. A malformed
+    MAC, or two spellings of one MAC, is a ValueError."""
     devices: dict[str, str] = {}
     for mac, device_id in registry.items():
         mac = normalize_mac(mac)
         if mac in devices:
             raise ValueError(f"duplicate registry MAC {mac}")
         devices[mac] = device_id
+    return devices
+
+
+def split_by_device(table: PacketTable, registry: Mapping[str, str]) -> tuple[list[DeviceStream], PacketTable]:
+    """Partition a capture's table into per-device streams keyed by MAC
+    address, and the table of the unattributed rest.
+
+    Each row lands in exactly one stream (matched by source or destination
+    MAC) or in the unattributed table. When both endpoints are registered the
+    row is attributed to the source device. A stream is produced for every
+    registry entry, empty or not, in registry order, and keeps its rows in
+    their order in ``table``: a stable argsort by owner groups the rows, and
+    the streams are the groups of one ``_Grouping`` of the grouped table,
+    each taking its slice of it when its table is first read. The registry
+    is read by ``canonical_registry``, so a malformed or repeated MAC is a
+    ValueError.
+    """
+    if not registry:
+        log.warning("empty device registry: all %d packets unattributed", len(table))
+        return [], table
+    devices = canonical_registry(registry)
     nobody = len(devices)  # the owner of an unattributed row
     owner_of_mac = np.full(len(table.names.macs), nobody)
     for position, mac in enumerate(devices):

@@ -15,7 +15,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .capture import normalize_mac
+from .capture import canonical_registry
 from .classifiers import ClassifierConfig, numeric_fields
 from .leaks import DEFAULT_IDENTIFIER_KEYS, DEFAULT_IMAGE_WINDOW, DICTIONARIES, Dictionary, normalize_text
 from .metadata import DEFAULT_GAP_THRESHOLD
@@ -48,12 +48,7 @@ class RunConfig(ClassifierConfig):
     def __post_init__(self) -> None:
         try:
             super().__post_init__()
-            registry: dict[str, str] = {}
-            for mac, device_id in self.registry.items():
-                canonical = normalize_mac(mac)
-                if canonical in registry:
-                    raise ValueError(f"duplicate registry MAC {canonical}")
-                registry[canonical] = device_id
+            registry = canonical_registry(self.registry)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         object.__setattr__(self, "registry", MappingProxyType(registry))

@@ -11,12 +11,11 @@ import ipaddress
 import statistics
 import struct
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capture import DeviceStream, PacketTable, RawPacket
+from .capture import DeviceStream, PacketTable
 from .leaks import _MiningRun, matches_vendor  # noqa: F401 (unused: bench/tests/test_perfbench.py pins this binding)
 from .payload import parse_http
 
@@ -136,10 +135,9 @@ def _parse_dns_response(data: bytes) -> dict[str, str]:
     return answers
 
 
-def extract_dns_answers(packets: PacketTable | Iterable[RawPacket]) -> dict[str, str]:
+def extract_dns_answers(table: PacketTable) -> dict[str, str]:
     """address -> hostname map from every DNS response (a UDP payload from
-    port 53) in a capture, given as a table or as RawPackets."""
-    table = PacketTable.of(packets)
+    port 53) in a capture's table."""
     answers: dict[str, str] = {}
     for row in ((table.proto == 17) & (table.src_port == 53)).nonzero()[0].tolist():
         for address, hostname in _parse_dns_response(table.payloads[row]).items():

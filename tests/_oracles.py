@@ -7,6 +7,7 @@ import math
 import re
 import struct
 from fnmatch import fnmatchcase
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from medleak.capture import (
     GLOBAL_HEADER_LEN,
     LINKTYPE_ETHERNET,
     RECORD_HEADER_LEN,
-    CaptureParse,
     IpInfo,
     MalformedCapture,
     RawPacket,
@@ -295,7 +295,15 @@ def _decode_frame(index: int, ts_us: int, frame: bytes) -> tuple[RawPacket | Non
     return packet, None
 
 
-def parse_capture_oracle(data: bytes) -> CaptureParse:
+class OracleParse(NamedTuple):
+    """What ``parse_capture_oracle`` decodes: a list of RawPackets and the
+    warning of each skipped frame."""
+
+    packets: list[RawPacket]
+    warnings: list[str]
+
+
+def parse_capture_oracle(data: bytes) -> OracleParse:
     """Decode a classic libpcap capture into RawPackets.
 
     Frames with truncated headers are skipped and counted as warnings rather
@@ -341,7 +349,7 @@ def parse_capture_oracle(data: bytes) -> CaptureParse:
         packets.append(packet)
 
     packets.sort(key=lambda p: p.timestamp_us)  # stable: capture order kept on ties
-    return CaptureParse(packets=packets, warnings=warnings)
+    return OracleParse(packets, warnings)
 
 
 # --- the remote end of a packet, one packet at a time -------------------------
@@ -378,7 +386,7 @@ def split_by_device_oracle(packets, registry):
 
 def endpoint_profiles_oracle(stream, dns_answers=None, vendor_patterns=()) -> list[EndpointProfile]:
     counts = {}
-    for packet in stream.packets:
+    for packet in stream.table:
         address = remote_address(packet, stream.mac)
         if address is not None:
             counts[address] = counts.get(address, 0) + 1
@@ -400,7 +408,7 @@ def endpoint_profiles_oracle(stream, dns_answers=None, vendor_patterns=()) -> li
 
 def resolve_hostnames_oracle(stream, dns_answers=None) -> dict[str, str]:
     hostmap = dict(dns_answers or {})
-    for packet in stream.packets:
+    for packet in stream.table:
         if packet.transport is None or packet.transport.kind != "TCP" or not packet.payload:
             continue
         address = remote_address(packet, stream.mac)
@@ -417,7 +425,7 @@ def resolve_hostnames_oracle(stream, dns_answers=None) -> dict[str, str]:
 
 def extract_payloads_oracle(stream) -> list[AppPayload]:
     payloads: list[AppPayload] = []
-    for packet in stream.packets:
+    for packet in stream.table:
         if packet.transport is None or not packet.payload:
             continue
         direction = "outbound" if packet.src_mac == stream.mac else "inbound"
@@ -448,7 +456,8 @@ def activity_periods_oracle(
     gap_threshold: float = DEFAULT_GAP_THRESHOLD,
     hostnames: dict[str, str] | None = None,
 ) -> list[ActivityPeriod]:
-    if not stream.packets:
+    packets = list(stream.table)
+    if not packets:
         return []
     hostnames = hostnames or {}
     gap_us = gap_threshold * 1_000_000
@@ -468,8 +477,8 @@ def activity_periods_oracle(
         )
 
     periods: list[ActivityPeriod] = []
-    group = [stream.packets[0]]
-    for packet in stream.packets[1:]:
+    group = [packets[0]]
+    for packet in packets[1:]:
         if packet.timestamp_us - group[-1].timestamp_us <= gap_us:
             group.append(packet)
         else:
@@ -656,7 +665,7 @@ def http_hits_oracle(message, dictionaries, vendor_patterns, identifier_keys) ->
 
 
 def analyze_stream_oracle(capture_name, stream, dns_answers, config, dictionaries) -> DeviceReport:
-    packets_by_index = {p.index: p for p in stream.packets}
+    packets_by_index = {p.index: p for p in stream.table}
 
     payloads = extract_payloads_oracle(stream)
     findings = []
@@ -707,7 +716,7 @@ def analyze_stream_oracle(capture_name, stream, dns_answers, config, dictionarie
         capture=capture_name,
         device_id=stream.device_id,
         mac=stream.mac,
-        packet_count=len(stream.packets),
+        packet_count=len(stream.table),
         payload_count=len(payloads),
         cleartext_count=cleartext_count,
         tls_count=tls_count,

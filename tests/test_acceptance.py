@@ -161,7 +161,7 @@ def test_criterion_5_conservation_under_randomized_captures():
         data, registry = generate_random_capture(seed)
         parsed = parse_capture(data)
         streams, unattributed = split_by_device(parsed.packets, registry)
-        if sum(len(s.packets) for s in streams) + len(unattributed) != len(parsed.packets):
+        if sum(len(s.table) for s in streams) + len(unattributed) != len(parsed.packets):
             violations += 1
             continue
         by_index = {p.index: p for p in parsed.packets}
@@ -170,9 +170,9 @@ def test_criterion_5_conservation_under_randomized_captures():
         for stream in streams:
             periods_fine = activity_periods(stream, gap_threshold=5.0)
             periods_coarse = activity_periods(stream, gap_threshold=60.0)
-            if sum(p.packet_count for p in periods_fine) != len(stream.packets):
+            if sum(p.packet_count for p in periods_fine) != len(stream.table):
                 violations += 1
-            if sum(p.packet_count for p in periods_coarse) != len(stream.packets):
+            if sum(p.packet_count for p in periods_coarse) != len(stream.table):
                 violations += 1
             if len(periods_coarse) > len(periods_fine):
                 violations += 1

@@ -21,6 +21,7 @@ from medleak.capture import (
     DeviceStream,
     IpInfo,
     MalformedCapture,
+    PacketTable,
     RawPacket,
     TransportInfo,
     normalize_mac,
@@ -159,17 +160,17 @@ def test_nanosecond_variant_normalizes_to_microseconds():
     frame = _tcp_frame_by_hand(DEV_MAC, AP_MAC, b"\x01\x02\x03\x04", b"\x05\x06\x07\x08", 1, 2, b"x")
     data = b"\x4d\x3c\xb2\xa1" + struct.pack("<HHiIII", 2, 4, 0, 0, 65535, 1)
     data += _record(10, 123_456_789, frame)  # fractional field is nanoseconds here
-    result = parse_capture(data)
-    assert result.packets[0].timestamp_us == 10 * 1_000_000 + 123_456
+    (packet,) = parse_capture(data).packets
+    assert packet.timestamp_us == 10 * 1_000_000 + 123_456
 
 
 def test_big_endian_variant():
     frame = _tcp_frame_by_hand(DEV_MAC, AP_MAC, b"\x01\x02\x03\x04", b"\x05\x06\x07\x08", 7, 9, b"hi")
     data = b"\xa1\xb2\xc3\xd4" + struct.pack(">HHiIII", 2, 4, 0, 0, 65535, 1)
     data += struct.pack(">IIII", 42, 7, len(frame), len(frame)) + frame
-    result = parse_capture(data)
-    assert result.packets[0].transport.src_port == 7
-    assert result.packets[0].timestamp_us == 42 * 1_000_000 + 7
+    (packet,) = parse_capture(data).packets
+    assert packet.transport.src_port == 7
+    assert packet.timestamp_us == 42 * 1_000_000 + 7
 
 
 def test_runt_frame_is_skipped_with_warning():
@@ -197,8 +198,8 @@ def test_ethernet_padding_stripped_via_ip_total_length():
     frame = _tcp_frame_by_hand(DEV_MAC, AP_MAC, b"\x01\x02\x03\x04", b"\x05\x06\x07\x08", 1, 2, payload)
     padded = frame + b"\x00" * 10  # Ethernet trailer padding beyond the IP datagram
     data = _global_header(b"\xd4\xc3\xb2\xa1") + _record(1, 0, padded)
-    result = parse_capture(data)
-    assert result.packets[0].payload == payload
+    (packet,) = parse_capture(data).packets
+    assert packet.payload == payload
 
 
 def test_ipv6_tcp_frame_decodes_addresses_and_ports():
@@ -209,7 +210,7 @@ def test_ipv6_tcp_frame_decodes_addresses_and_ports():
     ipv6 = struct.pack("!IHBB", 6 << 28, len(tcp), 6, 64) + src + dst + tcp
     frame = AP_MAC + DEV_MAC + b"\x86\xdd" + ipv6
     data = _global_header(b"\xd4\xc3\xb2\xa1") + _record(1, 0, frame)
-    packet = parse_capture(data).packets[0]
+    (packet,) = parse_capture(data).packets
     assert packet.ip.src_addr == "2001:db8::1"
     assert packet.ip.dst_addr == "2001:db8::2"
     assert packet.transport.kind == "TCP"
@@ -221,7 +222,7 @@ def test_arp_frame_has_no_ip_or_transport():
     body = b"\x00\x01\x08\x00\x06\x04\x00\x01" + b"\x00" * 20
     frame = AP_MAC + DEV_MAC + b"\x08\x06" + body
     data = _global_header(b"\xd4\xc3\xb2\xa1") + _record(1, 0, frame)
-    packet = parse_capture(data).packets[0]
+    (packet,) = parse_capture(data).packets
     assert packet.ip is None
     assert packet.transport is None
     assert packet.payload == body
@@ -248,37 +249,37 @@ class TestSplitByDevice:
         packets = [_mk_packet(i, device, other) for i in range(3)]
         packets += [_mk_packet(3 + i, other, device) for i in range(3)]
         packets += [_mk_packet(6 + i, "cc:cc:cc:cc:cc:03", "dd:dd:dd:dd:dd:04") for i in range(4)]
-        streams, unattributed = split_by_device(packets, {device: "monitor"})
+        streams, unattributed = split_by_device(PacketTable.from_packets(packets), {device: "monitor"})
         assert len(streams) == 1
         assert streams[0].device_id == "monitor"
-        assert len(streams[0].packets) == 6
+        assert len(streams[0].table) == 6
         assert len(unattributed) == 4
 
     def test_zero_matching_registry(self):
         packets = [_mk_packet(i, "aa:aa:aa:aa:aa:01", "bb:bb:bb:bb:bb:02") for i in range(5)]
-        streams, unattributed = split_by_device(packets, {"00:11:22:33:44:55": "ghost"})
-        assert [len(s.packets) for s in streams] == [0]
+        streams, unattributed = split_by_device(PacketTable.from_packets(packets), {"00:11:22:33:44:55": "ghost"})
+        assert [len(s.table) for s in streams] == [0]
         assert len(unattributed) == 5
 
     def test_both_registered_goes_to_src_device(self):
         a, b = "aa:aa:aa:aa:aa:01", "bb:bb:bb:bb:bb:02"
         packet = _mk_packet(0, a, b)
-        streams, unattributed = split_by_device([packet], {a: "dev_a", b: "dev_b"})
-        by_id = {s.device_id: s.packets for s in streams}
+        streams, unattributed = split_by_device(PacketTable.from_packets([packet]), {a: "dev_a", b: "dev_b"})
+        by_id = {s.device_id: s.table for s in streams}
         assert len(by_id["dev_a"]) == 1
         assert by_id["dev_b"] == []
         assert unattributed == []
 
     def test_empty_registry_all_unattributed(self):
         packets = [_mk_packet(i, "aa:aa:aa:aa:aa:01", "bb:bb:bb:bb:bb:02") for i in range(3)]
-        streams, unattributed = split_by_device(packets, {})
+        streams, unattributed = split_by_device(PacketTable.from_packets(packets), {})
         assert streams == []
         assert len(unattributed) == 3
 
     def test_registry_mac_forms_are_normalized(self):
         packet = _mk_packet(0, "00:24:e4:1b:20:31", "ff:ff:ff:ff:ff:ff")
-        streams, _ = split_by_device([packet], {"00-24-E4-1B-20-31": "monitor"})
-        assert len(streams[0].packets) == 1
+        streams, _ = split_by_device(PacketTable.from_packets([packet]), {"00-24-E4-1B-20-31": "monitor"})
+        assert len(streams[0].table) == 1
 
     def test_two_spellings_of_one_mac_are_rejected_not_merged(self):
         """Each registry entry gets a stream, so two entries that name one
@@ -304,11 +305,11 @@ def test_partition_conservation(seed):
     data, registry = generate_random_capture(seed)
     packets = parse_capture(data).packets
     streams, unattributed = split_by_device(packets, registry)
-    assert sum(len(s.packets) for s in streams) + len(unattributed) == len(packets)
+    assert sum(len(s.table) for s in streams) + len(unattributed) == len(packets)
     for stream in streams:
-        assert all(p.src_mac == stream.mac or p.dst_mac == stream.mac for p in stream.packets)
+        assert all(p.src_mac == stream.mac or p.dst_mac == stream.mac for p in stream.table)
     # disjointness: every packet lands exactly once
-    seen = [p.index for s in streams for p in s.packets] + [p.index for p in unattributed]
+    seen = [p.index for s in streams for p in s.table] + [p.index for p in unattributed]
     assert sorted(seen) == sorted(p.index for p in packets)
 
 
@@ -418,7 +419,7 @@ def _ipv6_capture() -> bytes:
 
 def test_headers_are_shared_within_a_parse_and_never_across_parses():
     for data in (build_fixture_capture("mixed-home"), _ipv6_capture()):
-        first, second = parse_capture(data).packets, parse_capture(data).packets
+        first, second = list(parse_capture(data).packets), list(parse_capture(data).packets)
         assert first == second
         for field in ("ip", "transport"):
             headers = [getattr(p, field) for p in first if getattr(p, field) is not None]
@@ -544,7 +545,7 @@ def test_a_small_parsed_packet_keeps_only_what_analysis_reads():
     data = write_pcap([(1_700_000_000_000_000 + i * 1000, frame) for i in range(count)])
     result, _, retained = _traced(lambda: parse_capture(data))
     assert len(result.packets) == count and result.warnings == []
-    last = result.packets[-1]
+    last = list(result.packets)[-1]
     kept = sum(map(sys.getsizeof, (last, last.payload, last.index, last.timestamp_us))) + 8
     assert retained / count < kept + 24
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medleak.capture import DeviceStream, IpInfo, RawPacket, TransportInfo, parse_capture, split_by_device
+from medleak.capture import DeviceStream, IpInfo, PacketTable, RawPacket, TransportInfo, parse_capture, split_by_device
 from medleak.corpus import (
     SCENARIOS,
     build_fixture_capture,
@@ -55,7 +55,7 @@ def _packet(index, t_seconds, outbound=True, remote="89.30.121.52", payload=b"",
 
 
 def _stream(packets):
-    return DeviceStream("monitor", DEV, packets)
+    return DeviceStream("monitor", DEV, PacketTable.from_packets(packets))
 
 
 class TestActivityPeriods:

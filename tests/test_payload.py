@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medleak.capture import DeviceStream, IpInfo, RawPacket, TransportInfo
+from medleak.capture import DeviceStream, IpInfo, PacketTable, RawPacket, TransportInfo
 from medleak.payload import (
     _LINE_SPLIT,
     _REQUEST_LINE,
@@ -53,24 +53,25 @@ class TestExtractPayloads:
             _packet(3, b""),
             _packet(4, b"!"),
         ]
-        stream = DeviceStream("monitor", DEV, packets)
+        stream = DeviceStream("monitor", DEV, PacketTable.from_packets(packets))
         extracted = extract_payloads(stream)
         assert [p.packet_index for p in extracted] == [0, 2, 4]
 
     def test_udp_dns_query_payload(self):
         dns = b"\x3a\x21\x01\x00\x00\x01\x00\x00\x00\x00\x00\x00\x07scalews\x08withings\x03net\x00\x00\x01\x00\x01"
-        stream = DeviceStream("monitor", DEV, [_packet(0, dns, kind="UDP", sport=42333, dport=53)])
+        table = PacketTable.from_packets([_packet(0, dns, kind="UDP", sport=42333, dport=53)])
+        stream = DeviceStream("monitor", DEV, table)
         extracted = extract_payloads(stream)
         assert len(extracted) == 1
         assert extracted[0].data == dns
 
     def test_packet_without_transport_is_excluded(self):
         arp = _packet(0, b"\x00\x01\x08\x00", with_transport=False)
-        assert extract_payloads(DeviceStream("monitor", DEV, [arp])) == []
+        assert extract_payloads(DeviceStream("monitor", DEV, PacketTable.from_packets([arp]))) == []
 
     def test_direction_follows_device_mac(self):
         packets = [_packet(0, b"out", src=DEV, dst=AP), _packet(1, b"in", src=AP, dst=DEV)]
-        extracted = extract_payloads(DeviceStream("monitor", DEV, packets))
+        extracted = extract_payloads(DeviceStream("monitor", DEV, PacketTable.from_packets(packets)))
         assert [p.direction for p in extracted] == ["outbound", "inbound"]
 
     @settings(max_examples=100)
@@ -88,7 +89,7 @@ class TestExtractPayloads:
             _packet(i, data, kind, *((DEV, AP) if outbound else (AP, DEV)), dport=port, with_transport=transport)
             for i, (data, kind, outbound, transport, port) in enumerate(rows)
         ]
-        stream = DeviceStream("monitor", DEV, packets)
+        stream = DeviceStream("monitor", DEV, PacketTable.from_packets(packets))
         assert extract_payloads(stream) == extract_payloads_oracle(stream)
 
 

@@ -1,9 +1,10 @@
 """The columnar PacketTable against lists of RawPackets.
 
 Each stage that reads columns gives, on a stream backed by rows of a parsed
-capture's table, what it gives on ``DeviceStream(id, mac, list(packets))``
-and what the per-packet oracles give. ``analyze`` reads the table and builds
-RawPackets for no row.
+capture's table, what it gives on a stream given its own table, built from
+the rows' RawPackets by ``PacketTable.from_packets``, and what the
+per-packet oracles give. ``analyze`` reads the table and builds RawPackets
+for no row.
 """
 
 import math
@@ -64,17 +65,17 @@ def _assert_stages_agree(data: bytes, registry: dict[str, str]) -> None:
     _assert_row_flags(parsed.table, packets)
 
     streams, unattributed = split_by_device(parsed.table, registry)
-    listed, listed_rest = split_by_device(list(packets), registry)
+    listed, listed_rest = split_by_device(PacketTable.from_packets(packets), registry)
     want, want_rest = split_by_device_oracle(packets, registry)
-    assert [(s.device_id, s.mac, s.packets) for s in streams] == want
-    assert [(s.device_id, s.mac, s.packets) for s in listed] == want
+    assert [(s.device_id, s.mac, s.table) for s in streams] == want
+    assert [(s.device_id, s.mac, s.table) for s in listed] == want
     assert len(unattributed) == len(listed_rest) == len(want_rest)
     assert unattributed == listed_rest == want_rest
 
     dns = extract_dns_answers(parsed.table)
-    assert dns == extract_dns_answers(packets)
+    assert dns == extract_dns_answers(PacketTable.from_packets(packets))
     for stream in streams:
-        from_list = DeviceStream(stream.device_id, stream.mac, list(stream.packets))
+        from_list = DeviceStream(stream.device_id, stream.mac, PacketTable.from_packets(stream.table))
         assert extract_payloads(stream) == extract_payloads(from_list) == extract_payloads_oracle(from_list)
         for answers in (dns, {}):
             hostnames = resolve_hostnames(stream, answers)
@@ -146,16 +147,16 @@ def _unsorted_packets(draw) -> list[RawPacket]:
 @settings(max_examples=200, deadline=None)
 @given(packets=_unsorted_packets(), gap=st.sampled_from(GAPS) | st.floats(-5.0, 120.0))
 def test_a_stream_built_from_a_list_runs_the_column_code_as_the_oracles(packets, gap):
-    stream = DeviceStream("dev", DEV, packets)
-    assert stream.packets == packets and stream.table.packets() == packets
+    stream = DeviceStream("dev", DEV, PacketTable.from_packets(packets))
+    assert stream.table.packets() == packets
     hostnames = resolve_hostnames(stream, {})
     assert hostnames == resolve_hostnames_oracle(stream, {})
     assert activity_periods(stream, gap, hostnames) == activity_periods_oracle(stream, gap, hostnames)
     assert endpoint_profiles(stream, {}, PATTERNS) == endpoint_profiles_oracle(stream, {}, PATTERNS)
     _assert_row_flags(stream.table, packets)
     assert extract_payloads(stream) == extract_payloads_oracle(stream)
-    streams, unattributed = split_by_device(packets, {DEV: "dev"})
-    assert streams[0].packets == [p for p in packets if DEV in (p.src_mac, p.dst_mac)]
+    streams, unattributed = split_by_device(PacketTable.from_packets(packets), {DEV: "dev"})
+    assert streams[0].table == [p for p in packets if DEV in (p.src_mac, p.dst_mac)]
     assert list(unattributed) == []
 
 
@@ -183,7 +184,24 @@ def _tls_bulk_capture() -> bytes:
     return write_pcap(records)
 
 
-def test_analyze_reads_the_table_and_builds_no_packet_list(tmp_path, monkeypatch):
+@pytest.fixture
+def built_packets(monkeypatch) -> list[int]:
+    """The index of each RawPacket built from here on, as the capture module
+    builds them: its ``RawPacket`` is replaced by a subclass that records."""
+    built = []
+
+    class CountedPacket(RawPacket):
+        __slots__ = ()
+
+        def __init__(self, *fields):
+            built.append(fields[0])
+            super().__init__(*fields)
+
+    monkeypatch.setattr(capture, "RawPacket", CountedPacket)
+    return built
+
+
+def test_analyze_reads_the_table_and_builds_no_packet_list(tmp_path, monkeypatch, built_packets):
     data = _tls_bulk_capture()
     path = tmp_path / "tls-bulk.pcap"
     path.write_bytes(data)
@@ -199,42 +217,81 @@ def test_analyze_reads_the_table_and_builds_no_packet_list(tmp_path, monkeypatch
         read += transport.kind == "TCP" and packet.payload.startswith(_START_LINE_PREFIXES)
     assert 0 < read < len(packets) // 10
 
-    built, parses = [], []
-
-    class CountedPacket(RawPacket):
-        __slots__ = ()
-
-        def __init__(self, *fields):
-            built.append(fields[0])
-            super().__init__(*fields)
+    parses = []
 
     def recorded_parse(source):
         parses.append(parse_capture(source))
         return parses[-1]
 
-    monkeypatch.setattr(capture, "RawPacket", CountedPacket)
     monkeypatch.setattr(report, "parse_capture", recorded_parse)
     registry = {"02:00:00:00:00:01": "hub", "02:00:00:00:00:02": "scale"}
     result = report.analyze([path], RunConfig(registry=registry))
     assert [r.tls_count for r in result.reports] == [120, 120]
-    assert len(built) <= read
-    assert len(parses) == 1 and "packets" not in vars(parses[0])
+    assert len(built_packets) <= read
+    assert len(parses) == 1
     assert isinstance(parses[0].table, PacketTable) and len(parses[0].table) == len(packets)
+
+
+def test_counting_the_packets_of_a_parse_builds_none(built_packets):
+    """``len`` of a parse's packets reads its table: a traced pass that
+    counts the frames of a capture builds no RawPacket."""
+    data = _tls_bulk_capture()
+    assert len(parse_capture(data).packets) == len(parse_capture_oracle(data).packets)
+    assert built_packets == []
 
 
 def test_a_table_is_a_collection_of_its_packets():
     data, registry = generate_random_capture(3)
     parsed = parse_capture(data)
     table = parsed.table
-    assert len(table) == len(parsed.packets) and list(table) == parsed.packets
-    assert table == parsed.packets and table == tuple(parsed.packets) and table != parsed.packets[1:]
-    assert table.take(slice(2, 5)) == parsed.packets[2:5]
+    packets = table.packets()
+    assert parsed.packets is table
+    assert len(table) == len(packets) and list(table) == packets
+    assert table == packets and table == tuple(packets) and table != packets[1:]
+    assert table.take(slice(2, 5)) == packets[2:5]
     with pytest.raises(TypeError):
         hash(table)
     streams, unattributed = split_by_device(table, registry)
     # every stream's rows name the strings of the capture's table
     assert all(stream.table.names is table.names for stream in streams)
     assert sum(len(s.table) for s in streams) + len(unattributed) == len(table)
+
+
+def test_a_stream_reads_its_mac_in_any_spelling():
+    """A stream canonicalizes its MAC, so each row's direction and remote end
+    are those of the canonical MAC: the device's own address is never one of
+    its endpoints. A malformed MAC is refused."""
+    (mac, device_id), = fixture_registry("bp-monitor-leaky").items()
+    (stream,), _ = split_by_device(parse_capture(build_fixture_capture("bp-monitor-leaky")).table, {mac: device_id})
+    payloads, profiles = extract_payloads(stream), endpoint_profiles(stream, {}, PATTERNS)
+    assert sum(p.direction == "outbound" for p in payloads) == 7
+    assert "192.168.4.21" not in {profile.address for profile in profiles}
+    for spelling in (mac.upper(), mac.replace(":", "-"), mac.replace(":", "").upper()):
+        respelt = DeviceStream(device_id, spelling, stream.table)
+        assert respelt.mac == mac
+        assert extract_payloads(respelt) == payloads
+        assert endpoint_profiles(respelt, {}, PATTERNS) == profiles
+    with pytest.raises(ValueError, match="malformed MAC"):
+        DeviceStream(device_id, "00:24:e4:1b:20")
+
+
+def test_a_stream_given_no_table_is_empty():
+    stream = DeviceStream("dev", DEV)
+    assert len(stream.table) == 0 and stream.table == []
+    assert extract_payloads(stream) == [] and activity_periods(stream) == []
+    assert resolve_hostnames(stream, {}) == {} and endpoint_profiles(stream, {}, PATTERNS) == []
+    assert repr(stream) == f"DeviceStream(device_id='dev', mac={DEV!r}, rows=0)"
+
+
+def test_the_repr_of_a_split_stream_takes_no_table():
+    """A split stream's table is a copy of its rows, taken when first read:
+    ``repr`` counts the rows from the group's bounds and keeps no copy."""
+    table = parse_capture(build_fixture_capture("mixed-home")).table
+    streams, _ = split_by_device(table, fixture_registry("mixed-home"))
+    texts = [repr(stream) for stream in streams]
+    assert all("table" not in vars(stream) for stream in streams)
+    assert texts == [f"DeviceStream(device_id={s.device_id!r}, mac={s.mac!r}, rows={len(s.table)})" for s in streams]
+    assert all(len(stream.table) > 0 for stream in streams)
 
 
 def test_a_frame_longer_than_a_block_is_read_whole_and_warned_past_the_end():
