@@ -39,6 +39,7 @@ ETHERNET_HEADER_LEN = 14
 # start-line patterns of payload.parse_http are anchored).
 TLS_PORT = 443
 TLS_CONTENT_TYPES = frozenset({0x14, 0x15, 0x16, 0x17})
+TLS_RECORD_HEADER_LEN = 5  # content type, version, record length: all an application-data row keeps
 HTTP_METHODS = ("GET", "POST", "PUT", "DELETE", "HEAD", "OPTIONS", "PATCH", "TRACE", "CONNECT")
 _START_LINE_PREFIXES = tuple(f"{method} ".encode() for method in HTTP_METHODS) + (b"HTTP/",)
 
@@ -82,10 +83,12 @@ _KINDS = {number: kind for kind, number in _PROTOCOLS.items()}
 class RawPacket:
     """One captured frame, decoded through the transport layer.
 
-    ``payload`` holds whatever remains after every decoded header, and
-    ``frame_len`` is the captured frame's length; the frame itself is not
-    kept. Timestamps are normalized to integer microseconds since the epoch
-    regardless of the capture's native precision.
+    ``payload`` holds whatever remains after every decoded header, except
+    that a TLS application-data record is cut to its 5-byte record header
+    (``_payload_columns``). ``frame_len`` is the captured frame's length;
+    the frame itself is not kept. Timestamps are normalized to integer
+    microseconds since the epoch regardless of the capture's native
+    precision.
     """
 
     index: int
@@ -155,9 +158,10 @@ _COLUMNS = {
 @dataclass(slots=True, eq=False, repr=False)
 class PacketTable:
     """Decoded packets as columns: one numpy array per field in ``_COLUMNS``
-    and one list of payload bytes, all indexed by row. Ids name entries of
-    ``names``, which the tables taken from one capture's table share. A
-    table is read, never changed: ``take`` makes a new one.
+    and one list of payload bytes (an application-data record cut to its
+    record header, by ``_payload_columns``), all indexed by row. Ids name
+    entries of ``names``, which the tables taken from one capture's table
+    share. A table is read, never changed: ``take`` makes a new one.
 
     A table is also a read-only collection of RawPackets: ``len``, iteration
     and ``==`` against a list of packets see the rows as RawPackets, built
@@ -183,7 +187,8 @@ class PacketTable:
 
     @classmethod
     def from_packets(cls, packets: Iterable[RawPacket]) -> PacketTable:
-        """The table of RawPackets, one row each, in their order."""
+        """The table of RawPackets, one row each, in their order, under the
+        decode's payload rule."""
         packets = list(packets)
         names = Names()
         rows = []
@@ -204,7 +209,10 @@ class PacketTable:
         heads = b"".join(payload[:3].ljust(3, b"\0") for payload in payloads)
         head = np.frombuffer(heads, np.uint8).reshape(-1, 3).T.astype(np.int32)
         length = np.fromiter(map(len, payloads), np.int64, len(payloads))
-        columns["head"], columns["tls"] = _payload_columns(columns["src_port"], columns["dst_port"], head, length)
+        columns["head"], columns["tls"], kept = _payload_columns(
+            columns["src_port"], columns["dst_port"], head, length)
+        for row in (kept < length).nonzero()[0].tolist():
+            payloads[row] = payloads[row][: kept[row]]
         columns["http"] = _http_rows(columns["proto"], columns["head"], payloads)
         return cls(**columns, payloads=payloads, names=names)
 
@@ -264,19 +272,28 @@ _START_BYTE[[prefix[0] for prefix in _START_LINE_PREFIXES]] = True
 
 def _payload_columns(
     src_port: np.ndarray, dst_port: np.ndarray, head: np.ndarray, length: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``head`` and ``tls`` columns of rows with these ports (-1 without
     a transport layer), payload lengths and first three payload bytes
-    (``head``, one row per byte; those past a payload's length are not read).
+    (``head``, one row per byte; those past a payload's length are not read),
+    and the length of each payload that the table keeps.
 
     A transport payload that is not empty is TLS by the rule of
     ``payload.tls_verdict``, as one vector test: either port is 443, or the
     payload starts with a record header (content type 0x14-0x17, version
     major 3, minor 0..4).
+
+    A payload that starts with an application-data record (content type
+    0x17) keeps only its record header: content type, version and record
+    length. Nothing reads more of it, since the TLS rule reads three bytes
+    and a TLS payload is counted, never classified or mined. Handshake,
+    alert and change-cipher-spec records keep all their bytes.
     """
     payload = (src_port >= 0) & (length > 0)
-    record = (length >= 3) & _TLS_TYPE[head[0]] & (head[1] == 3) & (head[2] <= 4)
-    return np.where(payload, head[0], -1), payload & (record | (src_port == TLS_PORT) | (dst_port == TLS_PORT))
+    record = payload & (length >= 3) & _TLS_TYPE[head[0]] & (head[1] == 3) & (head[2] <= 4)
+    tls = record | payload & ((src_port == TLS_PORT) | (dst_port == TLS_PORT))
+    kept = np.where(record & (head[0] == 0x17), np.minimum(length, TLS_RECORD_HEADER_LEN), length)
+    return np.where(payload, head[0], -1), tls, kept
 
 
 def _http_rows(proto: np.ndarray, head: np.ndarray, payloads: list[bytes]) -> np.ndarray:
@@ -394,7 +411,8 @@ class _Decoder:
             "index": index, "ts_us": ts_us, "frame_len": size, "ip_proto": ip_proto,
             "proto": np.where(tcp, 6, np.where(udp, 17, 0)), "src_port": src_port, "dst_port": dst_port,
         }
-        values["head"], values["tls"] = _payload_columns(src_port, dst_port, head, end - start)
+        values["head"], values["tls"], kept = _payload_columns(src_port, dst_port, head, end - start)
+        end = start + kept
 
         bad = ~has_eth | bad4 | bad6 | bad_tcp | bad_udp
         if bad.any():
@@ -465,17 +483,20 @@ class CaptureParse:
 
 
 class _Grouping:
-    """A table whose rows are grouped by device: group ``k`` is rows
-    ``bounds[k]:bounds[k + 1]``, the rows of the device ``macs[k]``, and any
-    rows past the last group belong to none. Each grouped row's direction
-    and remote end are computed here once, for every group at a time."""
+    """A table's rows grouped by device, without copying them: ``order``
+    lists row numbers of the table, and group ``k`` is the rows
+    ``order[bounds[k]:bounds[k + 1]]``, those of the device ``macs[k]``; any
+    rows listed past the last group belong to none. Each grouped row's
+    direction and remote end are computed here once, for every group at a
+    time, in ``order``."""
 
-    __slots__ = ("table", "bounds", "outbound", "remote")
+    __slots__ = ("table", "order", "bounds", "outbound", "remote")
 
-    def __init__(self, table: PacketTable, bounds: list[int], macs: list[str]) -> None:
+    def __init__(self, table: PacketTable, order: np.ndarray, bounds: list[int], macs: list[str]) -> None:
         self.table = table
+        self.order = order
         self.bounds = bounds
-        grouped = slice(0, bounds[-1])
+        grouped = order[: bounds[-1]]
         device = np.repeat([table.mac_id(mac) for mac in macs], np.diff(bounds))
         # the device sent the row
         self.outbound = table.src_mac[grouped] == device
@@ -487,7 +508,7 @@ class _Grouping:
     @classmethod
     def alone(cls, table: PacketTable, mac: str) -> _Grouping:
         """The grouping of a table of one device's rows, as one group."""
-        return cls(table, [0, len(table)], [mac])
+        return cls(table, np.arange(len(table)), [0, len(table)], [mac])
 
     def rows(self, group: int) -> slice:
         return slice(self.bounds[group], self.bounds[group + 1])
@@ -498,9 +519,9 @@ class DeviceStream:
     ``split_by_device``); the stage functions read its table.
 
     A stream is group ``group`` of a ``grouping`` of a capture's rows, and
-    its table is taken from the grouped table when first read. A stream
-    given its own table (an empty one when given neither) is the one group
-    of ``_Grouping.alone`` of that table. ``mac`` is canonicalized by
+    its table is taken from the capture's table, in the grouping's order,
+    when first read. A stream given its own table (an empty one when given
+    neither) is the one group of ``_Grouping.alone`` of that table. ``mac`` is canonicalized by
     ``normalize_mac``, so a malformed MAC is a ValueError.
     """
 
@@ -516,7 +537,7 @@ class DeviceStream:
 
     @cached_property
     def table(self) -> PacketTable:
-        return self.grouping.table.take(self.grouping.rows(self.group))
+        return self.grouping.table.take(self.grouping.order[self.grouping.rows(self.group)])
 
     @cached_property
     def remote(self) -> np.ndarray:
@@ -636,8 +657,8 @@ def split_by_device(table: PacketTable, registry: Mapping[str, str]) -> tuple[li
     row is attributed to the source device. A stream is produced for every
     registry entry, empty or not, in registry order, and keeps its rows in
     their order in ``table``: a stable argsort by owner groups the rows, and
-    the streams are the groups of one ``_Grouping`` of the grouped table,
-    each taking its slice of it when its table is first read. The registry
+    the streams are the groups of one ``_Grouping`` of ``table`` in that
+    order, each taking its rows when its table is first read. The registry
     is read by ``canonical_registry``, so a malformed or repeated MAC is a
     ValueError.
     """
@@ -652,11 +673,11 @@ def split_by_device(table: PacketTable, registry: Mapping[str, str]) -> tuple[li
             owner_of_mac[mac_id] = position
     by_source = owner_of_mac[table.src_mac]
     owner = np.where(by_source < nobody, by_source, owner_of_mac[table.dst_mac])
-    grouped = table.take(np.argsort(owner, kind="stable"))
-    bounds = [0, *np.cumsum(np.bincount(owner, minlength=nobody + 1)).tolist()]
-    grouping = _Grouping(grouped, bounds[:-1], list(devices))
+    order = np.argsort(owner, kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(owner, minlength=nobody + 1)[:nobody]).tolist()]
+    grouping = _Grouping(table, order, bounds, list(devices))
     streams = [
         DeviceStream(device_id, mac, grouping=grouping, group=position)
         for position, (mac, device_id) in enumerate(devices.items())
     ]
-    return streams, grouped.take(slice(bounds[nobody], bounds[nobody + 1]))
+    return streams, table.take(order[bounds[nobody] :])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from collections.abc import Iterator
@@ -104,29 +105,33 @@ class _CapturePass:
     cleartext row's fields and verdict, from one classification of every
     grouped non-TLS payload. ``analyze`` builds this object per capture and
     drops it with the capture; ``analyze_stream`` called without one builds
-    its own over its stream's rows alone."""
+    its own over its stream's rows alone.
+
+    Grouped rows are read through the grouping's ``order``: position ``i``
+    of the groups is row ``order[i]`` of the table."""
 
     def __init__(self, grouping: _Grouping, config: RunConfig) -> None:
         self.grouping = grouping
         table, bounds = grouping.table, grouping.bounds
         groups = len(bounds) - 1
-        grouped = slice(0, bounds[-1])
+        grouped = grouping.order[: bounds[-1]]
         owner = np.repeat(np.arange(groups), np.diff(bounds))
         tls = table.tls[grouped]
         self.tls_counts = np.bincount(owner[tls], minlength=groups).tolist()
         # TLS rows are only counted: the other payload rows are classified
         plain = (payload_rows(table)[grouped] & ~tls).nonzero()[0]
-        verdicts = _verdict_columns((table.payloads[row] for row in plain.tolist()), config)
+        verdicts = _verdict_columns((table.payloads[row] for row in grouped[plain].tolist()), config)
         codes = verdicts.consensus
         tallies = np.bincount(owner[plain] * len(_CONSENSUS) + codes, minlength=groups * len(_CONSENSUS))
         self.tallies = tallies.reshape(groups, len(_CONSENSUS)).tolist()
         # the cleartext rows' verdicts, and their fields as the rows of a matrix
         cleartext = (codes == _CONSENSUS.index(CLEARTEXT)).nonzero()[0]
         self.verdicts = _VerdictColumns(*(column[..., cleartext] for column in verdicts))
-        rows = plain[cleartext]
-        self.fields = np.array((rows, table.index[rows], grouping.outbound[rows], table.src_port[rows],
+        positions = plain[cleartext]
+        rows = grouped[positions]
+        self.fields = np.array((rows, table.index[rows], grouping.outbound[positions], table.src_port[rows],
                                 table.dst_port[rows], table.ts_us[rows]), np.int64)
-        self.bounds = np.searchsorted(rows, bounds).tolist()
+        self.bounds = np.searchsorted(positions, bounds).tolist()
 
     def cleartext_payloads(self, group: int) -> Iterator[tuple[AppPayload, float, ClassificationResult]]:
         """Each cleartext payload of the group, in row order, with its
@@ -152,10 +157,12 @@ def analyze_stream(
     capture: _CapturePass | None = None,
 ) -> DeviceReport:
     run = run or _MiningRun(dictionaries, config.vendor_patterns)
+    group = stream.group
     if capture is None:
-        capture, group = _CapturePass(_Grouping.alone(stream.table, stream.mac), config), 0
-    else:
-        group = stream.group
+        grouping = stream.grouping
+        if len(grouping.bounds) > 2:  # one stream of a split into several: its own rows alone
+            grouping, group = _Grouping.alone(stream.table, stream.mac), 0
+        capture = _CapturePass(grouping, config)
     findings: list[LeakFinding] = []
     timed_messages: list[TimedMessage] = []
 
@@ -280,19 +287,20 @@ def render(reports: list[DeviceReport], format: str = "json") -> bytes:
     findings by packet index) and schema-versioned."""
     ordered = sorted(reports, key=lambda r: (r.capture, r.mac))
     if format == "json":
-        # Each device is dumped on its own and every piece is joined once, so
-        # the report is held at most as its pieces plus their join, never as
-        # one dict tree or str.
-        pieces = [b'{"schema":%d,"devices":[' % SCHEMA_VERSION]
+        # Each device is dumped on its own into one buffer, whose bytes are
+        # returned without a copy, so the report is held about once, never as
+        # one dict tree, one str, or pieces and their join.
+        out = io.BytesIO()
+        out.write(b'{"schema":%d,"devices":[' % SCHEMA_VERSION)
         for position, r in enumerate(ordered):
             if position:
-                pieces.append(b",")
+                out.write(b",")
             text = json.dumps(_device_dict(r), separators=(",", ":"), ensure_ascii=False)
             if not text.isascii() or "\x7f" in text:  # isascii is O(1): most dumps skip the search
                 text = _DEL_AND_C1.sub(_json_escape, text)
-            pieces.append(text.encode("utf-8"))
-        pieces.append(b"]}\n")
-        return b"".join(pieces)
+            out.write(text.encode("utf-8"))
+        out.write(b"]}\n")
+        return out.getvalue()
     if format == "text":
         return _render_text(ordered).encode("utf-8")
     raise ValueError(f"unknown render format: {format!r}")

@@ -2,6 +2,7 @@
 fast paths on purpose: these are the oracles the fast versions are checked
 against."""
 
+import dataclasses
 import ipaddress
 import math
 import re
@@ -350,6 +351,25 @@ def parse_capture_oracle(data: bytes) -> OracleParse:
 
     packets.sort(key=lambda p: p.timestamp_us)  # stable: capture order kept on ties
     return OracleParse(packets, warnings)
+
+
+# --- what a table keeps of a packet: an application-data record's header only
+
+
+def kept_payload_oracle(packet: RawPacket) -> bytes:
+    """The bytes a table keeps of a packet's payload: all of them, except
+    that a transport payload starting 0x17 0x03 0x00-0x04 (a TLS
+    application-data record) keeps its first five, the record header."""
+    data = packet.payload
+    if packet.transport is not None and len(data) >= 3 and data[0] == 0x17 and data[1] == 3 and data[2] <= 4:
+        return data[:5]
+    return data
+
+
+def table_rows_oracle(packets) -> list[RawPacket]:
+    """The packets as the rows of a table read back: each keeps the payload
+    ``kept_payload_oracle`` gives, and every other field unchanged."""
+    return [dataclasses.replace(packet, payload=kept_payload_oracle(packet)) for packet in packets]
 
 
 # --- the remote end of a packet, one packet at a time -------------------------

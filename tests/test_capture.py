@@ -28,10 +28,20 @@ from medleak.capture import (
     parse_capture,
     split_by_device,
 )
-from medleak.corpus import SCENARIOS, build_fixture_capture, generate_random_capture, tcp_frame, tls_record, write_pcap
-from medleak.payload import AppPayload, extract_payloads
+from medleak.corpus import (
+    SCENARIOS,
+    build_fixture_capture,
+    dns_response_payload,
+    generate_random_capture,
+    tcp_frame,
+    tls_record,
+    udp_frame,
+    write_pcap,
+)
+from medleak.metadata import extract_dns_answers
+from medleak.payload import AppPayload, extract_payloads, tls_verdict
 
-from _oracles import ipv4_oracle, parse_capture_oracle
+from _oracles import OracleParse, ipv4_oracle, parse_capture_oracle, parse_dns_response_oracle, table_rows_oracle
 
 DEV_MAC = bytes.fromhex("0024e41b2031")
 AP_MAC = bytes.fromhex("b827eb5a1004")
@@ -202,6 +212,37 @@ def test_ethernet_padding_stripped_via_ip_total_length():
     assert packet.payload == payload
 
 
+def test_an_ipv4_total_length_below_the_header_length_runs_the_datagram_to_the_frame_end():
+    """A lenient rule: an IPv4 total length below the header length bounds
+    nothing, so the datagram runs to the frame's end, trailer included,
+    with no warning (total length 0 is what captures of TSO-offloaded sends
+    hold). A total length of exactly the header length bounds the datagram
+    to its header, and the TCP header is then cut short."""
+    frame = _tcp_frame_by_hand(DEV_MAC, AP_MAC, b"\x01\x02\x03\x04", b"\x05\x06\x07\x08", 1, 2, b"ab") + b"cd"
+    for total_len in (0, 12, 19):
+        lenient = frame[:16] + struct.pack("!H", total_len) + frame[18:]
+        result = parse_capture(_global_header(b"\xd4\xc3\xb2\xa1") + _record(1, 0, lenient))
+        (packet,) = result.packets
+        assert packet.payload == b"abcd" and packet.transport.dst_port == 2
+        assert result.warnings == []
+    bounded = frame[:16] + struct.pack("!H", 20) + frame[18:]
+    result = parse_capture(_global_header(b"\xd4\xc3\xb2\xa1") + _record(1, 0, bounded))
+    assert result.packets == [] and result.warnings == ["frame 0: truncated TCP header"]
+
+
+def test_a_udp_length_past_the_datagram_end_keeps_the_bytes_that_are_there():
+    """A lenient rule: a UDP length longer than its datagram is accepted
+    without a warning, and the payload is cut to the bytes the datagram
+    holds; a UDP length shorter than the datagram bounds the payload."""
+    for udp_len, payload in ((8 + 4 + 100, b"mdns"), (0xFFFF, b"mdns"), (8 + 2, b"md")):
+        udp = struct.pack("!HHHH", 5353, 5353, udp_len, 0) + b"mdns"
+        ip = struct.pack("!BBHHHBBH", 0x45, 0, 20 + len(udp), 7, 0, 64, 17, 0) + b"\xc0\xa8\x01\x15" * 2 + udp
+        result = parse_capture(_global_header(b"\xd4\xc3\xb2\xa1") + _record(1, 0, AP_MAC + DEV_MAC + b"\x08\x00" + ip))
+        (packet,) = result.packets
+        assert packet.transport.kind == "UDP" and packet.payload == payload
+        assert result.warnings == []
+
+
 def test_ipv6_tcp_frame_decodes_addresses_and_ports():
     payload = b"GET /v6 HTTP/1.1\r\n\r\n"
     tcp = struct.pack("!HHIIBBHHH", 50000, 80, 1, 0, 5 << 4, 0x18, 4096, 0, 0) + payload
@@ -324,6 +365,11 @@ _IPV4_ADDRS = (b"\xc0\xa8\x01\x15\x59\x1e\x79\x34", b"\x59\x1e\x79\x34\xc0\xa8\x
 _IPV6_ADDRS = (bytes.fromhex("20010db8" + "00" * 11 + "01" + "20010db8" + "00" * 11 + "02"),
                bytes.fromhex("fe80" + "00" * 13 + "01" + "00" * 10 + "ffff" + "c0a80115"))
 _PORT_PAIRS = (struct.pack("!HH", 43211, 80), struct.pack("!HH", 53, 42333))
+# How a hostile frame's payload may start: with nothing chosen, with a TLS
+# application-data record header (minor 0..4, whole or cut), with one of
+# minor 5 or a handshake record, or with a DNS response's id 0x1703 and flags
+_PAYLOAD_STARTS = (b"", b"\x17\x03\x03\x05\xa0", b"\x17\x03\x00", b"\x17\x03\x04\x00", b"\x17\x03",
+                   b"\x17\x03\x05\x00\x10", b"\x16\x03\x01\x00\x20", b"\x17\x03\x81\x80")
 
 
 def _capture(variant, records) -> bytes:
@@ -336,7 +382,7 @@ def _capture(variant, records) -> bytes:
 
 def _assert_decodes_as_oracle(data: bytes) -> None:
     got, want = parse_capture(data), parse_capture_oracle(data)
-    assert got.packets == want.packets
+    assert got.packets == table_rows_oracle(want.packets)
     assert got.warnings == want.warnings
 
 
@@ -348,7 +394,7 @@ def _hostile_frame(draw) -> bytes:
     length fields are drawn from valid and invalid values, and which may then
     be cut short."""
     protocol = draw(st.sampled_from([6, 17, 1, 0, 44]))
-    data = draw(st.binary(max_size=24))
+    data = draw(st.sampled_from(_PAYLOAD_STARTS)) + draw(st.binary(max_size=24))
     ports = draw(st.sampled_from(_PORT_PAIRS))
     if protocol == 6:
         data_offset = draw(st.integers(0, 15))
@@ -400,6 +446,82 @@ def test_random_captures_and_fixtures_decode_as_oracle():
 )
 def test_hostile_frames_decode_as_oracle(variant, records):
     _assert_decodes_as_oracle(_capture(variant, records))
+
+
+@st.composite
+def _payload_frame(draw) -> bytes:
+    """A well-formed IPv4 or IPv6 frame holding a TCP or UDP payload that
+    may start like a TLS record, on port 80, 53 or 443: hostile frames
+    seldom decode as far as a payload."""
+    data = draw(st.sampled_from(_PAYLOAD_STARTS)) + draw(st.binary(max_size=40))
+    ports = draw(st.sampled_from(_PORT_PAIRS + (struct.pack("!HH", 43211, 443),)))
+    protocol = draw(st.sampled_from([6, 17]))
+    if protocol == 6:
+        segment = ports + struct.pack("!IIBBHHH", 1, 0, 5 << 4, 0x18, 4096, 0, 0) + data
+    else:
+        segment = ports + struct.pack("!HH", 8 + len(data), 0) + data
+    if draw(st.booleans()):
+        ethertype = b"\x08\x00"
+        header = struct.pack("!BBHHHBBH", 0x45, 0, 20 + len(segment), 7, 0, 64, protocol, 0)
+        header += draw(st.sampled_from(_IPV4_ADDRS))
+    else:
+        ethertype = b"\x86\xdd"
+        header = struct.pack("!IHBB", 6 << 28, len(segment), protocol, 64) + draw(st.sampled_from(_IPV6_ADDRS))
+    return draw(st.sampled_from(_MAC_PAIRS)) + ethertype + header + segment
+
+
+def _assert_the_cut_changes_no_verdict(data: bytes) -> None:
+    """Each row gives the TLS verdict on the payload its table keeps that it
+    gives on the oracle's full payload; a row keeps less than the full
+    payload only where that starts an application-data record, and then
+    keeps its 5-byte header; the DNS answers are those of the full
+    payloads."""
+    table = parse_capture(data).table
+    packets = parse_capture_oracle(data).packets
+    rows = table.packets()
+    assert [row.index for row in rows] == [packet.index for packet in packets]
+    answers: dict[str, str] = {}
+    for row, packet in zip(rows, packets):
+        full, kept = packet.payload, row.payload
+        if kept != full:
+            assert packet.transport is not None
+            assert full[:2] == b"\x17\x03" and full[2] <= 4 and len(full) > 5 and kept == full[:5]
+        if packet.transport is None:
+            continue
+        ports = (packet.transport.src_port, packet.transport.dst_port)
+        assert tls_verdict(ports, kept) == tls_verdict(ports, full)
+        if packet.transport.kind == "UDP" and packet.transport.src_port == 53:
+            for address, hostname in parse_dns_response_oracle(full).items():
+                answers.setdefault(address, hostname)
+    assert extract_dns_answers(table) == answers
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    variant=st.sampled_from(_VARIANTS),
+    records=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2**32 - 1), _hostile_frame() | _payload_frame()),
+                     max_size=12),
+)
+def test_cutting_hostile_application_data_changes_no_verdict(variant, records):
+    _assert_the_cut_changes_no_verdict(_capture(variant, records))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cutting_random_captures_application_data_changes_no_verdict(seed):
+    _assert_the_cut_changes_no_verdict(generate_random_capture(seed)[0])
+
+
+def test_a_dns_response_with_a_record_like_id_keeps_its_bytes():
+    """A DNS response whose transaction id is 0x1703 starts like a TLS
+    record, but the QR bit puts its third byte at 0x80 or above: no record
+    header allows that, so the response keeps every byte and its answer."""
+    response = dns_response_payload(0x1703, "api.vendor.example", ["89.30.121.52"])
+    assert response[:3] == b"\x17\x03\x81"
+    frame = udp_frame(AP_MAC.hex(":"), DEV_MAC.hex(":"), "192.168.1.1", "192.168.1.21", 53, 42333, response)
+    table = parse_capture(write_pcap([(1_000_000, frame)])).table
+    assert table.payloads == [response] and not table.tls.any()
+    assert extract_dns_answers(table) == {"89.30.121.52": "api.vendor.example"}
 
 
 def _ipv6_capture() -> bytes:
@@ -467,6 +589,12 @@ def _outcome(parse, source):
     return result.packets, result.warnings
 
 
+def _table_parse_oracle(source):
+    """``parse_capture_oracle``'s packets as a table keeps them, and its warnings."""
+    packets, warnings = parse_capture_oracle(source)
+    return OracleParse(table_rows_oracle(packets), warnings)
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     variant=st.sampled_from(_VARIANTS),
@@ -485,7 +613,7 @@ def test_a_file_parses_as_its_bytes(tmp_path, variant, records, tail, magic, net
     path.write_bytes(data)
     with path.open("rb") as fh:
         from_file = _outcome(parse_capture, fh)
-    assert from_file == _outcome(parse_capture, data) == _outcome(parse_capture_oracle, data)
+    assert from_file == _outcome(parse_capture, data) == _outcome(_table_parse_oracle, data)
 
 
 def _traced(parse):

@@ -1,6 +1,7 @@
 """analyze's one pass per capture: the same reports as each stream analysed
-alone, nothing carried from one capture to the next, and each stream's table
-held only while the stream is analysed."""
+alone, nothing carried from one capture to the next, each stream's table
+held only while the stream is analysed, and no TLS application data held
+past its record header."""
 
 import gc
 import tracemalloc
@@ -8,10 +9,18 @@ import tracemalloc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medleak.capture import parse_capture, split_by_device
+from medleak import capture
+from medleak.capture import DeviceStream, parse_capture, split_by_device
 from medleak.classifiers import DECISION_METHODS
 from medleak.config import RunConfig, load_dictionaries
-from medleak.corpus import fixture_registry, generate_random_capture
+from medleak.corpus import (
+    build_fixture_capture,
+    fixture_registry,
+    generate_random_capture,
+    tcp_frame,
+    tls_record,
+    write_pcap,
+)
 from medleak.metadata import extract_dns_answers
 from medleak.report import analyze, analyze_stream
 
@@ -85,11 +94,12 @@ def test_analyze_holds_one_streams_table_at_a_time(tmp_path):
     """On a capture of 375 registered devices stitched from random captures
     0-199 (4,499 frames), analyze's traced peak beyond what its reports keep
     is at most the parsed table's size plus 768 KiB. Each stream's table is
-    taken from the grouped capture table when the stream is analysed and
-    dropped after it; building every stream's table up front and holding
-    them all (14 column views and a payload list each) exceeds the bound.
-    On CPython 3.11 the excess over the table is about 530 KB, and about
-    1,270 KB with every table held."""
+    taken from the capture's table, through the split's row order, when the
+    stream is analysed and dropped after it; building every stream's table
+    up front and holding them all (14 columns and a payload list each)
+    exceeds the bound. On CPython 3.11 the excess over the table is about
+    350 KB, and was about 530 KB while the split copied the whole table in
+    device order."""
     data, registry = stitch_random_captures(200)
     path = tmp_path / "stitched.pcap"
     path.write_bytes(data)
@@ -100,3 +110,61 @@ def test_analyze_holds_one_streams_table_at_a_time(tmp_path):
     result, kept, peak = _traced(lambda: analyze([path], config))
     assert len(result.reports) == len(registry)
     assert peak - kept <= table_size + 768 * 1024
+
+
+def test_a_stream_given_its_own_table_is_grouped_once(monkeypatch):
+    """analyze_stream called without a capture pass reuses the one-group
+    grouping of a stream given its own table (or split from a one-device
+    registry), and reports as the stream split from the capture does."""
+    groupings = []
+    init = capture._Grouping.__init__
+
+    def counted(self, *args):
+        groupings.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(capture._Grouping, "__init__", counted)
+    registry = fixture_registry("bp-monitor-leaky")
+    (mac, device_id), = registry.items()
+    table = parse_capture(build_fixture_capture("bp-monitor-leaky")).table
+    (split,), _ = split_by_device(table, registry)
+    own = DeviceStream(device_id, mac, split.table)
+    assert len(groupings) == 2
+    config, answers, dictionaries = RunConfig(registry=registry), extract_dns_answers(table), load_dictionaries()
+    reports = [analyze_stream("bp.pcap", stream, answers, config, dictionaries) for stream in (own, split)]
+    assert len(groupings) == 2
+    assert reports[0] == reports[1] and reports[0].status == "LEAK"
+
+
+def _application_data_capture(count: int = 2000) -> bytes:
+    """A device sending ``count`` near-MTU TLS application-data segments on
+    port 443: the shape of encrypted bulk traffic."""
+    device, gateway = "02:00:00:00:00:01", "02:00:00:00:00:fe"
+    return write_pcap([
+        (1_700_000_000_000_000 + k * 1000, tcp_frame(device, gateway, "192.168.7.10", "198.18.0.1", 40000, 443,
+                                                     tls_record(0x17, 3, bytes([k % 251]) * 1395)))
+        for k in range(count)
+    ])
+
+
+def test_a_table_keeps_only_the_record_header_of_application_data():
+    data = _application_data_capture()
+    assert len(data) > 2_000_000
+    table = parse_capture(data).table
+    assert len(table) == 2000 and table.tls.all()
+    assert all(payload[:3] == b"\x17\x03\x03" and len(payload) <= 5 for payload in table.payloads)
+    assert sum(map(len, table.payloads)) <= 5 * len(table)
+
+
+def test_analyze_holds_less_than_half_an_application_data_capture(tmp_path):
+    """analyze's traced peak on 2,000 TLS application-data segments is below
+    half the capture's size: the table holds record headers, not records
+    (holding them whole takes more than the capture's size)."""
+    data = _application_data_capture()
+    path = tmp_path / "bulk.pcap"
+    path.write_bytes(data)
+    config = RunConfig(registry={"02:00:00:00:00:01": "hub"})
+    analyze([path], config)  # the first call fills the interpreter's own caches
+    result, _, peak = _traced(lambda: analyze([path], config))
+    assert [(r.tls_count, r.payload_count) for r in result.reports] == [(2000, 2000)]
+    assert peak < len(data) / 2

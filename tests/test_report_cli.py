@@ -412,8 +412,9 @@ class TestRender:
 
     def test_json_is_rendered_device_by_device(self, tmp_path):
         """On a capture stitched from many random ones, the traced peak of
-        rendering is at most twice the output's size plus a fixed slack, and
-        the pieces join into exactly the document that one dump of the whole
+        rendering is at most 1.25 times the output's size plus a fixed slack
+        (the report is written into one buffer, not held as pieces and their
+        join), and it is exactly the document that one dump of the whole
         report gives."""
         data, registry = stitch_random_captures(80)
         path = tmp_path / "stitched.pcap"
@@ -426,7 +427,7 @@ class TestRender:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * len(output) + 64 * 1024
+        assert peak <= 1.25 * len(output) + 64 * 1024
         assert output == (json.dumps(json.loads(output), separators=(",", ":"), ensure_ascii=False) + "\n").encode()
 
 

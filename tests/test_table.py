@@ -39,6 +39,7 @@ from _oracles import (
     parse_capture_oracle,
     resolve_hostnames_oracle,
     split_by_device_oracle,
+    table_rows_oracle,
 )
 from test_capture import _VARIANTS, AP_MAC, DEV_MAC, _capture, _hostile_frame, _ipv6_capture
 
@@ -47,7 +48,8 @@ PATTERNS = ("*vendor.example", "*withings*", "89.30.*")
 
 
 def _assert_row_flags(table: PacketTable, packets: list[RawPacket]) -> None:
-    """The decode-time flags of each row against the per-packet rules."""
+    """The decode-time flags of each row against the per-packet rules, on
+    the packets' full payloads."""
     payloads = [p for p in packets if p.transport is not None and p.payload]
     ports = [(p.transport.src_port, p.transport.dst_port) for p in payloads]
     assert (table.head >= 0).tolist() == [p.transport is not None and bool(p.payload) for p in packets]
@@ -61,12 +63,13 @@ def _assert_row_flags(table: PacketTable, packets: list[RawPacket]) -> None:
 def _assert_stages_agree(data: bytes, registry: dict[str, str]) -> None:
     parsed = parse_capture(data)
     packets = parse_capture_oracle(data).packets
-    assert parsed.packets == packets
+    rows = table_rows_oracle(packets)
+    assert parsed.packets == rows
     _assert_row_flags(parsed.table, packets)
 
     streams, unattributed = split_by_device(parsed.table, registry)
     listed, listed_rest = split_by_device(PacketTable.from_packets(packets), registry)
-    want, want_rest = split_by_device_oracle(packets, registry)
+    want, want_rest = split_by_device_oracle(rows, registry)
     assert [(s.device_id, s.mac, s.table) for s in streams] == want
     assert [(s.device_id, s.mac, s.table) for s in listed] == want
     assert len(unattributed) == len(listed_rest) == len(want_rest)
@@ -148,7 +151,7 @@ def _unsorted_packets(draw) -> list[RawPacket]:
 @given(packets=_unsorted_packets(), gap=st.sampled_from(GAPS) | st.floats(-5.0, 120.0))
 def test_a_stream_built_from_a_list_runs_the_column_code_as_the_oracles(packets, gap):
     stream = DeviceStream("dev", DEV, PacketTable.from_packets(packets))
-    assert stream.table.packets() == packets
+    assert stream.table.packets() == table_rows_oracle(packets)
     hostnames = resolve_hostnames(stream, {})
     assert hostnames == resolve_hostnames_oracle(stream, {})
     assert activity_periods(stream, gap, hostnames) == activity_periods_oracle(stream, gap, hostnames)
@@ -156,7 +159,7 @@ def test_a_stream_built_from_a_list_runs_the_column_code_as_the_oracles(packets,
     _assert_row_flags(stream.table, packets)
     assert extract_payloads(stream) == extract_payloads_oracle(stream)
     streams, unattributed = split_by_device(PacketTable.from_packets(packets), {DEV: "dev"})
-    assert streams[0].table == [p for p in packets if DEV in (p.src_mac, p.dst_mac)]
+    assert streams[0].table == [p for p in table_rows_oracle(packets) if DEV in (p.src_mac, p.dst_mac)]
     assert list(unattributed) == []
 
 
@@ -301,7 +304,7 @@ def test_a_frame_longer_than_a_block_is_read_whole_and_warned_past_the_end():
     cut = data[: len(data) - 5]
     for source in (data, cut):
         got, want = parse_capture(source), parse_capture_oracle(source)
-        assert got.packets == want.packets and got.warnings == want.warnings
+        assert got.packets == table_rows_oracle(want.packets) and got.warnings == want.warnings
     assert parse_capture(cut).warnings == [f"frame 2: declared caplen {len(small)} exceeds remaining "
                                            f"{len(small) - 5} bytes"]
     truncated = data + struct.pack("<II", 1, 2)
