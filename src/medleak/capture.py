@@ -488,9 +488,11 @@ class _Grouping:
     ``order[bounds[k]:bounds[k + 1]]``, those of the device ``macs[k]``; any
     rows listed past the last group belong to none. Each grouped row's
     direction and remote end are computed here once, for every group at a
-    time, in ``order``."""
+    time, in ``order``; so are, on first use, the activity periods
+    (``periods``) and the HTTP-start rows (``http``) that the per-stream
+    stages read their group's slices of."""
 
-    __slots__ = ("table", "order", "bounds", "outbound", "remote")
+    __slots__ = ("table", "order", "bounds", "outbound", "remote", "_periods", "_http")
 
     def __init__(self, table: PacketTable, order: np.ndarray, bounds: list[int], macs: list[str]) -> None:
         self.table = table
@@ -504,6 +506,8 @@ class _Grouping:
         # without an IP layer): the destination of a row the device sent,
         # the source of any other
         self.remote = np.where(self.outbound, table.dst_addr[grouped], table.src_addr[grouped])
+        self._periods: _Periods | None = None
+        self._http: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def alone(cls, table: PacketTable, mac: str) -> _Grouping:
@@ -513,14 +517,63 @@ class _Grouping:
     def rows(self, group: int) -> slice:
         return slice(self.bounds[group], self.bounds[group + 1])
 
+    def periods(self, gap_threshold: float) -> _Periods:
+        """The grouped rows cut into activity periods at ``gap_threshold``
+        seconds, kept for the last threshold asked for."""
+        key = float(gap_threshold).hex()  # one key for every NaN
+        if self._periods is None or self._periods.key != key:
+            self._periods = _Periods(self, gap_threshold, key)
+        return self._periods
+
+    @property
+    def http(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grouped rows that ``http`` flags, in order: their table rows
+        and remote ids as the two rows of a matrix, and each group's bounds
+        in its columns."""
+        if self._http is None:
+            grouped = self.order[: self.bounds[-1]]
+            positions = self.table.http[grouped].nonzero()[0]
+            rows = np.array((grouped[positions], self.remote[positions]), np.int32)
+            self._http = rows, np.searchsorted(positions, self.bounds)
+        return self._http
+
+
+class _Periods:
+    """A grouping's rows cut into activity periods, for every group at a time.
+
+    A cut falls where the gap to the previous grouped row is not ``<=`` the
+    threshold (so a NaN threshold cuts every row) and at each group bound,
+    so no period spans two devices. Period ``p`` is the grouped rows
+    ``cuts[p]:cuts[p + 1]``, and ``columns[:, p]`` holds its first and last
+    timestamp (integer microseconds) and its bytes. Group ``k``'s periods
+    are ``bounds[k]:bounds[k + 1]``."""
+
+    __slots__ = ("key", "cuts", "columns", "bounds")
+
+    def __init__(self, grouping: _Grouping, gap_threshold: float, key: str) -> None:
+        self.key = key
+        count = grouping.bounds[-1]
+        grouped = grouping.order[:count]
+        ts_us = grouping.table.ts_us[grouped]
+        cut = np.ones(count + 1, bool)
+        cut[1:count] = ~(ts_us[1:] - ts_us[:-1] <= gap_threshold * 1_000_000)
+        cut[grouping.bounds] = True
+        self.cuts = cut.nonzero()[0]  # each period's first row, then the count
+        firsts = self.cuts[:-1]
+        sizes = np.add.reduceat(grouping.table.frame_len[grouped], firsts)
+        self.columns = np.array((ts_us[firsts], ts_us[self.cuts[1:] - 1], sizes), np.int64)
+        self.bounds = np.searchsorted(self.cuts, grouping.bounds)
+
 
 class DeviceStream:
     """One device's rows (in time order when they come from
-    ``split_by_device``); the stage functions read its table.
+    ``split_by_device``); the stage functions read its slices of its
+    grouping's columns.
 
-    A stream is group ``group`` of a ``grouping`` of a capture's rows, and
-    its table is taken from the capture's table, in the grouping's order,
-    when first read. A stream given its own table (an empty one when given
+    A stream is group ``group`` of a ``grouping`` of a capture's rows. Its
+    table is taken from the capture's table, in the grouping's order, when
+    first read; the stages of ``analyze`` read the grouping's columns and
+    never ask for it. A stream given its own table (an empty one when given
     neither) is the one group of ``_Grouping.alone`` of that table. ``mac`` is canonicalized by
     ``normalize_mac``, so a malformed MAC is a ValueError.
     """
@@ -551,9 +604,13 @@ class DeviceStream:
         """Whether the device sent each row."""
         return self.grouping.outbound[self.grouping.rows(self.group)]
 
-    def __repr__(self) -> str:
+    @property
+    def packet_count(self) -> int:
         rows = self.grouping.rows(self.group)
-        return f"DeviceStream(device_id={self.device_id!r}, mac={self.mac!r}, rows={rows.stop - rows.start})"
+        return rows.stop - rows.start
+
+    def __repr__(self) -> str:
+        return f"DeviceStream(device_id={self.device_id!r}, mac={self.mac!r}, rows={self.packet_count})"
 
 
 _CANONICAL_MAC = re.compile(r"[0-9a-f]{2}(?::[0-9a-f]{2}){5}")

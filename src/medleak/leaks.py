@@ -37,6 +37,12 @@ CONTEXT_LEN = 120
 _MATCH_TEXT_CAP = 100
 
 _WORD = re.compile(r"[a-z0-9]+(?:[_\-][a-z0-9]+)*")
+# The bytes.translate table of the word split: A-Z lowered, a-z, 0-9, "_" and
+# "-" kept, and every other byte a space.
+_WORD_CHARS = b"abcdefghijklmnopqrstuvwxyz0123456789_-"
+_RUN_TABLE = bytes(
+    byte if byte in _WORD_CHARS else byte | 0x20 if 0x41 <= byte <= 0x5A else 0x20 for byte in range(256)
+)
 _JOINERS = re.compile(r"[_\-]+")
 _ALPHA_OR_DIGIT_RUN = re.compile(r"[a-z]+|[0-9]+")
 
@@ -89,6 +95,17 @@ def normalize_text(text: str) -> str:
     return _JOINERS.sub(" ", text.lower())
 
 
+def _runs(data: bytes | str) -> list[str]:
+    """The maximal runs of ``[a-z0-9_-]`` in the lowercased latin-1 text of
+    ``data``, by one ``bytes.translate``. A ``_WORD`` match never crosses a
+    run's end, so a run without a joiner is one word. A str is lowercased
+    first, since a non-latin-1 letter such as KELVIN SIGN lowers to an ASCII
+    one; any other character beyond ASCII ends a run, as it ends a word."""
+    if isinstance(data, str):
+        data = data.lower().encode("ascii", "replace")
+    return data.translate(_RUN_TABLE).decode("ascii").split()
+
+
 def tokenize(data: bytes) -> list[str]:
     """Lowercased tokens of a cleartext payload.
 
@@ -97,21 +114,21 @@ def tokenize(data: bytes) -> list[str]:
     individual components; a secondary pass splits digits from letters
     ("alice123" also yields "alice").
     """
-    text = data.decode("latin-1").lower()
     tokens: list[str] = []
-    for word in _WORD.findall(text):
-        tokens.append(word)
-        # A _WORD match holds only [a-z0-9_-], so isalnum() means no joiner,
-        # and an all-letter or all-digit part is a single run.
-        if word.isalnum():
-            parts = (word,)
-        else:
-            tokens.append(_JOINERS.sub(" ", word))
-            parts = _JOINERS.split(word)
-            tokens.extend(parts)
-        for part in parts:
-            if not (part.isalpha() or part.isdigit()):
-                tokens.extend(_ALPHA_OR_DIGIT_RUN.findall(part))
+    for run in _runs(data):
+        # a run holds only [a-z0-9_-], so isalnum() means no joiner
+        for word in (run,) if run.isalnum() else _WORD.findall(run):
+            tokens.append(word)
+            # a word of only letters or only digits is a single part and run
+            if word.isalnum():
+                parts = (word,)
+            else:
+                tokens.append(_JOINERS.sub(" ", word))
+                parts = _JOINERS.split(word)
+                tokens.extend(parts)
+            for part in parts:
+                if not (part.isalpha() or part.isdigit()):
+                    tokens.extend(_ALPHA_OR_DIGIT_RUN.findall(part))
     return tokens
 
 
@@ -193,7 +210,7 @@ def scan_cleartext_payload(
     if verdict.consensus != CLEARTEXT:
         raise ValueError(f"leak scan refused: payload classified {verdict.consensus}")
     run = run or _MiningRun(dictionaries)
-    tokens = run.dictionary_tokens(payload.data.decode("latin-1"))
+    tokens = run.dictionary_tokens(payload.data)
     return dictionary_match(tokens, dictionaries, packet_index=payload.packet_index, payload=payload.data)
 
 
@@ -209,10 +226,11 @@ def _vendor_regex(patterns: tuple[str, ...]) -> re.Pattern[str] | None:
 def matches_vendor(subject: str | None, vendor_patterns) -> bool:
     """Case-insensitive shell-pattern match of a host or URL, as
     ``fnmatchcase`` against any of the patterns."""
-    if not subject:
-        return False
-    regex = _vendor_regex(tuple(vendor_patterns))
-    return regex is not None and regex.match(subject.lower()) is not None
+    return _vendor_match(_vendor_regex(tuple(vendor_patterns)), subject)
+
+
+def _vendor_match(regex: re.Pattern[str] | None, subject: str | None) -> bool:
+    return bool(subject) and regex is not None and regex.match(subject.lower()) is not None
 
 
 class _MiningRun:
@@ -222,19 +240,23 @@ class _MiningRun:
 
     def __init__(self, dictionaries=(), vendor_patterns=()):
         terms = self.terms = frozenset().union(*(dictionary.entries for dictionary in dictionaries))
-        # the dictionary tokens of a word that tokenize splits, once per distinct word
-        self.split_word = cache(lambda word: tuple(t for t in tokenize(word.encode("latin-1")) if t in terms))
+        # the dictionary tokens of a run that tokenize splits, once per distinct run
+        self.split_run = cache(lambda run: tuple(t for t in tokenize(run.encode()) if t in terms))
         self.vendor = cache(lambda subject: matches_vendor(subject, vendor_patterns))
+        self.vendor_regex = _vendor_regex(tuple(vendor_patterns))
 
-    def dictionary_tokens(self, text: str) -> list[str]:
-        """The tokens of ``tokenize(text)`` that some dictionary holds, in order:
-        a word of only letters or only digits is its own only token."""
+    def dictionary_tokens(self, data: bytes | str) -> list[str]:
+        """The tokens of ``tokenize(data)`` that some dictionary holds, in
+        order; a str is read as its text. A run of only letters or only
+        digits is its own only token."""
+        terms, split_run = self.terms, self.split_run
         tokens: list[str] = []
-        for word in _WORD.findall(text.lower()):
-            if not (word.isalpha() or word.isdigit()):
-                tokens.extend(self.split_word(word))
-            elif word in self.terms:
-                tokens.append(word)
+        for run in _runs(data):
+            if run.isalpha() or run.isdigit():
+                if run in terms:
+                    tokens.append(run)
+            else:
+                tokens.extend(split_run(run))
         return tokens
 
 
@@ -270,7 +292,7 @@ def http_leak_scan(
 
     if run.vendor(message.host):
         hits.append(("vendor-identifier", message.host or "", SEVERITY_WARN))
-    elif matches_vendor(url, vendor_patterns):  # URLs seldom repeat, so they skip the memo
+    elif _vendor_match(run.vendor_regex, url):  # URLs seldom repeat, so they skip the memo
         hits.append(("vendor-identifier", url, SEVERITY_WARN))
 
     candidate_keys = [key for key, _ in message.cookies] + _query_keys(url)

@@ -13,8 +13,6 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .capture import DeviceStream, PacketTable
 from .leaks import _MiningRun, matches_vendor  # noqa: F401 (unused: bench/tests/test_perfbench.py pins this binding)
 from .payload import parse_http
@@ -54,26 +52,25 @@ def activity_periods(
 
     Consecutive packets whose inter-arrival time is at most ``gap_threshold``
     seconds share a period; a single packet forms a zero-duration period.
-    Each period's packets, bytes and remote addresses are added up over the
-    stream's columns.
+    The periods are the stream's slice of its grouping's periods, which are
+    cut and added up once for all the grouping's streams.
     """
-    table = stream.table
-    if not len(table):
+    grouping = stream.grouping
+    periods = grouping.periods(gap_threshold)
+    lo, hi = periods.bounds[stream.group : stream.group + 2].tolist()  # the group's periods
+    if lo == hi:
         return []
     hostnames = hostnames or {}
-    ts_us = table.ts_us
-    # "not <=" rather than ">", so that a NaN threshold splits every packet
-    splits = ~(ts_us[1:] - ts_us[:-1] <= gap_threshold * 1_000_000)
-    firsts = [0, *(splits.nonzero()[0] + 1).tolist()]
-    sizes = np.add.reduceat(table.frame_len, firsts).tolist()
-    times, remote, addresses = ts_us.tolist(), stream.remote.tolist(), table.names.addresses
-    periods = []
-    for first, after, size in zip(firsts, [*firsts[1:], len(table)], sizes):
-        names = [addresses[address] for address in set(remote[first:after]) if address >= 0]
+    cuts = periods.cuts[lo : hi + 1].tolist()
+    base = cuts[0]
+    remote = grouping.remote[base : cuts[-1]].tolist()
+    addresses = grouping.table.names.addresses
+    result = []
+    for start, end, size, first, after in zip(*periods.columns[:, lo:hi].tolist(), cuts, cuts[1:]):
+        names = [addresses[address] for address in set(remote[first - base : after - base]) if address >= 0]
         endpoints = {(name, hostnames.get(name)) for name in names}
-        start, end = times[first] / 1_000_000, times[after - 1] / 1_000_000
-        periods.append(ActivityPeriod(start, end, after - first, size, endpoints))
-    return periods
+        result.append(ActivityPeriod(start / 1_000_000, end / 1_000_000, after - first, size, endpoints))
+    return result
 
 
 def _decode_dns_name(data: bytes, offset: int) -> tuple[str, int]:
@@ -129,7 +126,7 @@ def _parse_dns_response(data: bytes) -> dict[str, str]:
         rdata = data[offset : offset + rdlength]
         offset += rdlength
         if rtype == 1 and rdlength == 4:  # A
-            answers.setdefault(str(ipaddress.IPv4Address(rdata)), name)
+            answers.setdefault("%d.%d.%d.%d" % tuple(rdata), name)
         elif rtype == 28 and rdlength == 16:  # AAAA
             answers.setdefault(str(ipaddress.IPv6Address(rdata)), name)
     return answers
@@ -148,13 +145,14 @@ def extract_dns_answers(table: PacketTable) -> dict[str, str]:
 def resolve_hostnames(stream: DeviceStream, dns_answers: dict[str, str] | None = None) -> dict[str, str]:
     """Merge DNS answers with HTTP Host evidence from the stream itself."""
     hostmap = dict(dns_answers or {})
-    table = stream.table
-    addresses = table.names.addresses
     # parse_http returns None for a payload that does not begin with a start line
-    rows = table.http.nonzero()[0]
-    if not len(rows):
+    http, bounds = stream.grouping.http
+    first, after = bounds[stream.group : stream.group + 2].tolist()
+    if first == after:
         return hostmap
-    for row, address in zip(rows.tolist(), stream.remote[rows].tolist()):
+    table = stream.grouping.table
+    addresses = table.names.addresses
+    for row, address in zip(*http[:, first:after].tolist()):
         if address < 0 or addresses[address] in hostmap:
             continue
         message = parse_http(table.payloads[row])
@@ -175,7 +173,7 @@ def endpoint_profiles(
     counts = Counter(stream.remote.tolist())  # iterates in first-seen order
     counts.pop(-1, None)  # rows without an IP layer
     hostmap = resolve_hostnames(stream, dns_answers)
-    addresses = stream.table.names.addresses
+    addresses = stream.grouping.table.names.addresses
     profiles = []
     for address, count in counts.items():
         address = addresses[address]

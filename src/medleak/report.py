@@ -101,7 +101,7 @@ def _status(findings: list[LeakFinding]) -> str:
 
 class _CapturePass:
     """What ``analyze_stream`` reads of the streams of one grouping, computed
-    once for all of them: each group's TLS tally and verdict tally, and each
+    once for all of them: each group's TLS count and verdict tally, and each
     cleartext row's fields and verdict, from one classification of every
     grouped non-TLS payload. ``analyze`` builds this object per capture and
     drops it with the capture; ``analyze_stream`` called without one builds
@@ -117,13 +117,15 @@ class _CapturePass:
         grouped = grouping.order[: bounds[-1]]
         owner = np.repeat(np.arange(groups), np.diff(bounds))
         tls = table.tls[grouped]
-        self.tls_counts = np.bincount(owner[tls], minlength=groups).tolist()
         # TLS rows are only counted: the other payload rows are classified
         plain = (payload_rows(table)[grouped] & ~tls).nonzero()[0]
         verdicts = _verdict_columns((table.payloads[row] for row in grouped[plain].tolist()), config)
         codes = verdicts.consensus
         tallies = np.bincount(owner[plain] * len(_CONSENSUS) + codes, minlength=groups * len(_CONSENSUS))
-        self.tallies = tallies.reshape(groups, len(_CONSENSUS)).tolist()
+        # a row per group: its TLS count, then its count of each verdict; this
+        # and the bounds stay arrays, held until the capture's last stream
+        self.counts = np.column_stack((np.bincount(owner[tls], minlength=groups),
+                                       tallies.reshape(groups, len(_CONSENSUS))))
         # the cleartext rows' verdicts, and their fields as the rows of a matrix
         cleartext = (codes == _CONSENSUS.index(CLEARTEXT)).nonzero()[0]
         self.verdicts = _VerdictColumns(*(column[..., cleartext] for column in verdicts))
@@ -131,12 +133,12 @@ class _CapturePass:
         rows = grouped[positions]
         self.fields = np.array((rows, table.index[rows], grouping.outbound[positions], table.src_port[rows],
                                 table.dst_port[rows], table.ts_us[rows]), np.int64)
-        self.bounds = np.searchsorted(positions, bounds).tolist()
+        self.bounds = np.searchsorted(positions, bounds)
 
     def cleartext_payloads(self, group: int) -> Iterator[tuple[AppPayload, float, ClassificationResult]]:
         """Each cleartext payload of the group, in row order, with its
         capture time in seconds and its verdict."""
-        first, after = self.bounds[group], self.bounds[group + 1]
+        first, after = self.bounds[group : group + 2].tolist()
         if first == after:
             return
         payloads = self.grouping.table.payloads
@@ -200,12 +202,13 @@ def analyze_stream(
 
     hostnames = resolve_hostnames(stream, dns_answers)
     activity = activity_periods(stream, config.gap_threshold, hostnames)
-    tls_count, tally = capture.tls_counts[group], dict(zip(_CONSENSUS, capture.tallies[group]))
+    tls_count, *tally = capture.counts[group].tolist()
+    tally = dict(zip(_CONSENSUS, tally))
     return DeviceReport(
         capture=capture_name,
         device_id=stream.device_id,
         mac=stream.mac,
-        packet_count=len(stream.table),
+        packet_count=stream.packet_count,
         payload_count=tls_count + sum(tally.values()),
         cleartext_count=tally[CLEARTEXT],
         tls_count=tls_count,
@@ -224,8 +227,8 @@ def analyze(captures, config: RunConfig) -> AnalysisResult:
 
     Reports are deterministic for identical inputs. ``config`` was checked
     when it was built and is only read. Each capture's streams share one
-    ``_CapturePass``; each stream's table is built when the stream is
-    analysed and dropped with the stream right after.
+    ``_CapturePass`` and one grouping, whose columns every stage reads its
+    stream's slices of, so no stream's table is built.
     """
     dictionaries = load_dictionaries(config.dict_dir)
     run = _MiningRun(dictionaries, config.vendor_patterns)
@@ -263,22 +266,28 @@ ENDPOINT_KEYS = tuple(f.name for f in fields(EndpointProfile))
 PERIODICITY_KEYS = tuple(f.name for f in fields(PeriodicityHint))
 
 
-def _attrs(record, keys) -> dict:
-    return {key: getattr(record, key) for key in keys}
+def _reader(keys):
+    """The function of a record to the dict of its ``keys``, in order."""
+    values = attrgetter(*keys)
+    return lambda record: dict(zip(keys, values(record)))
+
+
+_device_doc, _finding_doc, _period_doc, _endpoint_doc, _periodicity_doc = map(
+    _reader, (DEVICE_KEYS, FINDING_KEYS, PERIOD_KEYS, ENDPOINT_KEYS, PERIODICITY_KEYS))
 
 
 def _period_dict(period: ActivityPeriod) -> dict:
-    doc = _attrs(period, PERIOD_KEYS)
+    doc = _period_doc(period)
     doc["endpoints"] = [list(e) for e in sorted(period.endpoints, key=lambda e: (e[0], e[1] or ""))]
     return doc
 
 
 def _device_dict(report: DeviceReport) -> dict:
-    doc = _attrs(report, DEVICE_KEYS)
-    doc["findings"] = [_attrs(f, FINDING_KEYS) for f in sorted(report.findings, key=_finding_order)]
+    doc = _device_doc(report)
+    doc["findings"] = [_finding_doc(f) for f in sorted(report.findings, key=_finding_order)]
     doc["activity"] = [_period_dict(p) for p in report.activity]
-    doc["endpoints"] = [_attrs(e, ENDPOINT_KEYS) for e in sorted(report.endpoints, key=lambda e: e.address)]
-    doc["periodicity"] = _attrs(report.periodicity, PERIODICITY_KEYS) if report.periodicity else None
+    doc["endpoints"] = [_endpoint_doc(e) for e in sorted(report.endpoints, key=lambda e: e.address)]
+    doc["periodicity"] = _periodicity_doc(report.periodicity) if report.periodicity else None
     return doc
 
 

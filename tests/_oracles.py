@@ -111,10 +111,12 @@ _JOINERS = re.compile(r"[_\-]+")
 _ALPHA_OR_DIGIT_RUN = re.compile(r"[a-z]+|[0-9]+")
 
 
-def tokenize_oracle(data: bytes) -> list[str]:
+def tokenize_oracle(data: bytes | str) -> list[str]:
     """Every word, its joined and split forms, and the letter/digit runs of
-    every part, with no shortcut for words that need no splitting."""
-    text = data.decode("latin-1").lower()
+    every part, with no shortcut for words that need no splitting. A str is
+    read as its text, bytes as their latin-1 text, either lowercased by
+    ``str.lower`` and split by the word regex."""
+    text = (data if isinstance(data, str) else data.decode("latin-1")).lower()
     tokens: list[str] = []
     for word in _WORD.findall(text):
         tokens.append(word)

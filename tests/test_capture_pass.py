@@ -1,16 +1,19 @@
 """analyze's one pass per capture: the same reports as each stream analysed
-alone, nothing carried from one capture to the next, each stream's table
-held only while the stream is analysed, and no TLS application data held
-past its record header."""
+alone, nothing carried from one capture to the next, no stream's table
+built, periods that never span two devices, and no TLS application data
+held past its record header."""
 
 import gc
+import math
 import tracemalloc
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medleak import capture
-from medleak.capture import DeviceStream, parse_capture, split_by_device
+from medleak.capture import DeviceStream, PacketTable, parse_capture, split_by_device
 from medleak.classifiers import DECISION_METHODS
 from medleak.config import RunConfig, load_dictionaries
 from medleak.corpus import (
@@ -19,11 +22,13 @@ from medleak.corpus import (
     generate_random_capture,
     tcp_frame,
     tls_record,
+    udp_frame,
     write_pcap,
 )
-from medleak.metadata import extract_dns_answers
+from medleak.metadata import activity_periods, extract_dns_answers
 from medleak.report import analyze, analyze_stream
 
+from _oracles import activity_periods_oracle, resolve_hostnames_oracle
 from conftest import stitch_random_captures
 
 
@@ -79,6 +84,63 @@ def test_no_state_carries_from_one_capture_to_the_next(fixture_dir):
     assert {r.status for r in analyze([bp, scale], config).reports} == {"LEAK", "OK"}
 
 
+def _interleaved_capture() -> tuple[bytes, dict[str, str]]:
+    """Two devices whose packets alternate a second apart, then one of them
+    alone 300 s later, and a registered device with no rows."""
+    one, two, gateway = "02:00:00:00:00:01", "02:00:00:00:00:02", "02:00:00:00:00:fe"
+    frames = [
+        (one, "10.0.0.1", "198.18.0.1"), (two, "10.0.0.2", "198.18.0.2"),
+        (one, "10.0.0.1", "198.18.0.3"), (two, "10.0.0.2", "198.18.0.1"),
+        (one, "10.0.0.1", "198.18.0.2"),
+    ]
+    records = [(1_700_000_000_000_000 + k * 1_000_000, udp_frame(mac, gateway, src, dst, 5000, 6000, bytes(k + 1)))
+               for k, (mac, src, dst) in enumerate(frames)]
+    records.append((1_700_000_300_000_000, udp_frame(one, gateway, "10.0.0.1", "198.18.0.4", 5000, 6000, b"x")))
+    return write_pcap(records), {one: "one", "02:00:00:00:00:03": "silent", two: "two"}
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-6, 60.0, math.nan, math.inf])
+def test_no_period_spans_two_devices(tmp_path, gap):
+    """The grouping's periods are cut at each group bound as well as at each
+    gap, so each split stream's periods, and each report's where RunConfig
+    takes the threshold (it refuses 0 and NaN), are those of the stream
+    alone, also where two devices' packets interleave within one gap."""
+    data, registry = _interleaved_capture()
+    table = parse_capture(data).table
+    answers = extract_dns_answers(table)
+    streams = split_by_device(table, registry)[0]
+    expected = []
+    for stream in streams:
+        alone = DeviceStream(stream.device_id, stream.mac, stream.table)
+        hostnames = resolve_hostnames_oracle(alone, answers)
+        expected.append(activity_periods_oracle(alone, gap, hostnames))
+        assert activity_periods(stream, gap, hostnames) == expected[-1]
+    assert [len(periods) > 0 for periods in expected] == [True, False, True]
+    if gap > 0:
+        path = tmp_path / "interleaved.pcap"
+        path.write_bytes(data)
+        reports = analyze([path], RunConfig(registry=registry, gap_threshold=gap)).reports
+        assert [report.activity for report in reports] == expected
+
+
+def test_analyze_builds_no_stream_table(fixture_dir, monkeypatch):
+    """analyze takes one table per time-sorted capture, the unattributed
+    rows: every stage reads its stream's slices of the grouping's columns."""
+    taken = []
+    take = PacketTable.take
+
+    def counted(self, rows):
+        taken.append(rows)
+        return take(self, rows)
+
+    monkeypatch.setattr(PacketTable, "take", counted)
+    registry = {**fixture_registry("mixed-home"), **fixture_registry("bp-monitor-leaky")}
+    captures = [fixture_dir / "mixed-home.pcap", fixture_dir / "bp-monitor-leaky.pcap"]
+    result = analyze(captures, RunConfig(registry=registry))
+    assert len(result.reports) == 2 * len(registry) == 4
+    assert len(taken) == 2
+
+
 def _traced(call):
     gc.collect()
     tracemalloc.start()
@@ -93,13 +155,13 @@ def _traced(call):
 def test_analyze_holds_one_streams_table_at_a_time(tmp_path):
     """On a capture of 375 registered devices stitched from random captures
     0-199 (4,499 frames), analyze's traced peak beyond what its reports keep
-    is at most the parsed table's size plus 768 KiB. Each stream's table is
-    taken from the capture's table, through the split's row order, when the
-    stream is analysed and dropped after it; building every stream's table
-    up front and holding them all (14 columns and a payload list each)
-    exceeds the bound. On CPython 3.11 the excess over the table is about
-    350 KB, and was about 530 KB while the split copied the whole table in
-    device order."""
+    is at most the parsed table's size plus 768 KiB. No stream's table is
+    built: the stages read the grouping's columns. Building every stream's
+    table up front and holding them all (14 columns and a payload list
+    each) exceeds the bound. On CPython 3.11 the excess over the table is
+    about 360 KB with the grouping's period and HTTP columns, was about
+    340 KB while each stream's table was taken as it was analysed, and
+    about 530 KB while the split copied the whole table in device order."""
     data, registry = stitch_random_captures(200)
     path = tmp_path / "stitched.pcap"
     path.write_bytes(data)

@@ -15,6 +15,7 @@ from medleak.leaks import (
     Dictionary,
     LeakFinding,
     TimedMessage,
+    _MiningRun,
     _dictionary_hits,
     _finding,
     dictionary_match,
@@ -63,6 +64,51 @@ class TestTokenize:
     def test_equals_the_unshortcut_loop(self, text):
         data = text.encode("latin-1")
         assert tokenize(data) == tokenize_oracle(data)
+
+
+# raw bytes that reach every branch of the translate split: upper-case
+# latin-1 letters (which str.lower lowers, and which end a word as before),
+# C1 controls, doubled, leading and trailing joiners, and letter-digit mixes
+_RAW_PIECES = st.one_of(
+    st.binary(max_size=4),
+    st.integers(0xC0, 0xDE).map(lambda byte: bytes([byte])),
+    st.integers(0x80, 0x9F).map(lambda byte: bytes([byte])),
+    st.sampled_from((b"_", b"-", b"__", b"--", b"_-", b"-_", b" ", b"=", b"\xa0", b"\xff")),
+    st.text(alphabet="aZq09", min_size=1, max_size=5).map(str.encode),
+)
+_RAW_TEXT = st.lists(_RAW_PIECES, max_size=12).map(b"".join)
+
+
+class TestTranslateSplit:
+    """The bytes.translate word split gives the regex split's tokens."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_RAW_TEXT)
+    def test_tokenize_equals_the_oracle_on_raw_bytes(self, data):
+        assert tokenize(data) == tokenize_oracle(data)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_RAW_TEXT, st.data())
+    def test_dictionary_tokens_are_the_oracle_tokens_that_a_dictionary_holds(self, data, draw):
+        tokens = tokenize_oracle(data)
+        entries = draw.draw(st.sets(st.sampled_from(tokens))) if tokens else set()
+        run = _MiningRun([Dictionary("pii-fields", frozenset(entries | {"zzz"}))])
+        expected = [token for token in tokens if token in run.terms]
+        assert run.dictionary_tokens(data) == expected
+        assert run.dictionary_tokens(data.decode("latin-1")) == expected
+
+    def test_a_str_beyond_latin_1_splits_as_its_lowercased_text(self):
+        """KELVIN SIGN lowers to an ASCII k, and a dotted capital I to i and
+        a combining dot: a URL holding them is mined as its lowercased text,
+        never refused for what latin-1 cannot encode."""
+        url = "/\u212aelvin_\u0130d?uid=\u2603"
+        expected = tokenize_oracle(url)
+        assert expected == ["kelvin_i", "kelvin i", "kelvin", "i", "d", "uid"]
+        run = _MiningRun([Dictionary("medical-terms", frozenset({"kelvin", "kelvin i", "uid"}))])
+        assert run.dictionary_tokens(url) == ["kelvin i", "kelvin", "uid"]
+        kelvin = [Dictionary("medical-terms", frozenset({"kelvin"}))]
+        findings = http_leak_scan(_request(url), (), dictionaries=kelvin, identifier_keys=frozenset())
+        assert [(f.category, f.matched_text) for f in findings] == [("url-leak", "kelvin")]
 
 
 class TestDictionaryValidation:
