@@ -15,7 +15,7 @@ import operator
 import re
 import struct
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from ipaddress import IPv6Address
@@ -75,8 +75,7 @@ class TransportInfo:
     kind: str  # "TCP" | "UDP"
 
 
-_PROTOCOLS = {"TCP": 6, "UDP": 17}  # TransportInfo.kind -> IP protocol number
-_KINDS = {number: kind for kind, number in _PROTOCOLS.items()}
+_KINDS = {6: "TCP", 17: "UDP"}  # IP protocol number -> TransportInfo.kind
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,7 +160,8 @@ class PacketTable:
     and one list of payload bytes (an application-data record cut to its
     record header, by ``_payload_columns``), all indexed by row. Ids name
     entries of ``names``, which the tables taken from one capture's table
-    share. A table is read, never changed: ``take`` makes a new one.
+    share. Only the decode (``parse_capture``) makes a table's columns; a
+    table is read, never changed, and ``take`` makes a new one of its rows.
 
     A table is also a read-only collection of RawPackets: ``len``, iteration
     and ``==`` against a list of packets see the rows as RawPackets, built
@@ -185,37 +185,6 @@ class PacketTable:
     payloads: list[bytes]
     names: Names
 
-    @classmethod
-    def from_packets(cls, packets: Iterable[RawPacket]) -> PacketTable:
-        """The table of RawPackets, one row each, in their order, under the
-        decode's payload rule."""
-        packets = list(packets)
-        names = Names()
-        rows = []
-        for packet in packets:
-            ip_proto = src_addr = dst_addr = src_port = dst_port = -1
-            proto = 0
-            if packet.ip is not None:
-                ip_proto = packet.ip.protocol
-                src_addr, dst_addr = names.address(packet.ip.src_addr), names.address(packet.ip.dst_addr)
-            if packet.transport is not None:
-                proto = _PROTOCOLS[packet.transport.kind]
-                src_port, dst_port = packet.transport.src_port, packet.transport.dst_port
-            rows.append((packet.index, packet.timestamp_us, packet.frame_len, names.mac(packet.src_mac),
-                         names.mac(packet.dst_mac), ip_proto, src_addr, dst_addr, proto, src_port, dst_port))
-        payloads = [packet.payload for packet in packets]
-        values = np.array(rows, np.int64).reshape(-1, 11).T
-        columns = {name: column.astype(_COLUMNS[name]) for name, column in zip(_COLUMNS, values)}
-        heads = b"".join(payload[:3].ljust(3, b"\0") for payload in payloads)
-        head = np.frombuffer(heads, np.uint8).reshape(-1, 3).T.astype(np.int32)
-        length = np.fromiter(map(len, payloads), np.int64, len(payloads))
-        columns["head"], columns["tls"], kept = _payload_columns(
-            columns["src_port"], columns["dst_port"], head, length)
-        for row in (kept < length).nonzero()[0].tolist():
-            payloads[row] = payloads[row][: kept[row]]
-        columns["http"] = _http_rows(columns["proto"], columns["head"], payloads)
-        return cls(**columns, payloads=payloads, names=names)
-
     def __len__(self) -> int:
         return len(self.payloads)
 
@@ -230,9 +199,9 @@ class PacketTable:
     def __repr__(self) -> str:
         return f"PacketTable(rows={len(self)})"
 
-    def take(self, rows: slice | np.ndarray) -> PacketTable:
-        """The table of ``rows`` (a slice, or an array of row numbers), sharing this table's names."""
-        payloads = self.payloads[rows] if isinstance(rows, slice) else [self.payloads[i] for i in rows.tolist()]
+    def take(self, rows: np.ndarray) -> PacketTable:
+        """The table of ``rows``, an array of row numbers, sharing this table's names."""
+        payloads = [self.payloads[i] for i in rows.tolist()]
         return PacketTable(*[column[rows] for column in _column_values(self)], payloads, self.names)
 
     def mac_id(self, mac: str) -> int:
@@ -279,7 +248,7 @@ def _payload_columns(
     and the length of each payload that the table keeps.
 
     A transport payload that is not empty is TLS by the rule of
-    ``payload.tls_verdict``, as one vector test: either port is 443, or the
+    ``payload.detect_tls``, as one vector test: either port is 443, or the
     payload starts with a record header (content type 0x14-0x17, version
     major 3, minor 0..4).
 
@@ -584,7 +553,7 @@ class DeviceStream:
         self.mac = normalize_mac(mac)
         self.group = group
         if grouping is None:
-            self.table = PacketTable.from_packets(()) if table is None else table
+            self.table = _Decoder("<", 1).table() if table is None else table
             grouping = _Grouping.alone(self.table, self.mac)
         self.grouping = grouping
 

@@ -76,21 +76,18 @@ _PORT_ONLY = TlsVerdict(True)
 _RECORD = tuple(TlsVerdict(True, (3, minor)) for minor in range(5))
 
 
-def tls_verdict(port_pair: tuple[int, int], data: bytes) -> TlsVerdict:
+def detect_tls(payload: AppPayload) -> TlsVerdict:
     """Flag TLS/SSL bytes by well-known port and/or record header.
 
     Deterministic on (ports, first three payload bytes): port 443 on either
     side, or a record whose content type is 0x14-0x17 with version major 3
-    and minor 0..4.
+    and minor 0..4. The decode's ``tls`` column is this rule as one vector
+    test (``capture._payload_columns``).
     """
+    data = payload.data
     if len(data) >= 3 and data[0] in TLS_CONTENT_TYPES and data[1] == 3 and data[2] <= 4:
         return _RECORD[data[2]]
-    return _PORT_ONLY if TLS_PORT in port_pair else _NOT_TLS
-
-
-def detect_tls(payload: AppPayload) -> TlsVerdict:
-    """``tls_verdict`` of a payload's ports and bytes."""
-    return tls_verdict(payload.port_pair, payload.data)
+    return _PORT_ONLY if TLS_PORT in payload.port_pair else _NOT_TLS
 
 
 def _parse_cookie_pairs(value: str) -> list[tuple[str, str]]:

@@ -543,6 +543,18 @@ def parse_dns_response_oracle(data: bytes) -> dict[str, str]:
     return answers
 
 
+def extract_dns_answers_oracle(packets) -> dict[str, str]:
+    """address -> hostname from the full payload of every UDP packet from
+    port 53, the first answer for an address kept."""
+    answers: dict[str, str] = {}
+    for packet in packets:
+        transport = packet.transport
+        if transport is not None and transport.kind == "UDP" and transport.src_port == 53:
+            for address, hostname in parse_dns_response_oracle(packet.payload).items():
+                answers.setdefault(address, hostname)
+    return answers
+
+
 # --- classifiers: one payload at a time, entropy over the non-empty bins -----
 
 

@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 
 from medleak.config import load_dictionaries
-from medleak.capture import GLOBAL_HEADER_LEN, RECORD_HEADER_LEN
+from medleak.capture import GLOBAL_HEADER_LEN, RECORD_HEADER_LEN, PacketTable, parse_capture
 from medleak.corpus import SCENARIOS, build_fixture_capture, fixture_registry, generate_random_capture, write_pcap
 
 
@@ -47,3 +47,12 @@ def stitch_random_captures(seeds: int) -> tuple[bytes, dict[str, str]]:
             offset += caplen
         registry.update(seed_registry)
     return write_pcap(records), registry
+
+
+def table_of(records: list[tuple[int, bytes]]) -> PacketTable:
+    """The decoded table of ``(ts_us, frame)`` records, as ``parse_capture``
+    gives it (stably sorted by timestamp). The parse may skip no frame, so
+    a malformed hand-made frame cannot shrink a test's input."""
+    parsed = parse_capture(write_pcap(records))
+    assert parsed.warnings == []
+    return parsed.table

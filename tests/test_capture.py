@@ -21,7 +21,6 @@ from medleak.capture import (
     DeviceStream,
     IpInfo,
     MalformedCapture,
-    PacketTable,
     RawPacket,
     TransportInfo,
     normalize_mac,
@@ -32,6 +31,7 @@ from medleak.corpus import (
     SCENARIOS,
     build_fixture_capture,
     dns_response_payload,
+    ethernet_frame,
     generate_random_capture,
     tcp_frame,
     tls_record,
@@ -39,9 +39,16 @@ from medleak.corpus import (
     write_pcap,
 )
 from medleak.metadata import extract_dns_answers
-from medleak.payload import AppPayload, extract_payloads, tls_verdict
+from medleak.payload import AppPayload, detect_tls, extract_payloads
 
-from _oracles import OracleParse, ipv4_oracle, parse_capture_oracle, parse_dns_response_oracle, table_rows_oracle
+from _oracles import (
+    OracleParse,
+    extract_dns_answers_oracle,
+    ipv4_oracle,
+    parse_capture_oracle,
+    table_rows_oracle,
+)
+from conftest import table_of
 
 DEV_MAC = bytes.fromhex("0024e41b2031")
 AP_MAC = bytes.fromhex("b827eb5a1004")
@@ -269,17 +276,9 @@ def test_arp_frame_has_no_ip_or_transport():
     assert packet.payload == body
 
 
-def _mk_packet(index: int, src_mac: str, dst_mac: str) -> RawPacket:
-    return RawPacket(
-        index=index,
-        timestamp_us=index,
-        src_mac=src_mac,
-        dst_mac=dst_mac,
-        ip=None,
-        transport=None,
-        payload=b"",
-        frame_len=14,
-    )
+def _mk_record(index: int, src_mac: str, dst_mac: str) -> tuple[int, bytes]:
+    """A bare Ethernet frame of a non-IP ethertype: no IP layer, no transport, no payload."""
+    return index, ethernet_frame(src_mac, dst_mac, 0x88B5, b"")
 
 
 class TestSplitByDevice:
@@ -287,39 +286,38 @@ class TestSplitByDevice:
         device = "00:24:e4:00:00:01"
         other = "aa:aa:aa:aa:aa:01"
         # 3 outbound + 3 inbound for the device, 4 stranger-to-stranger
-        packets = [_mk_packet(i, device, other) for i in range(3)]
-        packets += [_mk_packet(3 + i, other, device) for i in range(3)]
-        packets += [_mk_packet(6 + i, "cc:cc:cc:cc:cc:03", "dd:dd:dd:dd:dd:04") for i in range(4)]
-        streams, unattributed = split_by_device(PacketTable.from_packets(packets), {device: "monitor"})
+        records = [_mk_record(i, device, other) for i in range(3)]
+        records += [_mk_record(3 + i, other, device) for i in range(3)]
+        records += [_mk_record(6 + i, "cc:cc:cc:cc:cc:03", "dd:dd:dd:dd:dd:04") for i in range(4)]
+        streams, unattributed = split_by_device(table_of(records), {device: "monitor"})
         assert len(streams) == 1
         assert streams[0].device_id == "monitor"
         assert len(streams[0].table) == 6
         assert len(unattributed) == 4
 
     def test_zero_matching_registry(self):
-        packets = [_mk_packet(i, "aa:aa:aa:aa:aa:01", "bb:bb:bb:bb:bb:02") for i in range(5)]
-        streams, unattributed = split_by_device(PacketTable.from_packets(packets), {"00:11:22:33:44:55": "ghost"})
+        records = [_mk_record(i, "aa:aa:aa:aa:aa:01", "bb:bb:bb:bb:bb:02") for i in range(5)]
+        streams, unattributed = split_by_device(table_of(records), {"00:11:22:33:44:55": "ghost"})
         assert [len(s.table) for s in streams] == [0]
         assert len(unattributed) == 5
 
     def test_both_registered_goes_to_src_device(self):
         a, b = "aa:aa:aa:aa:aa:01", "bb:bb:bb:bb:bb:02"
-        packet = _mk_packet(0, a, b)
-        streams, unattributed = split_by_device(PacketTable.from_packets([packet]), {a: "dev_a", b: "dev_b"})
+        streams, unattributed = split_by_device(table_of([_mk_record(0, a, b)]), {a: "dev_a", b: "dev_b"})
         by_id = {s.device_id: s.table for s in streams}
         assert len(by_id["dev_a"]) == 1
         assert by_id["dev_b"] == []
         assert unattributed == []
 
     def test_empty_registry_all_unattributed(self):
-        packets = [_mk_packet(i, "aa:aa:aa:aa:aa:01", "bb:bb:bb:bb:bb:02") for i in range(3)]
-        streams, unattributed = split_by_device(PacketTable.from_packets(packets), {})
+        records = [_mk_record(i, "aa:aa:aa:aa:aa:01", "bb:bb:bb:bb:bb:02") for i in range(3)]
+        streams, unattributed = split_by_device(table_of(records), {})
         assert streams == []
         assert len(unattributed) == 3
 
     def test_registry_mac_forms_are_normalized(self):
-        packet = _mk_packet(0, "00:24:e4:1b:20:31", "ff:ff:ff:ff:ff:ff")
-        streams, _ = split_by_device(PacketTable.from_packets([packet]), {"00-24-E4-1B-20-31": "monitor"})
+        record = _mk_record(0, "00:24:e4:1b:20:31", "ff:ff:ff:ff:ff:ff")
+        streams, _ = split_by_device(table_of([record]), {"00-24-E4-1B-20-31": "monitor"})
         assert len(streams[0].table) == 1
 
     def test_two_spellings_of_one_mac_are_rejected_not_merged(self):
@@ -480,7 +478,6 @@ def _assert_the_cut_changes_no_verdict(data: bytes) -> None:
     packets = parse_capture_oracle(data).packets
     rows = table.packets()
     assert [row.index for row in rows] == [packet.index for packet in packets]
-    answers: dict[str, str] = {}
     for row, packet in zip(rows, packets):
         full, kept = packet.payload, row.payload
         if kept != full:
@@ -489,11 +486,9 @@ def _assert_the_cut_changes_no_verdict(data: bytes) -> None:
         if packet.transport is None:
             continue
         ports = (packet.transport.src_port, packet.transport.dst_port)
-        assert tls_verdict(ports, kept) == tls_verdict(ports, full)
-        if packet.transport.kind == "UDP" and packet.transport.src_port == 53:
-            for address, hostname in parse_dns_response_oracle(full).items():
-                answers.setdefault(address, hostname)
-    assert extract_dns_answers(table) == answers
+        assert detect_tls(AppPayload(packet.index, "outbound", ports, kept)) == detect_tls(
+            AppPayload(packet.index, "outbound", ports, full))
+    assert extract_dns_answers(table) == extract_dns_answers_oracle(packets)
 
 
 @settings(max_examples=300, deadline=None)
@@ -519,7 +514,7 @@ def test_a_dns_response_with_a_record_like_id_keeps_its_bytes():
     response = dns_response_payload(0x1703, "api.vendor.example", ["89.30.121.52"])
     assert response[:3] == b"\x17\x03\x81"
     frame = udp_frame(AP_MAC.hex(":"), DEV_MAC.hex(":"), "192.168.1.1", "192.168.1.21", 53, 42333, response)
-    table = parse_capture(write_pcap([(1_000_000, frame)])).table
+    table = table_of([(1_000_000, frame)])
     assert table.payloads == [response] and not table.tls.any()
     assert extract_dns_answers(table) == {"89.30.121.52": "api.vendor.example"}
 

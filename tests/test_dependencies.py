@@ -1,8 +1,9 @@
 """numpy stays the only runtime dependency: every import in the package is
 from the standard library, numpy, or medleak itself. The README names only
-what the package exports."""
+what the package has."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -12,6 +13,10 @@ import medleak
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "medleak"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "medleak"}
+MODULES = {path.stem for path in SOURCE.glob("*.py")} - {"__init__"}
+# a backticked dotted name, such as `PacketTable.packets()`, and a file name
+_REFERENCE = re.compile(r"([A-Za-z_]\w*)((?:\.\w+)+)")
+_FILE = re.compile(r"\S*/\S*|[\w.-]+\.(?:py|json|jsonl|md|toml|txt|yml|pcap)")
 
 
 def _imported_roots(path: Path):
@@ -41,3 +46,30 @@ def test_readme_lower_level_pieces_are_exported():
     names = re.findall(r"`([^`]+)`", paragraph)
     assert len(names) >= 8
     assert [name for name in names if not hasattr(medleak, name)] == []
+
+
+def test_readme_references_resolve():
+    """Every backticked ``Name.attr`` in the README whose ``Name`` is a
+    medleak module or a top-level export names an attribute that exists.
+    File paths such as ``medleak/report.py`` are not references."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    checked, missing = 0, []
+    for span in re.findall(r"`([^`\n]+)`", readme):
+        match = _REFERENCE.match(span)
+        if match is None or _FILE.fullmatch(span):
+            continue
+        name, attributes = match.groups()
+        if name in MODULES:
+            owner = importlib.import_module(f"medleak.{name}")
+        elif not name.startswith("_") and hasattr(medleak, name):
+            owner = getattr(medleak, name)
+        else:
+            continue
+        checked += 1
+        for attribute in attributes[1:].split("."):
+            if not hasattr(owner, attribute):
+                missing.append(span)
+                break
+            owner = getattr(owner, attribute)
+    assert checked >= 3
+    assert missing == []

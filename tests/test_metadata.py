@@ -3,23 +3,23 @@
 import ipaddress
 import math
 import struct
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medleak.capture import DeviceStream, IpInfo, PacketTable, RawPacket, TransportInfo, parse_capture, split_by_device
+from medleak.capture import DeviceStream, parse_capture, split_by_device
 from medleak.corpus import (
     SCENARIOS,
+    arp_frame,
     build_fixture_capture,
     dns_query_payload,
     dns_response_payload,
     fixture_registry,
     generate_random_capture,
+    tcp_frame,
     tls_record,
     udp_frame,
-    write_pcap,
 )
 from medleak import metadata
 from medleak.metadata import (
@@ -33,34 +33,30 @@ from medleak.metadata import (
 )
 
 from _oracles import activity_periods_oracle, parse_dns_response_oracle, resolve_hostnames_oracle
+from conftest import table_of
 
 DEV = "00:24:e4:1b:20:31"
 AP = "b8:27:eb:5a:10:04"
 _REMOTES = ("89.30.121.52", "89.30.121.60", "198.51.100.7")
 
 
-def _packet(index, t_seconds, outbound=True, remote="89.30.121.52", payload=b"", kind="TCP", sport=40000, dport=80):
-    src_mac, dst_mac = (DEV, AP) if outbound else (AP, DEV)
-    ip = IpInfo("192.168.4.21", remote, 6) if outbound else IpInfo(remote, "192.168.4.21", 6)
-    return RawPacket(
-        index=index,
-        timestamp_us=int(t_seconds * 1_000_000),
-        src_mac=src_mac,
-        dst_mac=dst_mac,
-        ip=ip,
-        transport=TransportInfo(sport, dport, kind),
-        payload=payload,
-        frame_len=54 + len(payload),
-    )
+def _frame(outbound=True, remote="89.30.121.52", payload=b"", kind="TCP", sport=40000, dport=80):
+    here = "192.168.4.21"
+    macs_and_addresses = (DEV, AP, here, remote) if outbound else (AP, DEV, remote, here)
+    return (tcp_frame if kind == "TCP" else udp_frame)(*macs_and_addresses, sport, dport, payload)
 
 
-def _stream(packets):
-    return DeviceStream("monitor", DEV, PacketTable.from_packets(packets))
+def _record(t_seconds, **frame):
+    return int(t_seconds * 1_000_000), _frame(**frame)
+
+
+def _stream(records):
+    return DeviceStream("monitor", DEV, table_of(records))
 
 
 class TestActivityPeriods:
     def test_gap_splits_into_two_periods(self):
-        stream = _stream([_packet(i, t) for i, t in enumerate((0, 1, 2, 3600, 3601))])
+        stream = _stream([_record(t) for t in (0, 1, 2, 3600, 3601)])
         periods = activity_periods(stream, gap_threshold=60)
         assert len(periods) == 2
         assert (periods[0].start, periods[0].end, periods[0].packet_count) == (0.0, 2.0, 3)
@@ -70,19 +66,19 @@ class TestActivityPeriods:
         assert activity_periods(_stream([])) == []
 
     def test_single_packet_zero_duration(self):
-        periods = activity_periods(_stream([_packet(0, 5.0)]))
+        periods = activity_periods(_stream([_record(5.0)]))
         assert len(periods) == 1
         assert periods[0].start == periods[0].end == 5.0
         assert periods[0].packet_count == 1
 
     def test_gap_exactly_at_threshold_stays_in_period(self):
-        stream = _stream([_packet(0, 0.0), _packet(1, 60.0)])
+        stream = _stream([_record(0.0), _record(60.0)])
         assert len(activity_periods(stream, gap_threshold=60)) == 1
 
     def test_endpoints_and_bytes_are_aggregated(self):
         stream = _stream([
-            _packet(0, 0.0, remote="89.30.121.52", payload=b"x" * 10),
-            _packet(1, 1.0, outbound=False, remote="89.30.121.60", payload=b"y" * 20),
+            _record(0.0, remote="89.30.121.52", payload=b"x" * 10),
+            _record(1.0, outbound=False, remote="89.30.121.60", payload=b"y" * 20),
         ])
         periods = activity_periods(stream, hostnames={"89.30.121.52": "scalews.withings.net"})
         assert len(periods) == 1
@@ -97,22 +93,22 @@ class TestActivityPeriods:
     )
     def test_conservation_and_monotone_coarsening(self, offsets, gap_a, gap_b):
         t = 0.0
-        packets = []
-        for i, step in enumerate(offsets):
+        records = []
+        for step in offsets:
             t += step
-            packets.append(_packet(i, t))
-        stream = _stream(packets)
+            records.append(_record(t))
+        stream = _stream(records)
         small, large = min(gap_a, gap_b), max(gap_a, gap_b)
         periods_small = activity_periods(stream, gap_threshold=small)
         periods_large = activity_periods(stream, gap_threshold=large)
-        assert sum(p.packet_count for p in periods_small) == len(packets)
-        assert sum(p.packet_count for p in periods_large) == len(packets)
+        assert sum(p.packet_count for p in periods_small) == len(records)
+        assert sum(p.packet_count for p in periods_large) == len(records)
         assert len(periods_large) <= len(periods_small)
         for earlier, later in zip(periods_small, periods_small[1:]):
             assert earlier.end < later.start  # disjoint and ordered
 
     def test_nan_threshold_splits_every_packet_and_inf_joins_them(self):
-        stream = _stream([_packet(i, t) for i, t in enumerate((0.0, 0.0, 5.0))])
+        stream = _stream([_record(t) for t in (0.0, 0.0, 5.0)])
         assert [p.packet_count for p in activity_periods(stream, gap_threshold=math.nan)] == [1, 1, 1]
         assert [p.packet_count for p in activity_periods(stream, gap_threshold=math.inf)] == [3]
 
@@ -125,19 +121,18 @@ class TestActivityPeriods:
         exact_us = int(threshold * 1_000_000) if 0 < threshold < math.inf else 1_000_000
         steps = st.sampled_from((0, 1, exact_us - 1, exact_us, exact_us + 1)) | st.integers(0, 3 * exact_us)
         kinds = st.sampled_from(("arp", "outbound", "inbound"))
-        packets, t_us = [], 1_700_000_000_000_000
-        for index, (step, kind, remote, size) in enumerate(data.draw(
+        records, t_us = [], 1_700_000_000_000_000
+        for step, kind, remote, size in data.draw(
             st.lists(st.tuples(steps, kinds, st.sampled_from(_REMOTES), st.integers(0, 1500)), max_size=30)
-        )):
+        ):
             t_us += step
-            if kind == "arp":
-                packets.append(RawPacket(index, t_us, DEV, "ff:ff:ff:ff:ff:ff", None, None, b"", 60))
+            if kind == "arp":  # a 60-byte broadcast with no IP layer
+                records.append((t_us, arp_frame(DEV, "192.168.4.21", "192.168.4.1")))
             else:
-                packet = _packet(index, 0.0, outbound=kind == "outbound", remote=remote, payload=bytes(size))
-                packets.append(replace(packet, timestamp_us=t_us))
+                records.append((t_us, _frame(outbound=kind == "outbound", remote=remote, payload=bytes(size))))
         names = st.sampled_from(("a.example", "b.example"))
         hostnames = data.draw(st.none() | st.dictionaries(st.sampled_from(_REMOTES), names))
-        stream = _stream(packets)
+        stream = _stream(records)
         assert activity_periods(stream, threshold, hostnames) == activity_periods_oracle(stream, threshold, hostnames)
         if hostnames is None:
             assert activity_periods(stream, threshold) == activity_periods_oracle(stream, threshold)
@@ -163,7 +158,7 @@ class TestPeriodicity:
 
 class TestEndpoints:
     def test_dns_answer_attaches_hostname_and_vendor_flag(self):
-        stream = _stream([_packet(0, 0.0, remote="89.30.121.52")])
+        stream = _stream([_record(0.0, remote="89.30.121.52")])
         profiles = endpoint_profiles(stream, {"89.30.121.52": "scalews.withings.net"}, ("*withings*",))
         assert len(profiles) == 1
         assert profiles[0].hostname == "scalews.withings.net"
@@ -171,7 +166,7 @@ class TestEndpoints:
         assert profiles[0].packet_count == 1
 
     def test_unresolved_address_has_no_hostname(self):
-        profiles = endpoint_profiles(_stream([_packet(0, 0.0, remote="198.51.100.7")]), {}, ("*withings*",))
+        profiles = endpoint_profiles(_stream([_record(0.0, remote="198.51.100.7")]), {}, ("*withings*",))
         assert profiles[0].hostname is None
         assert profiles[0].vendor_flag is False
 
@@ -179,13 +174,13 @@ class TestEndpoints:
         assert endpoint_profiles(_stream([]), {}, ()) == []
 
     def test_profile_counts_sum_to_ip_packet_count(self):
-        packets = [
-            _packet(0, 0.0, remote="198.51.100.9"),
-            _packet(1, 1.0, remote="198.51.100.7"),
-            _packet(2, 2.0, remote="198.51.100.9", outbound=False),
-            _packet(3, 3.0, remote="198.51.100.10"),
+        records = [
+            _record(0.0, remote="198.51.100.9"),
+            _record(1.0, remote="198.51.100.7"),
+            _record(2.0, remote="198.51.100.9", outbound=False),
+            _record(3.0, remote="198.51.100.10"),
         ]
-        profiles = endpoint_profiles(_stream(packets), {}, ())
+        profiles = endpoint_profiles(_stream(records), {}, ())
         assert sum(p.packet_count for p in profiles) == 4
         # first-seen order, which is neither numeric nor string address order
         assert [(p.address, p.packet_count) for p in profiles] == [
@@ -194,7 +189,7 @@ class TestEndpoints:
 
     def test_http_host_resolves_hostname_without_dns(self):
         request = b"GET /x HTTP/1.1\r\nHost: api.vendor.example\r\n\r\n"
-        stream = _stream([_packet(0, 0.0, remote="198.51.100.20", payload=request)])
+        stream = _stream([_record(0.0, remote="198.51.100.20", payload=request)])
         hostmap = resolve_hostnames(stream, {})
         assert hostmap == {"198.51.100.20": "api.vendor.example"}
         profiles = endpoint_profiles(stream, {}, ("*vendor.example",))
@@ -204,14 +199,14 @@ class TestEndpoints:
     def test_hostnames_resolve_as_oracle(self):
         tls = tls_record(0x17, 3, b"\x8f" * 64)
         hand_built = [_stream([
-            _packet(0, 0.0, remote="198.51.100.20", payload=tls, dport=443),  # TLS, never resolved
-            _packet(1, 1.0, remote="198.51.100.21", payload=tls, dport=443),
-            _packet(2, 2.0, remote="198.51.100.21", payload=b"GET /late HTTP/1.1\r\nHost: late.example\r\n\r\n"),
-            _packet(3, 3.0, remote="198.51.100.22", payload=b"GET without a version\r\nHost: no.example\r\n\r\n"),
-            _packet(4, 4.0, remote="198.51.100.23", payload=b"HTTP/1.1 200 OK\r\nHost: reply.example\r\n\r\n",
+            _record(0.0, remote="198.51.100.20", payload=tls, dport=443),  # TLS, never resolved
+            _record(1.0, remote="198.51.100.21", payload=tls, dport=443),
+            _record(2.0, remote="198.51.100.21", payload=b"GET /late HTTP/1.1\r\nHost: late.example\r\n\r\n"),
+            _record(3.0, remote="198.51.100.22", payload=b"GET without a version\r\nHost: no.example\r\n\r\n"),
+            _record(4.0, remote="198.51.100.23", payload=b"HTTP/1.1 200 OK\r\nHost: reply.example\r\n\r\n",
                     outbound=False),
-            _packet(5, 5.0, remote="198.51.100.24", payload=b"get /lower HTTP/1.1\r\nHost: lower.example\r\n\r\n"),
-            _packet(6, 6.0, remote="198.51.100.25", payload=b"GET / HTTP/1.1\r\nHost: udp.example\r\n\r\n", kind="UDP"),
+            _record(5.0, remote="198.51.100.24", payload=b"get /lower HTTP/1.1\r\nHost: lower.example\r\n\r\n"),
+            _record(6.0, remote="198.51.100.25", payload=b"GET / HTTP/1.1\r\nHost: udp.example\r\n\r\n", kind="UDP"),
         ])]
         captures = [generate_random_capture(seed) for seed in range(30)]
         captures += [(build_fixture_capture(s), fixture_registry(s)) for s in SCENARIOS]
@@ -244,23 +239,23 @@ class TestDnsExtraction:
     def test_parses_a_records_from_response_frame(self):
         payload = dns_response_payload(0x3A21, "scalews.withings.net", ["89.30.121.52"])
         frame = udp_frame(AP, DEV, "192.168.4.1", "192.168.4.21", 53, 42333, payload)
-        packets = parse_capture(write_pcap([(1_000_000, frame)])).packets
-        assert extract_dns_answers(packets) == {"89.30.121.52": "scalews.withings.net"}
+        table = table_of([(1_000_000, frame)])
+        assert extract_dns_answers(table) == {"89.30.121.52": "scalews.withings.net"}
 
     def test_query_is_ignored(self):
         frame = udp_frame(DEV, AP, "192.168.4.21", "192.168.4.1", 42333, 53, dns_query_payload(1, "x.example"))
-        packets = parse_capture(write_pcap([(1_000_000, frame)])).packets
-        assert extract_dns_answers(packets) == {}
+        table = table_of([(1_000_000, frame)])
+        assert extract_dns_answers(table) == {}
 
     def test_non_dns_udp_is_ignored(self):
         frame = udp_frame(DEV, AP, "192.168.4.21", "192.168.4.1", 9999, 9999, b"\x00" * 30)
-        packets = parse_capture(write_pcap([(1_000_000, frame)])).packets
-        assert extract_dns_answers(packets) == {}
+        table = table_of([(1_000_000, frame)])
+        assert extract_dns_answers(table) == {}
 
     @staticmethod
     def _answers(payload):
         frame = udp_frame(AP, DEV, "192.168.4.1", "192.168.4.21", 53, 42333, payload)
-        return extract_dns_answers(parse_capture(write_pcap([(1_000_000, frame)])).packets)
+        return extract_dns_answers(table_of([(1_000_000, frame)]))
 
     def test_truncated_a_answer_is_skipped_and_earlier_answers_kept(self):
         payload = dns_response_payload(7, "multi.example", ["198.51.100.1", "198.51.100.2"])
@@ -281,8 +276,8 @@ class TestDnsExtraction:
     def test_multiple_answers(self):
         payload = dns_response_payload(7, "multi.example", ["198.51.100.1", "198.51.100.2"])
         frame = udp_frame(AP, DEV, "192.168.4.1", "192.168.4.21", 53, 42333, payload)
-        packets = parse_capture(write_pcap([(1_000_000, frame)])).packets
-        answers = extract_dns_answers(packets)
+        table = table_of([(1_000_000, frame)])
+        answers = extract_dns_answers(table)
         assert answers == {"198.51.100.1": "multi.example", "198.51.100.2": "multi.example"}
 
 

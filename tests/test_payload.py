@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medleak.capture import DeviceStream, IpInfo, PacketTable, RawPacket, TransportInfo
+from medleak.capture import DeviceStream
+from medleak.corpus import arp_frame, ethernet_frame, ipv4_packet, tcp_frame, udp_frame
 from medleak.payload import (
     _LINE_SPLIT,
     _REQUEST_LINE,
@@ -22,22 +23,25 @@ from medleak.payload import (
 )
 
 from _oracles import detect_tls_oracle, extract_payloads_oracle
+from conftest import table_of
 
 DEV = "00:24:e4:1b:20:31"
 AP = "b8:27:eb:5a:10:04"
 
 
-def _packet(index, payload, kind="TCP", src=DEV, dst=AP, sport=40000, dport=80, with_transport=True):
-    return RawPacket(
-        index=index,
-        timestamp_us=index * 1000,
-        src_mac=src,
-        dst_mac=dst,
-        ip=IpInfo("192.168.4.21", "89.30.121.52", 6 if kind == "TCP" else 17),
-        transport=TransportInfo(sport, dport, kind) if with_transport else None,
-        payload=payload,
-        frame_len=54 + len(payload),
-    )
+def _record(index, payload, kind="TCP", src=DEV, dst=AP, sport=40000, dport=80, with_transport=True):
+    """A (ts_us, frame) record; without a transport, an IPv4 packet of
+    protocol 1 (ICMP) carrying the payload."""
+    if not with_transport:
+        frame = ethernet_frame(src, dst, 0x0800, ipv4_packet("192.168.4.21", "89.30.121.52", 1, payload))
+    else:
+        build = tcp_frame if kind == "TCP" else udp_frame
+        frame = build(src, dst, "192.168.4.21", "89.30.121.52", sport, dport, payload)
+    return index * 1000, frame
+
+
+def _stream(records):
+    return DeviceStream("monitor", DEV, table_of(records))
 
 
 def _payload(data, sport=40000, dport=80, direction="outbound", index=0):
@@ -46,32 +50,30 @@ def _payload(data, sport=40000, dport=80, direction="outbound", index=0):
 
 class TestExtractPayloads:
     def test_empty_tcp_segments_are_filtered(self):
-        packets = [
-            _packet(0, b"hello"),
-            _packet(1, b""),  # bare ACK
-            _packet(2, b"world"),
-            _packet(3, b""),
-            _packet(4, b"!"),
+        records = [
+            _record(0, b"hello"),
+            _record(1, b""),  # bare ACK
+            _record(2, b"world"),
+            _record(3, b""),
+            _record(4, b"!"),
         ]
-        stream = DeviceStream("monitor", DEV, PacketTable.from_packets(packets))
-        extracted = extract_payloads(stream)
+        extracted = extract_payloads(_stream(records))
         assert [p.packet_index for p in extracted] == [0, 2, 4]
 
     def test_udp_dns_query_payload(self):
         dns = b"\x3a\x21\x01\x00\x00\x01\x00\x00\x00\x00\x00\x00\x07scalews\x08withings\x03net\x00\x00\x01\x00\x01"
-        table = PacketTable.from_packets([_packet(0, dns, kind="UDP", sport=42333, dport=53)])
-        stream = DeviceStream("monitor", DEV, table)
-        extracted = extract_payloads(stream)
+        extracted = extract_payloads(_stream([_record(0, dns, kind="UDP", sport=42333, dport=53)]))
         assert len(extracted) == 1
         assert extracted[0].data == dns
 
     def test_packet_without_transport_is_excluded(self):
-        arp = _packet(0, b"\x00\x01\x08\x00", with_transport=False)
-        assert extract_payloads(DeviceStream("monitor", DEV, PacketTable.from_packets([arp]))) == []
+        icmp = _record(0, b"\x00\x01\x08\x00", with_transport=False)
+        arp = (1000, arp_frame(DEV, "192.168.4.21", "192.168.4.1"))
+        assert extract_payloads(_stream([icmp, arp])) == []
 
     def test_direction_follows_device_mac(self):
-        packets = [_packet(0, b"out", src=DEV, dst=AP), _packet(1, b"in", src=AP, dst=DEV)]
-        extracted = extract_payloads(DeviceStream("monitor", DEV, PacketTable.from_packets(packets)))
+        records = [_record(0, b"out", src=DEV, dst=AP), _record(1, b"in", src=AP, dst=DEV)]
+        extracted = extract_payloads(_stream(records))
         assert [p.direction for p in extracted] == ["outbound", "inbound"]
 
     @settings(max_examples=100)
@@ -85,11 +87,11 @@ class TestExtractPayloads:
         )
     )
     def test_payloads_equal_the_per_packet_loop(self, rows):
-        packets = [
-            _packet(i, data, kind, *((DEV, AP) if outbound else (AP, DEV)), dport=port, with_transport=transport)
+        records = [
+            _record(i, data, kind, *((DEV, AP) if outbound else (AP, DEV)), dport=port, with_transport=transport)
             for i, (data, kind, outbound, transport, port) in enumerate(rows)
         ]
-        stream = DeviceStream("monitor", DEV, PacketTable.from_packets(packets))
+        stream = _stream(records)
         assert extract_payloads(stream) == extract_payloads_oracle(stream)
 
 

@@ -65,7 +65,7 @@ from medleak.report import (
 )
 
 from _oracles import analyze_stream_oracle
-from conftest import stitch_random_captures
+from conftest import stitch_random_captures, table_of
 
 
 def _config(scenario):
@@ -181,8 +181,8 @@ class TestAnalyze:
             segments += [record[offset : offset + 1448] for offset in range(0, len(record), 1448)]
         assert [len(segment) for segment in segments] == [1448, 1448, 3, 1448, 1448, 5]
         frames = [tcp_frame(device, gateway, "192.168.9.5", "203.0.113.9", 41000, 8883, s) for s in segments]
-        packets = parse_capture(write_pcap([(1_700_000_000_000_000 + i, f) for i, f in enumerate(frames)])).packets
-        (stream,), _ = split_by_device(packets, {device: "broker"})
+        table = table_of([(1_700_000_000_000_000 + i, f) for i, f in enumerate(frames)])
+        (stream,), _ = split_by_device(table, {device: "broker"})
         args = ("split.pcap", stream, {}, RunConfig(), load_dictionaries())
         report = report_module.analyze_stream(*args)
         assert report == analyze_stream_oracle(*args)
@@ -197,8 +197,8 @@ class TestAnalyze:
         device, gateway = "02:11:22:33:44:55", "b8:27:eb:00:00:01"
         fragment = b"Accept-Language: en-us\r\nCookie: session=alice\r\n\r\n"
         frame = tcp_frame(device, gateway, "192.168.9.5", "203.0.113.9", 41000, 80, fragment)
-        packets = parse_capture(write_pcap([(1_700_000_000_000_000, frame)])).packets
-        (stream,), _ = split_by_device(packets, {device: "scale"})
+        table = table_of([(1_700_000_000_000_000, frame)])
+        (stream,), _ = split_by_device(table, {device: "scale"})
         args = ("fragment.pcap", stream, {}, RunConfig(), load_dictionaries())
         report = report_module.analyze_stream(*args)
         assert report == analyze_stream_oracle(*args)

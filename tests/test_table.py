@@ -1,15 +1,16 @@
 """The columnar PacketTable against lists of RawPackets.
 
 Each stage that reads columns gives, on a stream backed by rows of a parsed
-capture's table, what it gives on a stream given its own table, built from
-the rows' RawPackets by ``PacketTable.from_packets``, and what the
-per-packet oracles give. ``analyze`` reads the table and builds RawPackets
-for no row.
+capture's table, what it gives on a stream given that stream's table as its
+own, and what the per-packet oracles give. ``analyze`` reads the table and
+builds RawPackets for no row.
 """
 
+import ipaddress
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,10 +22,14 @@ from medleak.corpus import (
     SCENARIOS,
     build_fixture_capture,
     dns_response_payload,
+    ethernet_frame,
     fixture_registry,
     generate_random_capture,
+    ipv4_packet,
     tcp_frame,
+    tcp_segment,
     tls_record,
+    udp_datagram,
     udp_frame,
     write_pcap,
 )
@@ -35,12 +40,14 @@ from _oracles import (
     activity_periods_oracle,
     detect_tls_oracle,
     endpoint_profiles_oracle,
+    extract_dns_answers_oracle,
     extract_payloads_oracle,
     parse_capture_oracle,
     resolve_hostnames_oracle,
     split_by_device_oracle,
     table_rows_oracle,
 )
+from conftest import table_of
 from test_capture import _VARIANTS, AP_MAC, DEV_MAC, _capture, _hostile_frame, _ipv6_capture
 
 GAPS = (60.0, 5.0, 0.0, math.nan, math.inf)
@@ -68,28 +75,26 @@ def _assert_stages_agree(data: bytes, registry: dict[str, str]) -> None:
     _assert_row_flags(parsed.table, packets)
 
     streams, unattributed = split_by_device(parsed.table, registry)
-    listed, listed_rest = split_by_device(PacketTable.from_packets(packets), registry)
     want, want_rest = split_by_device_oracle(rows, registry)
     assert [(s.device_id, s.mac, s.table) for s in streams] == want
-    assert [(s.device_id, s.mac, s.table) for s in listed] == want
-    assert len(unattributed) == len(listed_rest) == len(want_rest)
-    assert unattributed == listed_rest == want_rest
+    assert len(unattributed) == len(want_rest)
+    assert unattributed == want_rest
 
     dns = extract_dns_answers(parsed.table)
-    assert dns == extract_dns_answers(PacketTable.from_packets(packets))
+    assert dns == extract_dns_answers_oracle(packets)
     for stream in streams:
-        from_list = DeviceStream(stream.device_id, stream.mac, PacketTable.from_packets(stream.table))
-        assert extract_payloads(stream) == extract_payloads(from_list) == extract_payloads_oracle(from_list)
+        own = DeviceStream(stream.device_id, stream.mac, stream.table)
+        assert extract_payloads(stream) == extract_payloads(own) == extract_payloads_oracle(own)
         for answers in (dns, {}):
             hostnames = resolve_hostnames(stream, answers)
-            assert hostnames == resolve_hostnames(from_list, answers) == resolve_hostnames_oracle(from_list, answers)
+            assert hostnames == resolve_hostnames(own, answers) == resolve_hostnames_oracle(own, answers)
             for gap in GAPS:
                 periods = activity_periods(stream, gap, hostnames)
-                assert periods == activity_periods(from_list, gap, hostnames)
-                assert periods == activity_periods_oracle(from_list, gap, hostnames)
+                assert periods == activity_periods(own, gap, hostnames)
+                assert periods == activity_periods_oracle(own, gap, hostnames)
             profiles = endpoint_profiles(stream, answers, PATTERNS)
-            assert profiles == endpoint_profiles(from_list, answers, PATTERNS)
-            assert profiles == endpoint_profiles_oracle(from_list, answers, PATTERNS)
+            assert profiles == endpoint_profiles(own, answers, PATTERNS)
+            assert profiles == endpoint_profiles_oracle(own, answers, PATTERNS)
 
 
 @settings(max_examples=40, deadline=None)
@@ -124,33 +129,53 @@ DEV, GATEWAY = DEV_MAC.hex(":"), AP_MAC.hex(":")
 _REMOTES = ("89.30.121.52", "198.51.100.7", "2001:db8::7")
 
 
+def _ip_frame(src_mac: str, dst_mac: str, src_ip: str, dst_ip: str, protocol: int, body: bytes) -> bytes:
+    """An IPv4 frame, or an IPv6 one when the addresses are IPv6."""
+    if ":" not in src_ip:
+        return ethernet_frame(src_mac, dst_mac, 0x0800, ipv4_packet(src_ip, dst_ip, protocol, body))
+    addresses = ipaddress.IPv6Address(src_ip).packed + ipaddress.IPv6Address(dst_ip).packed
+    return ethernet_frame(src_mac, dst_mac, 0x86DD, struct.pack("!IHBB", 6 << 28, len(body), protocol, 64)
+                          + addresses + body)
+
+
 @st.composite
-def _unsorted_packets(draw) -> list[RawPacket]:
-    """Hand-built packets whose timestamps step back as well as forward, with
-    ARP, UDP, TCP, TLS and HTTP rows, to and from the device."""
-    packets, t_us = [], 1_700_000_000_000_000
-    for index in range(draw(st.integers(0, 25))):
+def _unsorted_records(draw) -> list[tuple[int, bytes]]:
+    """Hand-made (ts_us, frame) records whose timestamps step back as well
+    as forward, with ARP-typed, ICMP, UDP, TCP, TLS and HTTP frames, to and
+    from the device."""
+    records, t_us = [], 1_700_000_000_000_000
+    for _ in range(draw(st.integers(0, 25))):
         t_us += draw(st.sampled_from((0, 1, 60_000_000, 60_000_001, -1, -61_000_000)) | st.integers(-10**8, 10**8))
         outbound = draw(st.booleans())
         src, dst = (DEV, GATEWAY) if outbound else (GATEWAY, DEV)
         remote = draw(st.sampled_from(_REMOTES))
         here = "2001:db8::1" if ":" in remote else "192.168.4.21"
-        ip = capture.IpInfo(here, remote, 6) if outbound else capture.IpInfo(remote, here, 6)
+        src_ip, dst_ip = (here, remote) if outbound else (remote, here)
         kind = draw(st.sampled_from(("arp", "TCP", "UDP", "none")))
         payload = draw(st.sampled_from((b"", b"GET / HTTP/1.1\r\nHost: h.example\r\n\r\n", tls_record(0x17, 3, b"x"),
                                         b"HTTP/1.1 200 OK\r\nHost: r.example\r\n\r\n", b"Host: GET\r\n", b"\x00\x01")))
-        transport = None
-        if kind in ("TCP", "UDP"):
-            transport = capture.TransportInfo(draw(st.sampled_from((53, 80, 443, 40000))), 41000, kind)
-        packets.append(RawPacket(index, t_us, src, dst, None if kind == "arp" else ip, transport, payload,
-                                 54 + len(payload)))
-    return packets
+        if kind == "arp":  # no IP layer: the body after the ethertype is the payload
+            frame = ethernet_frame(src, dst, 0x0806, payload)
+        elif kind == "none":  # IP without a transport layer: ICMP
+            frame = _ip_frame(src, dst, src_ip, dst_ip, 58 if ":" in remote else 1, payload)
+        else:
+            port = draw(st.sampled_from((53, 80, 443, 40000)))
+            body = (tcp_segment if kind == "TCP" else udp_datagram)(port, 41000, payload)
+            frame = _ip_frame(src, dst, src_ip, dst_ip, 6 if kind == "TCP" else 17, body)
+        records.append((t_us, frame))
+    return records
 
 
 @settings(max_examples=200, deadline=None)
-@given(packets=_unsorted_packets(), gap=st.sampled_from(GAPS) | st.floats(-5.0, 120.0))
-def test_a_stream_built_from_a_list_runs_the_column_code_as_the_oracles(packets, gap):
-    stream = DeviceStream("dev", DEV, PacketTable.from_packets(packets))
+@given(records=_unsorted_records(), gap=st.sampled_from(GAPS) | st.floats(-5.0, 120.0))
+def test_a_stream_of_unsorted_frames_runs_the_column_code_as_the_oracles(records, gap):
+    decoded = table_of(records)
+    # the decode sorts by timestamp; the rows are taken back into capture
+    # order, so the columns are read with timestamps that step back
+    table = decoded.take(np.argsort(decoded.index, kind="stable"))
+    assert table.index.tolist() == list(range(len(records)))
+    packets = sorted(parse_capture_oracle(write_pcap(records)).packets, key=lambda packet: packet.index)
+    stream = DeviceStream("dev", DEV, table)
     assert stream.table.packets() == table_rows_oracle(packets)
     hostnames = resolve_hostnames(stream, {})
     assert hostnames == resolve_hostnames_oracle(stream, {})
@@ -158,7 +183,7 @@ def test_a_stream_built_from_a_list_runs_the_column_code_as_the_oracles(packets,
     assert endpoint_profiles(stream, {}, PATTERNS) == endpoint_profiles_oracle(stream, {}, PATTERNS)
     _assert_row_flags(stream.table, packets)
     assert extract_payloads(stream) == extract_payloads_oracle(stream)
-    streams, unattributed = split_by_device(PacketTable.from_packets(packets), {DEV: "dev"})
+    streams, unattributed = split_by_device(table, {DEV: "dev"})
     assert streams[0].table == [p for p in table_rows_oracle(packets) if DEV in (p.src_mac, p.dst_mac)]
     assert list(unattributed) == []
 
@@ -251,7 +276,7 @@ def test_a_table_is_a_collection_of_its_packets():
     assert parsed.packets is table
     assert len(table) == len(packets) and list(table) == packets
     assert table == packets and table == tuple(packets) and table != packets[1:]
-    assert table.take(slice(2, 5)) == packets[2:5]
+    assert table.take(np.arange(2, 5)) == packets[2:5]
     with pytest.raises(TypeError):
         hash(table)
     streams, unattributed = split_by_device(table, registry)
