@@ -23,6 +23,8 @@ from typing import BinaryIO, Mapping
 
 import numpy as np
 
+from .classifiers import _CONSENSUS, CLEARTEXT, ClassifierConfig, _VerdictColumns, _verdict_columns
+
 log = logging.getLogger(__name__)
 
 ETHERTYPE_IPV4 = 0x0800
@@ -106,32 +108,27 @@ class RawPacket:
 
 
 class Names:
-    """The distinct MAC and IP address strings of one capture. Table rows
-    name them by position, so every row that repeats one shares its string."""
+    """The distinct MAC and IP address strings of one capture, each added
+    once by the decode. Table rows name them by position, so every row that
+    repeats one shares its string; ``mac_ids`` finds a MAC's id."""
 
-    __slots__ = ("macs", "mac_ids", "addresses", "address_ids")
+    __slots__ = ("macs", "mac_ids", "addresses")
 
     def __init__(self) -> None:
         self.macs: list[str] = []
         self.mac_ids: dict[str, int] = {}
         self.addresses: list[str] = []
-        self.address_ids: dict[str, int] = {}
 
     def mac(self, text: str) -> int:
-        """The id of a MAC string, added when new."""
-        return _add(self.macs, self.mac_ids, text)
+        """The id of a new MAC string."""
+        found = self.mac_ids[text] = len(self.macs)
+        self.macs.append(text)
+        return found
 
     def address(self, text: str) -> int:
-        """The id of an address string, added when new."""
-        return _add(self.addresses, self.address_ids, text)
-
-
-def _add(names: list[str], ids: dict[str, int], text: str) -> int:
-    found = ids.get(text)
-    if found is None:
-        found = ids[text] = len(names)
-        names.append(text)
-    return found
+        """The id of a new address string."""
+        self.addresses.append(text)
+        return len(self.addresses) - 1
 
 
 # Each column of a PacketTable and its dtype, one entry per row. IpInfo and
@@ -230,6 +227,12 @@ class PacketTable:
                     transport = transports[proto, src_port, dst_port] = TransportInfo(src_port, dst_port, _KINDS[proto])
             packets.append(RawPacket(index, ts_us, macs[src], macs[dst], ip, transport, payload, frame_len))
         return packets
+
+
+def payload_rows(table: PacketTable) -> np.ndarray:
+    """Which rows of a table carry application bytes: rows without a
+    transport layer (ARP and friends) and empty TCP segments carry none."""
+    return table.head >= 0
 
 
 _column_values = operator.attrgetter(*_COLUMNS)
@@ -457,11 +460,11 @@ class _Grouping:
     ``order[bounds[k]:bounds[k + 1]]``, those of the device ``macs[k]``; any
     rows listed past the last group belong to none. Each grouped row's
     direction and remote end are computed here once, for every group at a
-    time, in ``order``; so are, on first use, the activity periods
-    (``periods``) and the HTTP-start rows (``http``) that the per-stream
-    stages read their group's slices of."""
+    time, in ``order``; so are, on first use, the payload verdicts
+    (``verdicts``), activity periods (``periods``) and HTTP-start rows
+    (``http``) that the per-stream stages read their group's slices of."""
 
-    __slots__ = ("table", "order", "bounds", "outbound", "remote", "_periods", "_http")
+    __slots__ = ("table", "order", "bounds", "outbound", "remote", "_verdicts", "_periods", "_http")
 
     def __init__(self, table: PacketTable, order: np.ndarray, bounds: list[int], macs: list[str]) -> None:
         self.table = table
@@ -475,16 +478,18 @@ class _Grouping:
         # without an IP layer): the destination of a row the device sent,
         # the source of any other
         self.remote = np.where(self.outbound, table.dst_addr[grouped], table.src_addr[grouped])
+        self._verdicts: _Verdicts | None = None
         self._periods: _Periods | None = None
         self._http: tuple[np.ndarray, np.ndarray] | None = None
 
-    @classmethod
-    def alone(cls, table: PacketTable, mac: str) -> _Grouping:
-        """The grouping of a table of one device's rows, as one group."""
-        return cls(table, np.arange(len(table)), [0, len(table)], [mac])
-
     def rows(self, group: int) -> slice:
         return slice(self.bounds[group], self.bounds[group + 1])
+
+    def verdicts(self, config: ClassifierConfig) -> _Verdicts:
+        """The grouped payloads classified under ``config``, kept for the last config (by identity)."""
+        if self._verdicts is None or self._verdicts.config is not config:
+            self._verdicts = _Verdicts(self, config)
+        return self._verdicts
 
     def periods(self, gap_threshold: float) -> _Periods:
         """The grouped rows cut into activity periods at ``gap_threshold``
@@ -505,6 +510,40 @@ class _Grouping:
             rows = np.array((grouped[positions], self.remote[positions]), np.int32)
             self._http = rows, np.searchsorted(positions, self.bounds)
         return self._http
+
+
+class _Verdicts:
+    """A grouping's payloads classified under one config, for every group at
+    a time: every grouped non-TLS payload at once, TLS rows only counted.
+    ``counts[k]`` is group ``k``'s TLS count, then its count of each verdict
+    in ``_CONSENSUS`` order. The cleartext rows, in grouped order, have
+    their verdicts in ``cleartext`` and their table row, packet index,
+    outbound flag, ports and ``ts_us`` in the rows of ``fields``; group
+    ``k``'s are ``bounds[k]:bounds[k + 1]``. All stay arrays, since lists
+    would be held until the capture's last stream."""
+
+    __slots__ = ("config", "counts", "cleartext", "fields", "bounds")
+
+    def __init__(self, grouping: _Grouping, config: ClassifierConfig) -> None:
+        self.config = config
+        table, bounds = grouping.table, grouping.bounds
+        groups = len(bounds) - 1
+        grouped = grouping.order[: bounds[-1]]
+        owner = np.repeat(np.arange(groups), np.diff(bounds))
+        tls = table.tls[grouped]
+        plain = (payload_rows(table)[grouped] & ~tls).nonzero()[0]
+        verdicts = _verdict_columns((table.payloads[row] for row in grouped[plain].tolist()), config)
+        codes = verdicts.consensus
+        tallies = np.bincount(owner[plain] * len(_CONSENSUS) + codes, minlength=groups * len(_CONSENSUS))
+        self.counts = np.column_stack((np.bincount(owner[tls], minlength=groups),
+                                       tallies.reshape(groups, len(_CONSENSUS))))
+        cleartext = (codes == _CONSENSUS.index(CLEARTEXT)).nonzero()[0]
+        self.cleartext = _VerdictColumns(*(column[..., cleartext] for column in verdicts))
+        positions = plain[cleartext]
+        rows = grouped[positions]
+        self.fields = np.array((rows, table.index[rows], grouping.outbound[positions], table.src_port[rows],
+                                table.dst_port[rows], table.ts_us[rows]), np.int64)
+        self.bounds = np.searchsorted(positions, bounds)
 
 
 class _Periods:
@@ -543,8 +582,8 @@ class DeviceStream:
     table is taken from the capture's table, in the grouping's order, when
     first read; the stages of ``analyze`` read the grouping's columns and
     never ask for it. A stream given its own table (an empty one when given
-    neither) is the one group of ``_Grouping.alone`` of that table. ``mac`` is canonicalized by
-    ``normalize_mac``, so a malformed MAC is a ValueError.
+    neither) is the one group of a grouping of that table's rows. ``mac`` is
+    canonicalized by ``normalize_mac``, so a malformed MAC is a ValueError.
     """
 
     def __init__(self, device_id: str, mac: str, table: PacketTable | None = None, *,
@@ -554,7 +593,7 @@ class DeviceStream:
         self.group = group
         if grouping is None:
             self.table = _Decoder("<", 1).table() if table is None else table
-            grouping = _Grouping.alone(self.table, self.mac)
+            grouping = _Grouping(self.table, np.arange(len(self.table)), [0, len(self.table)], [self.mac])
         self.grouping = grouping
 
     @cached_property

@@ -5,15 +5,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .capture import (
     _START_LINE_PREFIXES,
     HTTP_METHODS,
     TLS_CONTENT_TYPES,
     TLS_PORT,
     DeviceStream,
-    PacketTable,
+    payload_rows,
 )
 
 _REQUEST_LINE = re.compile(r"^(%s) (\S+) HTTP/" % "|".join(HTTP_METHODS))
@@ -48,12 +46,6 @@ class HttpMessage:
     host: str | None = None
     cookies: list[tuple[str, str]] = field(default_factory=list)
     status_code: int | None = None
-
-
-def payload_rows(table: PacketTable) -> np.ndarray:
-    """Which rows of a table carry application bytes: rows without a
-    transport layer (ARP and friends) and empty TCP segments carry none."""
-    return table.head >= 0
 
 
 def extract_payloads(stream: DeviceStream) -> list[AppPayload]:

@@ -10,18 +10,8 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 
-import numpy as np
-
-from .capture import DeviceStream, _Grouping, parse_capture, split_by_device
-from .classifiers import (
-    _CONSENSUS,
-    CLEARTEXT,
-    ENCRYPTED,
-    INDETERMINATE,
-    ClassificationResult,
-    _VerdictColumns,
-    _verdict_columns,
-)
+from .capture import DeviceStream, parse_capture, split_by_device
+from .classifiers import ClassificationResult
 from .config import RunConfig, load_dictionaries
 from .leaks import (
     LeakFinding,
@@ -43,7 +33,7 @@ from .metadata import (
     periodicity_hint,
     resolve_hostnames,
 )
-from .payload import AppPayload, parse_http, payload_rows
+from .payload import AppPayload, parse_http
 
 SCHEMA_VERSION = 1
 
@@ -99,54 +89,18 @@ def _status(findings: list[LeakFinding]) -> str:
     return STATUS_OK
 
 
-class _CapturePass:
-    """What ``analyze_stream`` reads of the streams of one grouping, computed
-    once for all of them: each group's TLS count and verdict tally, and each
-    cleartext row's fields and verdict, from one classification of every
-    grouped non-TLS payload. ``analyze`` builds this object per capture and
-    drops it with the capture; ``analyze_stream`` called without one builds
-    its own over its stream's rows alone.
-
-    Grouped rows are read through the grouping's ``order``: position ``i``
-    of the groups is row ``order[i]`` of the table."""
-
-    def __init__(self, grouping: _Grouping, config: RunConfig) -> None:
-        self.grouping = grouping
-        table, bounds = grouping.table, grouping.bounds
-        groups = len(bounds) - 1
-        grouped = grouping.order[: bounds[-1]]
-        owner = np.repeat(np.arange(groups), np.diff(bounds))
-        tls = table.tls[grouped]
-        # TLS rows are only counted: the other payload rows are classified
-        plain = (payload_rows(table)[grouped] & ~tls).nonzero()[0]
-        verdicts = _verdict_columns((table.payloads[row] for row in grouped[plain].tolist()), config)
-        codes = verdicts.consensus
-        tallies = np.bincount(owner[plain] * len(_CONSENSUS) + codes, minlength=groups * len(_CONSENSUS))
-        # a row per group: its TLS count, then its count of each verdict; this
-        # and the bounds stay arrays, held until the capture's last stream
-        self.counts = np.column_stack((np.bincount(owner[tls], minlength=groups),
-                                       tallies.reshape(groups, len(_CONSENSUS))))
-        # the cleartext rows' verdicts, and their fields as the rows of a matrix
-        cleartext = (codes == _CONSENSUS.index(CLEARTEXT)).nonzero()[0]
-        self.verdicts = _VerdictColumns(*(column[..., cleartext] for column in verdicts))
-        positions = plain[cleartext]
-        rows = grouped[positions]
-        self.fields = np.array((rows, table.index[rows], grouping.outbound[positions], table.src_port[rows],
-                                table.dst_port[rows], table.ts_us[rows]), np.int64)
-        self.bounds = np.searchsorted(positions, bounds)
-
-    def cleartext_payloads(self, group: int) -> Iterator[tuple[AppPayload, float, ClassificationResult]]:
-        """Each cleartext payload of the group, in row order, with its
-        capture time in seconds and its verdict."""
-        first, after = self.bounds[group : group + 2].tolist()
-        if first == after:
-            return
-        payloads = self.grouping.table.payloads
-        fields = self.fields[:, first:after].tolist()
-        verdicts = self.verdicts.results(fields[1], slice(first, after))
-        for row, index, outbound, src_port, dst_port, ts_us, verdict in zip(*fields, verdicts):
-            payload = AppPayload(index, "outbound" if outbound else "inbound", (src_port, dst_port), payloads[row])
-            yield payload, ts_us / 1_000_000, verdict
+def _cleartext_payloads(stream: DeviceStream, verdicts) -> Iterator[tuple[AppPayload, float, ClassificationResult]]:
+    """Each cleartext payload of the stream, in row order, with its capture
+    time in seconds and its verdict, from its grouping's ``verdicts``."""
+    first, after = verdicts.bounds[stream.group : stream.group + 2].tolist()
+    if first == after:
+        return
+    payloads = stream.grouping.table.payloads
+    fields = verdicts.fields[:, first:after].tolist()
+    results = verdicts.cleartext.results(fields[1], slice(first, after))
+    for row, index, outbound, src_port, dst_port, ts_us, verdict in zip(*fields, results):
+        payload = AppPayload(index, "outbound" if outbound else "inbound", (src_port, dst_port), payloads[row])
+        yield payload, ts_us / 1_000_000, verdict
 
 
 def analyze_stream(
@@ -156,19 +110,15 @@ def analyze_stream(
     config: RunConfig,
     dictionaries,
     run: _MiningRun | None = None,
-    capture: _CapturePass | None = None,
 ) -> DeviceReport:
+    """One device's report, read from its grouping's verdicts under
+    ``config``: all the grouping's streams are classified at once."""
     run = run or _MiningRun(dictionaries, config.vendor_patterns)
-    group = stream.group
-    if capture is None:
-        grouping = stream.grouping
-        if len(grouping.bounds) > 2:  # one stream of a split into several: its own rows alone
-            grouping, group = _Grouping.alone(stream.table, stream.mac), 0
-        capture = _CapturePass(grouping, config)
+    verdicts = stream.grouping.verdicts(config)
     findings: list[LeakFinding] = []
     timed_messages: list[TimedMessage] = []
 
-    for payload, timestamp, verdict in capture.cleartext_payloads(group):
+    for payload, timestamp, verdict in _cleartext_payloads(stream, verdicts):
         payload_findings = scan_cleartext_payload(payload, verdict, dictionaries, run)
         findings.extend(payload_findings)
         message = parse_http(payload.data)
@@ -202,18 +152,18 @@ def analyze_stream(
 
     hostnames = resolve_hostnames(stream, dns_answers)
     activity = activity_periods(stream, config.gap_threshold, hostnames)
-    tls_count, *tally = capture.counts[group].tolist()
-    tally = dict(zip(_CONSENSUS, tally))
+    counts = verdicts.counts[stream.group].tolist()
+    tls_count, cleartext_count, encrypted_count, indeterminate_count = counts
     return DeviceReport(
         capture=capture_name,
         device_id=stream.device_id,
         mac=stream.mac,
         packet_count=stream.packet_count,
-        payload_count=tls_count + sum(tally.values()),
-        cleartext_count=tally[CLEARTEXT],
+        payload_count=sum(counts),
+        cleartext_count=cleartext_count,
         tls_count=tls_count,
-        encrypted_count=tally[ENCRYPTED],
-        indeterminate_count=tally[INDETERMINATE],
+        encrypted_count=encrypted_count,
+        indeterminate_count=indeterminate_count,
         findings=findings,
         activity=activity,
         endpoints=endpoint_profiles(stream, hostnames, config.vendor_patterns, run),
@@ -227,8 +177,8 @@ def analyze(captures, config: RunConfig) -> AnalysisResult:
 
     Reports are deterministic for identical inputs. ``config`` was checked
     when it was built and is only read. Each capture's streams share one
-    ``_CapturePass`` and one grouping, whose columns every stage reads its
-    stream's slices of, so no stream's table is built.
+    grouping, whose columns (the payload verdicts among them) every stage
+    reads its stream's slices of, so no stream's table is built.
     """
     dictionaries = load_dictionaries(config.dict_dir)
     run = _MiningRun(dictionaries, config.vendor_patterns)
@@ -243,10 +193,9 @@ def analyze(captures, config: RunConfig) -> AnalysisResult:
         if len(unattributed):
             warnings.append(f"{path.name}: {len(unattributed)} packets unattributed")
         dns_answers = extract_dns_answers(parsed.table)
-        capture = _CapturePass(streams[0].grouping, config) if streams else None
         for position in range(len(streams)):
             stream, streams[position] = streams[position], None  # the list keeps no analysed stream
-            reports.append(analyze_stream(path.name, stream, dns_answers, config, dictionaries, run, capture))
+            reports.append(analyze_stream(path.name, stream, dns_answers, config, dictionaries, run))
 
     return AnalysisResult(reports=reports, warnings=warnings)
 

@@ -53,8 +53,8 @@ def _captures(draw):
 )
 def test_analyze_reports_each_stream_as_it_is_analysed_alone(tmp_path_factory, capture, method, gap):
     """analyze scores and groups the capture once for all its streams; each
-    report equals analyze_stream run alone on the same split stream, which
-    builds its state over that stream's rows only."""
+    report equals analyze_stream run on the split stream given its own
+    table, whose grouping holds that stream's rows only."""
     data, registry = capture
     path = tmp_path_factory.mktemp("capture") / "random.pcap"
     path.write_bytes(data)
@@ -63,7 +63,8 @@ def test_analyze_reports_each_stream_as_it_is_analysed_alone(tmp_path_factory, c
     answers = extract_dns_answers(table)
     dictionaries = load_dictionaries()
     alone = [
-        analyze_stream(path.name, stream, answers, config, dictionaries)
+        analyze_stream(path.name, DeviceStream(stream.device_id, stream.mac, stream.table), answers, config,
+                       dictionaries)
         for stream in split_by_device(table, registry)[0]
     ]
     assert analyze([path], config).reports == alone
@@ -175,9 +176,9 @@ def test_analyze_holds_one_streams_table_at_a_time(tmp_path):
 
 
 def test_a_stream_given_its_own_table_is_grouped_once(monkeypatch):
-    """analyze_stream called without a capture pass reuses the one-group
-    grouping of a stream given its own table (or split from a one-device
-    registry), and reports as the stream split from the capture does."""
+    """analyze_stream reads the one-group grouping that a stream given its
+    own table (or split from a one-device registry) already has, and
+    reports as the stream split from the capture does."""
     groupings = []
     init = capture._Grouping.__init__
 
@@ -196,6 +197,49 @@ def test_a_stream_given_its_own_table_is_grouped_once(monkeypatch):
     reports = [analyze_stream("bp.pcap", stream, answers, config, dictionaries) for stream in (own, split)]
     assert len(groupings) == 2
     assert reports[0] == reports[1] and reports[0].status == "LEAK"
+
+
+def test_standalone_calls_on_split_streams_classify_the_capture_once(fixture_dir, monkeypatch):
+    """analyze_stream called on each split stream of a capture classifies
+    the capture's grouped payloads once, for all its streams, and reports
+    as analyze does."""
+    calls = []
+    verdict_columns = capture._verdict_columns
+
+    def counted(rows, config):
+        calls.append(config)
+        return verdict_columns(rows, config)
+
+    monkeypatch.setattr(capture, "_verdict_columns", counted)
+    registry = fixture_registry("mixed-home")
+    table = parse_capture(build_fixture_capture("mixed-home")).table
+    config, answers, dictionaries = RunConfig(registry=registry), extract_dns_answers(table), load_dictionaries()
+    streams = split_by_device(table, registry)[0]
+    reports = [analyze_stream("mixed-home.pcap", stream, answers, config, dictionaries) for stream in streams]
+    assert len(reports) == 2 and calls == [config]
+    assert reports == analyze([fixture_dir / "mixed-home.pcap"], config).reports
+
+
+def test_a_stream_analysed_under_two_methods_gets_each_methods_counts():
+    """The grouping keeps its verdicts for the last config asked for: one
+    stream analysed under chi_squared, then ascii, then chi_squared again
+    reports as a freshly split stream does under each."""
+    data, registry = generate_random_capture(2)
+    table = parse_capture(data).table
+    answers, dictionaries = extract_dns_answers(table), load_dictionaries()
+    stream = split_by_device(table, registry)[0][0]
+
+    def counts(report):
+        return report.tls_count, report.cleartext_count, report.encrypted_count, report.indeterminate_count
+
+    seen = []
+    for method in ("chi_squared", "ascii", "chi_squared"):
+        config = RunConfig(registry=registry, decision_method=method)
+        fresh = split_by_device(table, registry)[0][0]
+        report = analyze_stream("random_2.pcap", stream, answers, config, dictionaries)
+        assert report == analyze_stream("random_2.pcap", fresh, answers, config, dictionaries)
+        seen.append(counts(report))
+    assert seen[0] == seen[2] != seen[1]
 
 
 def _application_data_capture(count: int = 2000) -> bytes:

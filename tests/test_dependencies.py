@@ -17,6 +17,8 @@ MODULES = {path.stem for path in SOURCE.glob("*.py")} - {"__init__"}
 # a backticked dotted name, such as `PacketTable.packets()`, and a file name
 _REFERENCE = re.compile(r"([A-Za-z_]\w*)((?:\.\w+)+)")
 _FILE = re.compile(r"\S*/\S*|[\w.-]+\.(?:py|json|jsonl|md|toml|txt|yml|pcap)")
+# a backticked private name, such as `_Periods` or `_Grouping.periods`
+_PRIVATE = re.compile(r"_[A-Za-z]\w*(?:\.\w+)*")
 
 
 def _imported_roots(path: Path):
@@ -48,15 +50,33 @@ def test_readme_lower_level_pieces_are_exported():
     assert [name for name in names if not hasattr(medleak, name)] == []
 
 
+def _resolves(owner, dotted: str) -> bool:
+    for attribute in dotted.split("."):
+        if not hasattr(owner, attribute):
+            return False
+        owner = getattr(owner, attribute)
+    return True
+
+
 def test_readme_references_resolve():
     """Every backticked ``Name.attr`` in the README whose ``Name`` is a
-    medleak module or a top-level export names an attribute that exists.
-    File paths such as ``medleak/report.py`` are not references."""
+    medleak module or a top-level export names an attribute that exists,
+    and every backticked private ``_name`` or ``_Name.attr`` is one of some
+    medleak module. File paths such as ``medleak/report.py`` are not
+    references."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    checked, missing = 0, []
+    modules = [importlib.import_module(f"medleak.{name}") for name in sorted(MODULES)]
+    checked, private, missing = 0, 0, []
     for span in re.findall(r"`([^`\n]+)`", readme):
+        if _FILE.fullmatch(span):
+            continue
+        if _PRIVATE.fullmatch(span):
+            private += 1
+            if not any(_resolves(module, span) for module in modules):
+                missing.append(span)
+            continue
         match = _REFERENCE.match(span)
-        if match is None or _FILE.fullmatch(span):
+        if match is None:
             continue
         name, attributes = match.groups()
         if name in MODULES:
@@ -66,10 +86,7 @@ def test_readme_references_resolve():
         else:
             continue
         checked += 1
-        for attribute in attributes[1:].split("."):
-            if not hasattr(owner, attribute):
-                missing.append(span)
-                break
-            owner = getattr(owner, attribute)
-    assert checked >= 3
+        if not _resolves(owner, attributes[1:]):
+            missing.append(span)
+    assert checked >= 3 and private >= 5
     assert missing == []

@@ -25,6 +25,7 @@ from medleak.classifiers import (
     _VerdictColumns,
     compare_methods,
 )
+from medleak import capture as capture_module
 from medleak import cli
 from medleak import report as report_module
 from medleak.cli import _build_parser, main
@@ -239,7 +240,7 @@ class TestAnalyze:
             verdicts = _verdict_columns(rows, config)
             return _VerdictColumns(*(np.roll(column, 1, axis=-1) for column in verdicts))
 
-        monkeypatch.setattr(report_module, "_verdict_columns", shifted)
+        monkeypatch.setattr(capture_module, "_verdict_columns", shifted)
         assert self._streams_unlike_the_oracle(capture_streams) > 0
 
     HAND_BUILT_DEVICE = "02:11:22:33:44:55"

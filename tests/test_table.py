@@ -138,6 +138,28 @@ def _ip_frame(src_mac: str, dst_mac: str, src_ip: str, dst_ip: str, protocol: in
                           + addresses + body)
 
 
+def test_each_distinct_mac_and_address_is_named_once_across_blocks():
+    """A capture of several read blocks, every block repeating the same
+    MACs and IPv4, IPv6 and v4-mapped IPv6 addresses: the decode names each
+    distinct string once, and every row reads as the oracle's."""
+    macs = (DEV, GATEWAY, "02:00:00:00:00:03")
+    pairs = (("192.168.4.21", "89.30.121.52"), ("2001:db8::1", "2001:db8::7"),
+             ("::ffff:192.168.4.21", "::ffff:89.30.121.52"), ("192.168.4.21", "198.51.100.7"))
+    records = [
+        (1_700_000_000_000_000 + k, _ip_frame(macs[k % 3], macs[(k + 1) % 3], *pairs[k % 4], 17,
+                                              udp_datagram(40000, 5000, bytes([k % 251]) * 1000)))
+        for k in range(500)
+    ]
+    data = write_pcap(records)
+    assert len(data) > 3 * capture._BLOCK
+    table = parse_capture(data).table
+    names = table.names
+    assert sorted(names.macs) == sorted(macs)
+    assert names.mac_ids == {mac: position for position, mac in enumerate(names.macs)}
+    assert len(names.addresses) == len(set(names.addresses)) == 7
+    assert table.packets() == table_rows_oracle(parse_capture_oracle(data).packets)
+
+
 @st.composite
 def _unsorted_records(draw) -> list[tuple[int, bytes]]:
     """Hand-made (ts_us, frame) records whose timestamps step back as well
