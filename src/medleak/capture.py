@@ -36,9 +36,9 @@ GLOBAL_HEADER_LEN = 24
 RECORD_HEADER_LEN = 16
 ETHERNET_HEADER_LEN = 14
 
-# The wire rules the decode flags each row by: TLS by port or record header,
-# and an HTTP/1.x start line, which begins with one of the prefixes (the
-# start-line patterns of payload.parse_http are anchored).
+# The wire rules of TLS (by port or record header), which the decode flags
+# each row by, and of an HTTP/1.x start line, which begins with one of the
+# prefixes (the start-line patterns of payload.parse_http are anchored).
 TLS_PORT = 443
 TLS_CONTENT_TYPES = frozenset({0x14, 0x15, 0x16, 0x17})
 TLS_RECORD_HEADER_LEN = 5  # content type, version, record length: all an application-data row keeps
@@ -147,7 +147,6 @@ _COLUMNS = {
     "dst_port": np.int32,
     "head": np.int16,       # the first byte of a transport payload; -1 without one, or when empty
     "tls": np.bool_,        # a transport payload that is TLS (_payload_columns)
-    "http": np.bool_,       # a TCP payload that begins with an HTTP start line (_http_rows)
 }
 
 
@@ -178,7 +177,6 @@ class PacketTable:
     dst_port: np.ndarray
     head: np.ndarray
     tls: np.ndarray
-    http: np.ndarray
     payloads: list[bytes]
     names: Names
 
@@ -238,8 +236,8 @@ def payload_rows(table: PacketTable) -> np.ndarray:
 _column_values = operator.attrgetter(*_COLUMNS)
 _TLS_TYPE = np.zeros(256, bool)
 _TLS_TYPE[list(TLS_CONTENT_TYPES)] = True
-_START_BYTE = np.zeros(257, bool)  # by head; -1, no payload, is the last entry
-_START_BYTE[[prefix[0] for prefix in _START_LINE_PREFIXES]] = True
+# 1 at each byte a start line can begin with, by a payload's first byte
+_START_BYTE = bytes(byte in {prefix[0] for prefix in _START_LINE_PREFIXES} for byte in range(256))
 
 
 def _payload_columns(
@@ -266,15 +264,6 @@ def _payload_columns(
     tls = record | payload & ((src_port == TLS_PORT) | (dst_port == TLS_PORT))
     kept = np.where(record & (head[0] == 0x17), np.minimum(length, TLS_RECORD_HEADER_LEN), length)
     return np.where(payload, head[0], -1), tls, kept
-
-
-def _http_rows(proto: np.ndarray, head: np.ndarray, payloads: list[bytes]) -> np.ndarray:
-    """Which rows hold a TCP payload that begins with an HTTP start line:
-    those whose first byte can start one, then looked at whole."""
-    http = (proto == 6) & _START_BYTE[head]
-    for row in http.nonzero()[0].tolist():
-        http[row] = payloads[row].startswith(_START_LINE_PREFIXES)
-    return http
 
 
 _IP = ETHERNET_HEADER_LEN  # offset of the IP header in a frame
@@ -419,11 +408,9 @@ class _Decoder:
             addresses[selected] = np.array(ids, np.int32).reshape(-1, 2)
         values["src_addr"], values["dst_addr"] = addresses[:, 0], addresses[:, 1]
 
-        payloads = [block[lo:hi] for lo, hi in zip((frame + start).tolist(), (frame + end).tolist())]
-        values["http"] = _http_rows(values["proto"], values["head"], payloads)
         for name, column in self.columns.items():
             column.frombytes(memoryview(np.ascontiguousarray(values[name], _COLUMNS[name])).cast("B"))
-        self.payloads += payloads
+        self.payloads += [block[lo:hi] for lo, hi in zip((frame + start).tolist(), (frame + end).tolist())]
 
     def _ipv6(self, raw: bytes) -> int:
         found = self.ipv6_ids.get(raw)
@@ -456,13 +443,13 @@ class CaptureParse:
 
 class _Grouping:
     """A table's rows grouped by device, without copying them: ``order``
-    lists row numbers of the table, and group ``k`` is the rows
-    ``order[bounds[k]:bounds[k + 1]]``, those of the device ``macs[k]``; any
-    rows listed past the last group belong to none. Each grouped row's
-    direction and remote end are computed here once, for every group at a
-    time, in ``order``; so are, on first use, the payload verdicts
-    (``verdicts``), activity periods (``periods``) and HTTP-start rows
-    (``http``) that the per-stream stages read their group's slices of."""
+    lists the grouped row numbers of the table, and group ``k`` is the rows
+    ``order[bounds[k]:bounds[k + 1]]``, those of the device ``macs[k]``.
+    Each grouped row's direction and remote end are computed here once, for
+    every group at a time, in ``order``; so are, on first use, the payload
+    verdicts (``verdicts``), activity periods (``periods``) and HTTP-start
+    candidates (``http``) that the per-stream stages read their group's
+    slices of."""
 
     __slots__ = ("table", "order", "bounds", "outbound", "remote", "_verdicts", "_periods", "_http")
 
@@ -470,14 +457,13 @@ class _Grouping:
         self.table = table
         self.order = order
         self.bounds = bounds
-        grouped = order[: bounds[-1]]
         device = np.repeat([table.mac_id(mac) for mac in macs], np.diff(bounds))
         # the device sent the row
-        self.outbound = table.src_mac[grouped] == device
+        self.outbound = table.src_mac[order] == device
         # the row's non-device end, as an id into the table's addresses (-1
         # without an IP layer): the destination of a row the device sent,
         # the source of any other
-        self.remote = np.where(self.outbound, table.dst_addr[grouped], table.src_addr[grouped])
+        self.remote = np.where(self.outbound, table.dst_addr[order], table.src_addr[order])
         self._verdicts: _Verdicts | None = None
         self._periods: _Periods | None = None
         self._http: tuple[np.ndarray, np.ndarray] | None = None
@@ -501,13 +487,18 @@ class _Grouping:
 
     @property
     def http(self) -> tuple[np.ndarray, np.ndarray]:
-        """The grouped rows that ``http`` flags, in order: their table rows
-        and remote ids as the two rows of a matrix, and each group's bounds
-        in its columns."""
+        """The grouped TCP rows whose first byte can begin an HTTP start
+        line, in order: their table rows and remote ids as the two rows of a
+        matrix, and each group's bounds in its columns. ``parse_http``
+        judges each candidate whole."""
         if self._http is None:
-            grouped = self.order[: self.bounds[-1]]
-            positions = self.table.http[grouped].nonzero()[0]
-            rows = np.array((grouped[positions], self.remote[positions]), np.int32)
+            table, order = self.table, self.order
+            # a translate of the heads as bytes, where a numpy lookup would
+            # first copy them as an 8-byte index each
+            heads = table.head[order].astype(np.uint8).tobytes()  # -1, no payload, reads as 255
+            start = np.frombuffer(heads.translate(_START_BYTE), bool)
+            positions = (start & (table.proto[order] == 6)).nonzero()[0]
+            rows = np.array((order[positions], self.remote[positions]), np.int32)
             self._http = rows, np.searchsorted(positions, self.bounds)
         return self._http
 
@@ -528,7 +519,7 @@ class _Verdicts:
         self.config = config
         table, bounds = grouping.table, grouping.bounds
         groups = len(bounds) - 1
-        grouped = grouping.order[: bounds[-1]]
+        grouped = grouping.order
         owner = np.repeat(np.arange(groups), np.diff(bounds))
         tls = table.tls[grouped]
         plain = (payload_rows(table)[grouped] & ~tls).nonzero()[0]
@@ -560,8 +551,8 @@ class _Periods:
 
     def __init__(self, grouping: _Grouping, gap_threshold: float, key: str) -> None:
         self.key = key
-        count = grouping.bounds[-1]
-        grouped = grouping.order[:count]
+        grouped = grouping.order
+        count = len(grouped)
         ts_us = grouping.table.ts_us[grouped]
         cut = np.ones(count + 1, bool)
         cut[1:count] = ~(ts_us[1:] - ts_us[:-1] <= gap_threshold * 1_000_000)
@@ -740,9 +731,9 @@ def split_by_device(table: PacketTable, registry: Mapping[str, str]) -> tuple[li
     owner = np.where(by_source < nobody, by_source, owner_of_mac[table.dst_mac])
     order = np.argsort(owner, kind="stable")
     bounds = [0, *np.cumsum(np.bincount(owner, minlength=nobody + 1)[:nobody]).tolist()]
-    grouping = _Grouping(table, order, bounds, list(devices))
+    grouping = _Grouping(table, order[: bounds[-1]], bounds, list(devices))
     streams = [
         DeviceStream(device_id, mac, grouping=grouping, group=position)
         for position, (mac, device_id) in enumerate(devices.items())
     ]
-    return streams, table.take(order[bounds[nobody] :])
+    return streams, table.take(order[bounds[-1] :])

@@ -36,7 +36,8 @@ def normalize_method(name: str) -> str:
 class RunConfig(ClassifierConfig):
     """Everything one analyze run reads. It is checked when built, and
     ``dataclasses.replace`` builds (and so checks) a variant. The registry is
-    kept as a read-only mapping and left out of the hash."""
+    kept as a read-only mapping and left out of the hash; identifier keys
+    are kept lowercased, as leak mining compares them."""
 
     gap_threshold: float = DEFAULT_GAP_THRESHOLD
     image_window: float = DEFAULT_IMAGE_WINDOW
@@ -52,6 +53,7 @@ class RunConfig(ClassifierConfig):
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         object.__setattr__(self, "registry", MappingProxyType(registry))
+        object.__setattr__(self, "identifier_keys", frozenset(key.lower() for key in self.identifier_keys))
 
 
 # The numeric knobs: RunConfig field -> type. Each is a [thresholds] key and
@@ -137,7 +139,7 @@ def load_config(path) -> RunConfig:
         values["vendor_patterns"] = tuple(patterns)
     keys = _option(parser, path, "identifier-keys", "keys", items=True)
     if keys is not None:
-        values["identifier_keys"] = frozenset(key.lower() for key in keys)
+        values["identifier_keys"] = frozenset(keys)
     if parser.has_section("devices"):
         values["registry"] = _devices(parser, path)
     return RunConfig(**values)

@@ -1,6 +1,7 @@
 """numpy stays the only runtime dependency: every import in the package is
-from the standard library, numpy, or medleak itself. The README names only
-what the package has."""
+from the standard library, numpy, or medleak itself. Private names cross
+from one module to another only where pinned. The README names only what
+the package has."""
 
 import ast
 import importlib
@@ -40,6 +41,35 @@ def test_package_imports_only_stdlib_and_numpy():
         if root not in ALLOWED
     ]
     assert foreign == []
+
+
+# Each private name that one module of the package imports from another:
+# (importing module, imported module, name). A new crossing is a design
+# change to make on purpose, and one that goes away shrinks this set.
+PRIVATE_CROSSINGS = {
+    ("capture", "classifiers", "_CONSENSUS"),
+    ("capture", "classifiers", "_VerdictColumns"),
+    ("capture", "classifiers", "_verdict_columns"),
+    ("payload", "capture", "_START_LINE_PREFIXES"),
+    ("metadata", "leaks", "_MiningRun"),
+    ("report", "leaks", "_MiningRun"),
+}
+
+
+def test_private_names_cross_modules_only_where_pinned():
+    crossings = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            if node.level:
+                module = node.module
+            elif node.module.startswith("medleak."):
+                module = node.module.removeprefix("medleak.")
+            else:
+                continue
+            crossings |= {(path.stem, module, alias.name) for alias in node.names if alias.name.startswith("_")}
+    assert crossings == PRIVATE_CROSSINGS
 
 
 def test_readme_lower_level_pieces_are_exported():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medleak.capture import DeviceStream
+from medleak.capture import _START_BYTE, DeviceStream
 from medleak.corpus import arp_frame, ethernet_frame, ipv4_packet, tcp_frame, udp_frame
 from medleak.payload import (
     _LINE_SPLIT,
@@ -230,16 +230,18 @@ _START_LINE = st.one_of(
     st.builds(lambda v, code: f"HTTP/{v} {code:03d} OK", _NON_SPACE, st.integers(0, 999)),
 )
 
+# random bytes, a prefix followed by random bytes, and a start line followed by random bytes
+_MAYBE_START_LINE = st.one_of(
+    st.binary(max_size=40),
+    st.tuples(st.sampled_from(_START_LINE_PREFIXES), st.binary(max_size=40)).map(b"".join),
+    st.tuples(_START_LINE, st.sampled_from(("\r\n", "\n", "")), st.binary(max_size=20)).map(
+        lambda t: (t[0] + t[1]).encode("latin-1") + t[2]
+    ),
+)
+
 
 @settings(max_examples=500, deadline=None)
-@given(
-    st.one_of(
-        st.binary(max_size=40),
-        st.tuples(_START_LINE, st.sampled_from(("\r\n", "\n", "")), st.binary(max_size=20)).map(
-            lambda t: (t[0] + t[1]).encode("latin-1") + t[2]
-        ),
-    )
-)
+@given(_MAYBE_START_LINE)
 def test_start_line_gate_never_rejects_a_start_line(data):
     """parse_http rejects anything that does not start with one of the
     prefixes; that is exact only if every start line the two regexes accept
@@ -247,6 +249,18 @@ def test_start_line_gate_never_rejects_a_start_line(data):
     first = _LINE_SPLIT.split(data.decode("latin-1"))[0]
     if _REQUEST_LINE.match(first) or _STATUS_LINE.match(first):
         assert data.startswith(_START_LINE_PREFIXES)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_MAYBE_START_LINE)
+def test_first_byte_prefilter_never_drops_a_start_line(data):
+    """The grouping hands parse_http only the TCP rows whose first byte
+    _START_BYTE marks (a head of -1, no payload, reads its last entry), so
+    every payload that parses begins with such a byte, and a row with no
+    payload is never a candidate."""
+    if parse_http(data) is not None:
+        assert _START_BYTE[data[0]]
+    assert not _START_BYTE[-1]
 
 
 # --- robustness: the parsers return normally on anything ---------------------

@@ -411,6 +411,32 @@ class TestRender:
             result = analyze([path], RunConfig(registry=registry))
             jsonschema.validate(json.loads(render(result.reports)), report_schema)
 
+    def test_reports_do_not_depend_on_the_hash_seed(self, fixture_dir, tmp_path):
+        """Two interpreters with different string hashes render the same
+        bytes, as JSON and as text, for every fixture and random captures 0-9."""
+        runs = [[str(fixture_dir / f"{scenario}.pcap"), fixture_registry(scenario)] for scenario in SCENARIOS]
+        for seed in range(10):
+            data, registry = generate_random_capture(seed)
+            path = tmp_path / f"random-{seed}.pcap"
+            path.write_bytes(data)
+            runs.append([str(path), registry])
+        script = (
+            "import json, sys\n"
+            "from medleak.config import RunConfig\n"
+            "from medleak.report import analyze, render\n"
+            "for path, registry in json.loads(sys.argv[1]):\n"
+            "    reports = analyze([path], RunConfig(registry=registry)).reports\n"
+            "    sys.stdout.buffer.write(render(reports, 'json') + render(reports, 'text'))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = [
+            subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b'{"schema":') == len(runs)
+
     def test_json_is_rendered_device_by_device(self, tmp_path):
         """On a capture stitched from many random ones, the traced peak of
         rendering is at most 1.25 times the output's size plus a fixed slack
@@ -580,6 +606,18 @@ class TestConfigFiles:
         assert config.registry == {"00:24:e4:1b:20:31": "bp"}
         assert registry == {"00-24-E4-1B-20-31": "bp"}  # the caller's dict is not rewritten
         assert dataclasses.replace(config, gap_threshold=5.0).registry == config.registry
+
+    def test_identifier_keys_are_lowercased_when_built_in_code_or_read_from_a_file(self, fixture_dir, tmp_path):
+        registry = fixture_registry("bp-monitor-leaky")
+        path = tmp_path / "keys.conf"
+        path.write_text("[identifier-keys]\nkeys = Current_User\n")
+        built = RunConfig(identifier_keys=frozenset({"Current_User"}), registry=registry)
+        loaded = dataclasses.replace(load_config(path), registry=registry)
+        assert built.identifier_keys == loaded.identifier_keys == frozenset({"current_user"})
+        capture = [fixture_dir / "bp-monitor-leaky.pcap"]
+        findings = [[f for r in analyze(capture, config).reports for f in r.findings] for config in (built, loaded)]
+        assert findings[0] == findings[1]
+        assert "current user" in {f.matched_text for f in findings[0] if f.category == "user-identifier"}
 
     def test_registry_is_read_only_past_the_mac_check(self):
         config = RunConfig(registry={"00:24:e4:1b:20:31": "bp"})

@@ -62,9 +62,6 @@ def _assert_row_flags(table: PacketTable, packets: list[RawPacket]) -> None:
     assert (table.head >= 0).tolist() == [p.transport is not None and bool(p.payload) for p in packets]
     assert table.tls[table.head >= 0].tolist() == [
         detect_tls_oracle(AppPayload(p.index, "outbound", pair, p.payload)).is_tls for p, pair in zip(payloads, ports)]
-    assert table.http.tolist() == [
-        p.transport is not None and p.transport.kind == "TCP" and p.payload.startswith(_START_LINE_PREFIXES)
-        for p in packets]
 
 
 def _assert_stages_agree(data: bytes, registry: dict[str, str]) -> None:
