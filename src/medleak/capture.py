@@ -15,6 +15,7 @@ import operator
 import re
 import struct
 from array import array
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,50 +64,6 @@ class MalformedCapture(Exception):
     or an unsupported link type)."""
 
 
-@dataclass(frozen=True, slots=True)
-class IpInfo:
-    src_addr: str
-    dst_addr: str
-    protocol: int
-
-
-@dataclass(frozen=True, slots=True)
-class TransportInfo:
-    src_port: int
-    dst_port: int
-    kind: str  # "TCP" | "UDP"
-
-
-_KINDS = {6: "TCP", 17: "UDP"}  # IP protocol number -> TransportInfo.kind
-
-
-@dataclass(frozen=True, slots=True)
-class RawPacket:
-    """One captured frame, decoded through the transport layer.
-
-    ``payload`` holds whatever remains after every decoded header, except
-    that a TLS application-data record is cut to its 5-byte record header
-    (``_payload_columns``). ``frame_len`` is the captured frame's length;
-    the frame itself is not kept. Timestamps are normalized to integer
-    microseconds since the epoch regardless of the capture's native
-    precision.
-    """
-
-    index: int
-    timestamp_us: int
-    src_mac: str
-    dst_mac: str
-    ip: IpInfo | None
-    transport: TransportInfo | None
-    payload: bytes
-    frame_len: int
-
-    @property
-    def timestamp(self) -> float:
-        """Capture time in seconds since the epoch."""
-        return self.timestamp_us / 1_000_000
-
-
 class Names:
     """The distinct MAC and IP address strings of one capture, each added
     once by the decode. Table rows name them by position, so every row that
@@ -131,8 +88,7 @@ class Names:
         return len(self.addresses) - 1
 
 
-# Each column of a PacketTable and its dtype, one entry per row. IpInfo and
-# TransportInfo are not kept: a RawPacket's are built from these fields.
+# Each column of a PacketTable and its dtype, one entry per row.
 _COLUMNS = {
     "index": np.int64,      # the frame's position in the capture, skipped frames counted
     "ts_us": np.int64,      # capture time in integer microseconds
@@ -148,6 +104,12 @@ _COLUMNS = {
     "head": np.int16,       # the first byte of a transport payload; -1 without one, or when empty
     "tls": np.bool_,        # a transport payload that is TLS (_payload_columns)
 }
+
+
+# One row of a table read back (PacketTable.packets): each column's value,
+# with a MAC or address id read as its string (an address id of -1, without
+# an IP layer, as None), then the payload the table keeps.
+RawPacket = namedtuple("RawPacket", (*_COLUMNS, "payload"))
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -204,27 +166,14 @@ class PacketTable:
         return self.names.mac_ids.get(mac, -1)
 
     def packets(self) -> list[RawPacket]:
-        """The RawPacket of each row, in row order. Rows with equal IP or
-        transport fields share one IpInfo or TransportInfo."""
-        macs, addresses = self.names.macs, self.names.addresses
-        ips: dict[tuple[int, int, int], IpInfo] = {}
-        transports: dict[tuple[int, int, int], TransportInfo] = {}
-        packets = []
-        rows = zip(*(column.tolist() for column in (
-            self.index, self.ts_us, self.src_mac, self.dst_mac, self.ip_proto, self.src_addr, self.dst_addr,
-            self.proto, self.src_port, self.dst_port, self.frame_len)), self.payloads)
-        for index, ts_us, src, dst, ip_proto, src_addr, dst_addr, proto, src_port, dst_port, frame_len, payload in rows:
-            ip = transport = None
-            if ip_proto >= 0:
-                ip = ips.get((ip_proto, src_addr, dst_addr))
-                if ip is None:
-                    ip = ips[ip_proto, src_addr, dst_addr] = IpInfo(addresses[src_addr], addresses[dst_addr], ip_proto)
-            if proto:
-                transport = transports.get((proto, src_port, dst_port))
-                if transport is None:
-                    transport = transports[proto, src_port, dst_port] = TransportInfo(src_port, dst_port, _KINDS[proto])
-            packets.append(RawPacket(index, ts_us, macs[src], macs[dst], ip, transport, payload, frame_len))
-        return packets
+        """The RawPacket of each row, in row order. Rows that name one MAC
+        or address share its string."""
+        macs = np.array(self.names.macs, object)
+        addresses = np.array([*self.names.addresses, None], object)  # id -1 reads the None
+        strings = {"src_mac": macs, "dst_mac": macs, "src_addr": addresses, "dst_addr": addresses}
+        columns = (strings[name][column] if name in strings else column
+                   for name, column in zip(_COLUMNS, _column_values(self)))
+        return list(map(RawPacket, *(column.tolist() for column in columns), self.payloads))
 
 
 def payload_rows(table: PacketTable) -> np.ndarray:

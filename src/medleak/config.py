@@ -36,8 +36,10 @@ def normalize_method(name: str) -> str:
 class RunConfig(ClassifierConfig):
     """Everything one analyze run reads. It is checked when built, and
     ``dataclasses.replace`` builds (and so checks) a variant. The registry is
-    kept as a read-only mapping and left out of the hash; identifier keys
-    are kept lowercased, as leak mining compares them."""
+    kept as a read-only mapping and left out of the hash; vendor patterns
+    are kept as a tuple, and identifier keys lowercased, as leak mining
+    compares them. Either given as one string is an error, not a collection
+    of its characters."""
 
     gap_threshold: float = DEFAULT_GAP_THRESHOLD
     image_window: float = DEFAULT_IMAGE_WINDOW
@@ -52,7 +54,11 @@ class RunConfig(ClassifierConfig):
             registry = canonical_registry(self.registry)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        for name in ("vendor_patterns", "identifier_keys"):
+            if isinstance(getattr(self, name), (str, bytes)):
+                raise ConfigError(f"{name} must be a collection of strings, not one string")
         object.__setattr__(self, "registry", MappingProxyType(registry))
+        object.__setattr__(self, "vendor_patterns", tuple(self.vendor_patterns))
         object.__setattr__(self, "identifier_keys", frozenset(key.lower() for key in self.identifier_keys))
 
 

@@ -2,7 +2,6 @@
 fast paths on purpose: these are the oracles the fast versions are checked
 against."""
 
-import dataclasses
 import ipaddress
 import math
 import re
@@ -19,10 +18,7 @@ from medleak.capture import (
     GLOBAL_HEADER_LEN,
     LINKTYPE_ETHERNET,
     RECORD_HEADER_LEN,
-    IpInfo,
     MalformedCapture,
-    RawPacket,
-    TransportInfo,
     normalize_mac,
 )
 from medleak.classifiers import (
@@ -182,7 +178,7 @@ def image_get_signature_oracle(messages, window_s):
     return findings
 
 
-# --- pcap decode: one fresh header object per frame, no sharing ---------------
+# --- pcap decode: one frame at a time, every string formatted afresh ---------
 
 _MAGICS = {
     b"\xd4\xc3\xb2\xa1": ("<", 1),      # little-endian, microseconds
@@ -199,7 +195,27 @@ def _format_mac(raw: bytes) -> str:
     return raw.hex(":")
 
 
-def _decode_ipv4(body: bytes) -> tuple[IpInfo, bytes] | None:
+class OraclePacket(NamedTuple):
+    """One decoded frame, in the fields a table row reads back as: -1 for
+    the IP protocol without an IP layer, None for its addresses; 0 for the
+    transport protocol (6 TCP, 17 UDP) and -1 for its ports without a
+    transport layer; then the whole payload."""
+
+    index: int
+    ts_us: int
+    frame_len: int
+    src_mac: str
+    dst_mac: str
+    ip_proto: int
+    src_addr: str | None
+    dst_addr: str | None
+    proto: int
+    src_port: int
+    dst_port: int
+    payload: bytes
+
+
+def _decode_ipv4(body: bytes) -> tuple[str, str, int, bytes] | None:
     if len(body) < 20:
         return None
     ver_ihl = body[0]
@@ -211,30 +227,24 @@ def _decode_ipv4(body: bytes) -> tuple[IpInfo, bytes] | None:
     total_len = int.from_bytes(body[2:4], "big")
     # total_length bounds the datagram so Ethernet trailer padding is dropped
     end = min(total_len, len(body)) if total_len >= header_len else len(body)
-    info = IpInfo(
-        src_addr="%d.%d.%d.%d" % (body[12], body[13], body[14], body[15]),
-        dst_addr="%d.%d.%d.%d" % (body[16], body[17], body[18], body[19]),
-        protocol=body[9],
-    )
-    return info, body[header_len:end]
+    src_addr = "%d.%d.%d.%d" % (body[12], body[13], body[14], body[15])
+    dst_addr = "%d.%d.%d.%d" % (body[16], body[17], body[18], body[19])
+    return src_addr, dst_addr, body[9], body[header_len:end]
 
 
-def _decode_ipv6(body: bytes) -> tuple[IpInfo, bytes] | None:
+def _decode_ipv6(body: bytes) -> tuple[str, str, int, bytes] | None:
     if len(body) < 40:
         return None
     if body[0] >> 4 != 6:
         return None
     payload_len = int.from_bytes(body[4:6], "big")
     end = min(40 + payload_len, len(body))
-    info = IpInfo(
-        src_addr=str(ipaddress.IPv6Address(body[8:24])),
-        dst_addr=str(ipaddress.IPv6Address(body[24:40])),
-        protocol=body[6],
-    )
-    return info, body[40:end]
+    src_addr = str(ipaddress.IPv6Address(body[8:24]))
+    dst_addr = str(ipaddress.IPv6Address(body[24:40]))
+    return src_addr, dst_addr, body[6], body[40:end]
 
 
-def _decode_transport(protocol: int, segment: bytes) -> tuple[TransportInfo, bytes] | None:
+def _decode_transport(protocol: int, segment: bytes) -> tuple[int, int, bytes] | None:
     if protocol == 6:  # TCP
         if len(segment) < 20:
             return None
@@ -242,18 +252,18 @@ def _decode_transport(protocol: int, segment: bytes) -> tuple[TransportInfo, byt
         if data_offset < 20 or len(segment) < data_offset:
             return None
         sport, dport = _PORTS.unpack_from(segment)
-        return TransportInfo(sport, dport, "TCP"), segment[data_offset:]
+        return sport, dport, segment[data_offset:]
     if protocol == 17:  # UDP
         if len(segment) < 8:
             return None
         sport, dport, udp_len = _UDP_HEADER.unpack_from(segment)
         if udp_len < 8:
             return None
-        return TransportInfo(sport, dport, "UDP"), segment[8 : min(udp_len, len(segment))]
+        return sport, dport, segment[8 : min(udp_len, len(segment))]
     return None
 
 
-def _decode_frame(index: int, ts_us: int, frame: bytes) -> tuple[RawPacket | None, str | None]:
+def _decode_frame(index: int, ts_us: int, frame: bytes) -> tuple[OraclePacket | None, str | None]:
     if len(frame) < ETHERNET_HEADER_LEN:
         return None, f"frame {index}: truncated Ethernet header ({len(frame)} bytes)"
     dst_mac = _format_mac(frame[0:6])
@@ -261,53 +271,58 @@ def _decode_frame(index: int, ts_us: int, frame: bytes) -> tuple[RawPacket | Non
     ethertype = int.from_bytes(frame[12:14], "big")
     body = frame[ETHERNET_HEADER_LEN:]
 
-    ip: IpInfo | None = None
+    ip_proto, src_addr, dst_addr = -1, None, None
     payload = body
     fragment_offset = 0
     if ethertype == ETHERTYPE_IPV4:
         decoded = _decode_ipv4(body)
         if decoded is None:
             return None, f"frame {index}: truncated or invalid IPv4 header"
-        ip, payload = decoded
+        src_addr, dst_addr, ip_proto, payload = decoded
         fragment_offset = int.from_bytes(body[6:8], "big") & 0x1FFF
     elif ethertype == ETHERTYPE_IPV6:
         decoded = _decode_ipv6(body)
         if decoded is None:
             return None, f"frame {index}: truncated or invalid IPv6 header"
-        ip, payload = decoded
+        src_addr, dst_addr, ip_proto, payload = decoded
 
-    transport: TransportInfo | None = None
+    proto, src_port, dst_port = 0, -1, -1
     # only the first fragment of a datagram starts with the transport header
-    if ip is not None and ip.protocol in (6, 17) and not fragment_offset:
-        decoded_t = _decode_transport(ip.protocol, payload)
+    if ip_proto in (6, 17) and not fragment_offset:
+        decoded_t = _decode_transport(ip_proto, payload)
         if decoded_t is None:
-            kind = "TCP" if ip.protocol == 6 else "UDP"
+            kind = "TCP" if ip_proto == 6 else "UDP"
             return None, f"frame {index}: truncated {kind} header"
-        transport, payload = decoded_t
+        proto = ip_proto
+        src_port, dst_port, payload = decoded_t
 
-    packet = RawPacket(
+    packet = OraclePacket(
         index=index,
-        timestamp_us=ts_us,
+        ts_us=ts_us,
+        frame_len=len(frame),
         src_mac=src_mac,
         dst_mac=dst_mac,
-        ip=ip,
-        transport=transport,
+        ip_proto=ip_proto,
+        src_addr=src_addr,
+        dst_addr=dst_addr,
+        proto=proto,
+        src_port=src_port,
+        dst_port=dst_port,
         payload=payload,
-        frame_len=len(frame),
     )
     return packet, None
 
 
 class OracleParse(NamedTuple):
-    """What ``parse_capture_oracle`` decodes: a list of RawPackets and the
-    warning of each skipped frame."""
+    """What ``parse_capture_oracle`` decodes: a list of OraclePackets and
+    the warning of each skipped frame."""
 
-    packets: list[RawPacket]
+    packets: list[OraclePacket]
     warnings: list[str]
 
 
 def parse_capture_oracle(data: bytes) -> OracleParse:
-    """Decode a classic libpcap capture into RawPackets.
+    """Decode a classic libpcap capture into OraclePackets.
 
     Frames with truncated headers are skipped and counted as warnings rather
     than aborting the parse. The returned packets are stably sorted by
@@ -324,7 +339,7 @@ def parse_capture_oracle(data: bytes) -> OracleParse:
         raise MalformedCapture(f"unsupported link type {network} (only Ethernet is supported)")
 
     record_header = _RECORD_HEADERS[endian]
-    packets: list[RawPacket] = []
+    packets: list[OraclePacket] = []
     warnings: list[str] = []
     offset = GLOBAL_HEADER_LEN
     index = 0
@@ -351,37 +366,66 @@ def parse_capture_oracle(data: bytes) -> OracleParse:
         assert packet is not None
         packets.append(packet)
 
-    packets.sort(key=lambda p: p.timestamp_us)  # stable: capture order kept on ties
+    packets.sort(key=lambda p: p.ts_us)  # stable: capture order kept on ties
     return OracleParse(packets, warnings)
 
 
-# --- what a table keeps of a packet: an application-data record's header only
+# --- what a table keeps of a packet: an application-data record's header only,
+# the payload's first byte and its TLS verdict
 
 
-def kept_payload_oracle(packet: RawPacket) -> bytes:
+class OracleRow(NamedTuple):
+    """A decoded packet as a table row: its fields, the first byte of a
+    transport payload (-1 without one, or when empty), whether that payload
+    is TLS, and the bytes of the payload a table keeps."""
+
+    index: int
+    ts_us: int
+    frame_len: int
+    src_mac: str
+    dst_mac: str
+    ip_proto: int
+    src_addr: str | None
+    dst_addr: str | None
+    proto: int
+    src_port: int
+    dst_port: int
+    head: int
+    tls: bool
+    payload: bytes
+
+
+def kept_payload_oracle(packet: OraclePacket) -> bytes:
     """The bytes a table keeps of a packet's payload: all of them, except
     that a transport payload starting 0x17 0x03 0x00-0x04 (a TLS
     application-data record) keeps its first five, the record header."""
     data = packet.payload
-    if packet.transport is not None and len(data) >= 3 and data[0] == 0x17 and data[1] == 3 and data[2] <= 4:
+    if packet.proto and len(data) >= 3 and data[0] == 0x17 and data[1] == 3 and data[2] <= 4:
         return data[:5]
     return data
 
 
-def table_rows_oracle(packets) -> list[RawPacket]:
+def table_rows_oracle(packets) -> list[OracleRow]:
     """The packets as the rows of a table read back: each keeps the payload
-    ``kept_payload_oracle`` gives, and every other field unchanged."""
-    return [dataclasses.replace(packet, payload=kept_payload_oracle(packet)) for packet in packets]
+    ``kept_payload_oracle`` gives, and its ``head`` and ``tls`` are read from
+    the full payload, the verdict by ``detect_tls_oracle``."""
+    rows = []
+    for packet in packets:
+        *fields, data = packet
+        carried = bool(packet.proto and data)
+        ports = (packet.src_port, packet.dst_port)
+        tls = carried and detect_tls_oracle(AppPayload(packet.index, "outbound", ports, data)).is_tls
+        rows.append(OracleRow(*fields, data[0] if carried else -1, tls, kept_payload_oracle(packet)))
+    return rows
 
 
 # --- the remote end of a packet, one packet at a time -------------------------
 
 
-def remote_address(packet: RawPacket, device_mac: str) -> str | None:
-    """The non-device end of an IP packet, relative to the device MAC."""
-    if packet.ip is None:
-        return None
-    return packet.ip.dst_addr if packet.src_mac == device_mac else packet.ip.src_addr
+def remote_address(packet, device_mac: str) -> str | None:
+    """The non-device end of an IP packet, relative to the device MAC; None
+    without an IP layer, where both addresses are None."""
+    return packet.dst_addr if packet.src_mac == device_mac else packet.src_addr
 
 
 # --- split and endpoints: one packet at a time, over lists -------------------
@@ -431,7 +475,7 @@ def endpoint_profiles_oracle(stream, dns_answers=None, vendor_patterns=()) -> li
 def resolve_hostnames_oracle(stream, dns_answers=None) -> dict[str, str]:
     hostmap = dict(dns_answers or {})
     for packet in stream.table:
-        if packet.transport is None or packet.transport.kind != "TCP" or not packet.payload:
+        if packet.proto != 6 or not packet.payload:
             continue
         address = remote_address(packet, stream.mac)
         if address is None or address in hostmap:
@@ -448,14 +492,14 @@ def resolve_hostnames_oracle(stream, dns_answers=None) -> dict[str, str]:
 def extract_payloads_oracle(stream) -> list[AppPayload]:
     payloads: list[AppPayload] = []
     for packet in stream.table:
-        if packet.transport is None or not packet.payload:
+        if not packet.proto or not packet.payload:
             continue
         direction = "outbound" if packet.src_mac == stream.mac else "inbound"
         payloads.append(
             AppPayload(
                 packet_index=packet.index,
                 direction=direction,
-                port_pair=(packet.transport.src_port, packet.transport.dst_port),
+                port_pair=(packet.src_port, packet.dst_port),
                 data=packet.payload,
             )
         )
@@ -484,15 +528,15 @@ def activity_periods_oracle(
     hostnames = hostnames or {}
     gap_us = gap_threshold * 1_000_000
 
-    def finish(group: list[RawPacket]) -> ActivityPeriod:
+    def finish(group: list) -> ActivityPeriod:
         endpoints = set()
         for packet in group:
             address = remote_address(packet, stream.mac)
             if address is not None:
                 endpoints.add((address, hostnames.get(address)))
         return ActivityPeriod(
-            start=group[0].timestamp,
-            end=group[-1].timestamp,
+            start=group[0].ts_us / 1_000_000,
+            end=group[-1].ts_us / 1_000_000,
             packet_count=len(group),
             bytes_total=sum(p.frame_len for p in group),
             endpoints=endpoints,
@@ -501,7 +545,7 @@ def activity_periods_oracle(
     periods: list[ActivityPeriod] = []
     group = [packets[0]]
     for packet in packets[1:]:
-        if packet.timestamp_us - group[-1].timestamp_us <= gap_us:
+        if packet.ts_us - group[-1].ts_us <= gap_us:
             group.append(packet)
         else:
             periods.append(finish(group))
@@ -548,8 +592,7 @@ def extract_dns_answers_oracle(packets) -> dict[str, str]:
     port 53, the first answer for an address kept."""
     answers: dict[str, str] = {}
     for packet in packets:
-        transport = packet.transport
-        if transport is not None and transport.kind == "UDP" and transport.src_port == 53:
+        if packet.proto == 17 and packet.src_port == 53:
             for address, hostname in parse_dns_response_oracle(packet.payload).items():
                 answers.setdefault(address, hostname)
     return answers
@@ -732,7 +775,7 @@ def analyze_stream_oracle(capture_name, stream, dns_answers, config, dictionarie
             continue
         timed_messages.append(
             TimedMessage(
-                timestamp=packets_by_index[payload.packet_index].timestamp,
+                timestamp=packets_by_index[payload.packet_index].ts_us / 1_000_000,
                 packet_index=payload.packet_index,
                 message=message,
                 outbound=payload.direction == "outbound",

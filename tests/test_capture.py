@@ -5,6 +5,7 @@ independent of the package's own frame builders.
 """
 
 import dataclasses
+import functools
 import pickle
 import struct
 import sys
@@ -15,14 +16,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from medleak.capture import (
+    _COLUMNS,
     GLOBAL_HEADER_LEN,
     LINKTYPE_ETHERNET,
     RECORD_HEADER_LEN,
     DeviceStream,
-    IpInfo,
     MalformedCapture,
     RawPacket,
-    TransportInfo,
     normalize_mac,
     parse_capture,
     split_by_device,
@@ -97,18 +97,18 @@ def test_parse_three_hand_built_frames(three_frame_capture):
     assert first.index == 0
     assert first.src_mac == "00:24:e4:1b:20:31"
     assert first.dst_mac == "b8:27:eb:5a:10:04"
-    assert first.ip.src_addr == "192.168.1.21"
-    assert first.ip.dst_addr == "89.30.121.52"
-    assert (first.transport.src_port, first.transport.dst_port) == (43211, 80)
-    assert first.transport.kind == "TCP"
+    assert first.src_addr == "192.168.1.21"
+    assert first.dst_addr == "89.30.121.52"
+    assert (first.src_port, first.dst_port) == (43211, 80)
+    assert first.ip_proto == first.proto == 6
     assert first.payload == b"GET / HTTP/1.1\r\n\r\n"
-    assert first.timestamp_us == 100 * 1_000_000
+    assert first.ts_us == 100 * 1_000_000
 
-    assert (second.transport.src_port, second.transport.dst_port) == (80, 43211)
+    assert (second.src_port, second.dst_port) == (80, 43211)
     assert second.payload == b"HTTP/1.1 200 OK\r\n\r\nok"
-    assert second.timestamp_us == 101 * 1_000_000 + 250_000
+    assert second.ts_us == 101 * 1_000_000 + 250_000
 
-    assert third.transport.dst_port == 8080
+    assert third.dst_port == 8080
     assert len(third.payload) == 5
 
 
@@ -117,7 +117,7 @@ def test_parse_three_hand_built_frames(three_frame_capture):
 def test_ipv4_addresses_format_as_ipaddress_does(src_ip, dst_ip):
     frame = _tcp_frame_by_hand(DEV_MAC, AP_MAC, src_ip, dst_ip, 1, 2, b"x")
     (packet,) = parse_capture(_global_header(b"\xd4\xc3\xb2\xa1") + _record(1, 0, frame)).packets
-    assert (packet.ip.src_addr, packet.ip.dst_addr) == (ipv4_oracle(src_ip), ipv4_oracle(dst_ip))
+    assert (packet.src_addr, packet.dst_addr) == (ipv4_oracle(src_ip), ipv4_oracle(dst_ip))
 
 
 def test_truncated_second_frame_yields_one_packet_one_warning(three_frame_capture):
@@ -148,10 +148,10 @@ def test_non_first_ipv4_fragment_has_ip_but_no_transport():
     result = parse_capture(data)
     assert result.warnings == []
     head, tail = result.packets
-    assert (head.transport.src_port, head.transport.dst_port) == (43211, 80)
+    assert (head.src_port, head.dst_port) == (43211, 80)
     assert head.payload == b"POST /sync HTTP/1.1\r\n"
-    assert tail.ip is not None and tail.ip.protocol == 6
-    assert tail.transport is None
+    assert tail.ip_proto == 6 and tail.src_addr == "192.168.1.21"
+    assert (tail.proto, tail.src_port, tail.dst_port) == (0, -1, -1)
 
     streams, _ = split_by_device(result.packets, {DEV_MAC.hex(): "dev"})
     assert [p.packet_index for p in extract_payloads(streams[0])] == [head.index]
@@ -178,7 +178,7 @@ def test_nanosecond_variant_normalizes_to_microseconds():
     data = b"\x4d\x3c\xb2\xa1" + struct.pack("<HHiIII", 2, 4, 0, 0, 65535, 1)
     data += _record(10, 123_456_789, frame)  # fractional field is nanoseconds here
     (packet,) = parse_capture(data).packets
-    assert packet.timestamp_us == 10 * 1_000_000 + 123_456
+    assert packet.ts_us == 10 * 1_000_000 + 123_456
 
 
 def test_big_endian_variant():
@@ -186,8 +186,8 @@ def test_big_endian_variant():
     data = b"\xa1\xb2\xc3\xd4" + struct.pack(">HHiIII", 2, 4, 0, 0, 65535, 1)
     data += struct.pack(">IIII", 42, 7, len(frame), len(frame)) + frame
     (packet,) = parse_capture(data).packets
-    assert packet.transport.src_port == 7
-    assert packet.timestamp_us == 42 * 1_000_000 + 7
+    assert packet.src_port == 7
+    assert packet.ts_us == 42 * 1_000_000 + 7
 
 
 def test_runt_frame_is_skipped_with_warning():
@@ -205,7 +205,7 @@ def test_sort_is_stable_for_equal_timestamps():
     data = _global_header(b"\xd4\xc3\xb2\xa1")
     data += _record(5, 0, frame_a) + _record(2, 0, frame_b) + _record(2, 0, frame_c)
     result = parse_capture(data)
-    timestamps = [p.timestamp_us for p in result.packets]
+    timestamps = [p.ts_us for p in result.packets]
     assert timestamps == sorted(timestamps)
     assert [p.index for p in result.packets] == [1, 2, 0]  # capture order kept on the tie
 
@@ -230,7 +230,7 @@ def test_an_ipv4_total_length_below_the_header_length_runs_the_datagram_to_the_f
         lenient = frame[:16] + struct.pack("!H", total_len) + frame[18:]
         result = parse_capture(_global_header(b"\xd4\xc3\xb2\xa1") + _record(1, 0, lenient))
         (packet,) = result.packets
-        assert packet.payload == b"abcd" and packet.transport.dst_port == 2
+        assert packet.payload == b"abcd" and packet.dst_port == 2
         assert result.warnings == []
     bounded = frame[:16] + struct.pack("!H", 20) + frame[18:]
     result = parse_capture(_global_header(b"\xd4\xc3\xb2\xa1") + _record(1, 0, bounded))
@@ -246,7 +246,7 @@ def test_a_udp_length_past_the_datagram_end_keeps_the_bytes_that_are_there():
         ip = struct.pack("!BBHHHBBH", 0x45, 0, 20 + len(udp), 7, 0, 64, 17, 0) + b"\xc0\xa8\x01\x15" * 2 + udp
         result = parse_capture(_global_header(b"\xd4\xc3\xb2\xa1") + _record(1, 0, AP_MAC + DEV_MAC + b"\x08\x00" + ip))
         (packet,) = result.packets
-        assert packet.transport.kind == "UDP" and packet.payload == payload
+        assert packet.proto == 17 and packet.payload == payload
         assert result.warnings == []
 
 
@@ -259,10 +259,10 @@ def test_ipv6_tcp_frame_decodes_addresses_and_ports():
     frame = AP_MAC + DEV_MAC + b"\x86\xdd" + ipv6
     data = _global_header(b"\xd4\xc3\xb2\xa1") + _record(1, 0, frame)
     (packet,) = parse_capture(data).packets
-    assert packet.ip.src_addr == "2001:db8::1"
-    assert packet.ip.dst_addr == "2001:db8::2"
-    assert packet.transport.kind == "TCP"
-    assert (packet.transport.src_port, packet.transport.dst_port) == (50000, 80)
+    assert packet.src_addr == "2001:db8::1"
+    assert packet.dst_addr == "2001:db8::2"
+    assert packet.ip_proto == packet.proto == 6
+    assert (packet.src_port, packet.dst_port) == (50000, 80)
     assert packet.payload == payload
 
 
@@ -271,8 +271,8 @@ def test_arp_frame_has_no_ip_or_transport():
     frame = AP_MAC + DEV_MAC + b"\x08\x06" + body
     data = _global_header(b"\xd4\xc3\xb2\xa1") + _record(1, 0, frame)
     (packet,) = parse_capture(data).packets
-    assert packet.ip is None
-    assert packet.transport is None
+    assert (packet.ip_proto, packet.src_addr, packet.dst_addr) == (-1, None, None)
+    assert (packet.proto, packet.src_port, packet.dst_port, packet.head, packet.tls) == (0, -1, -1, -1, False)
     assert packet.payload == body
 
 
@@ -481,11 +481,11 @@ def _assert_the_cut_changes_no_verdict(data: bytes) -> None:
     for row, packet in zip(rows, packets):
         full, kept = packet.payload, row.payload
         if kept != full:
-            assert packet.transport is not None
+            assert packet.proto
             assert full[:2] == b"\x17\x03" and full[2] <= 4 and len(full) > 5 and kept == full[:5]
-        if packet.transport is None:
+        if not packet.proto:
             continue
-        ports = (packet.transport.src_port, packet.transport.dst_port)
+        ports = (packet.src_port, packet.dst_port)
         assert detect_tls(AppPayload(packet.index, "outbound", ports, kept)) == detect_tls(
             AppPayload(packet.index, "outbound", ports, full))
     assert extract_dns_answers(table) == extract_dns_answers_oracle(packets)
@@ -535,16 +535,18 @@ def _ipv6_capture() -> bytes:
 
 
 def test_headers_are_shared_within_a_parse_and_never_across_parses():
+    """Each distinct MAC and address string is formatted once per parse, so
+    every row that names one shares it; another parse formats its own."""
     for data in (build_fixture_capture("mixed-home"), _ipv6_capture()):
         first, second = list(parse_capture(data).packets), list(parse_capture(data).packets)
         assert first == second
-        for field in ("ip", "transport"):
-            headers = [getattr(p, field) for p in first if getattr(p, field) is not None]
-            # one instance per distinct header: each is decoded once per parse
-            assert len({id(h) for h in headers}) == len(set(headers)) < len(headers)
-            # the cache lives for one call only
+        for field in ("src_mac", "dst_mac", "src_addr", "dst_addr"):
+            strings = [getattr(p, field) for p in first if getattr(p, field) is not None]
+            # one instance per distinct string: each is formatted once per parse
+            assert len({id(text) for text in strings}) == len(set(strings)) < len(strings)
+            # the names live for one call only
             others = {id(getattr(p, field)) for p in second}
-            assert all(id(h) not in others for h in headers)
+            assert all(id(text) not in others for text in strings)
 
 
 @settings(max_examples=300, deadline=None)
@@ -654,13 +656,12 @@ def test_parsing_a_file_holds_no_more_than_its_result(tmp_path, size):
 
 
 def test_a_small_parsed_packet_keeps_only_what_analysis_reads():
-    """A 75-byte TLS frame parses to a packet that keeps its record, its
-    21-byte payload, its index and timestamp, and a list slot; its MACs and
-    headers are shared. The bound is those objects' sizes on the running
-    interpreter plus 24 B, so a field that holds one more object per frame
-    (an int is at least 28 B) shows here. On CPython 3.11 the packet keeps
-    226.3 B traced against a 242 B bound; with the unread ethertype int it
-    kept 266.3 B."""
+    """A 75-byte TLS frame parses to a table row that keeps one entry of
+    each column, its payload cut to the 5-byte record header, and a list
+    slot; its MACs and addresses are shared. The bound is those objects'
+    sizes on the running interpreter plus 24 B, so a field that holds one
+    more object per frame (an int is at least 28 B) shows here. On CPython
+    3.11 with numpy 2.4 a row keeps 105.0 B traced against a 124 B bound."""
     record = tls_record(0x17, 3, bytes(16))
     frame = tcp_frame(DEV_MAC.hex(":"), AP_MAC.hex(":"), "192.168.1.21", "89.30.121.52", 43211, 443, record)
     assert len(frame) == 75
@@ -668,35 +669,59 @@ def test_a_small_parsed_packet_keeps_only_what_analysis_reads():
     data = write_pcap([(1_700_000_000_000_000 + i * 1000, frame) for i in range(count)])
     result, _, retained = _traced(lambda: parse_capture(data))
     assert len(result.packets) == count and result.warnings == []
-    last = list(result.packets)[-1]
-    kept = sum(map(sys.getsizeof, (last, last.payload, last.index, last.timestamp_us))) + 8
+    table = result.table
+    assert table.payloads[-1] == record[:5]
+    kept = sum(getattr(table, name).itemsize for name in _COLUMNS) + sys.getsizeof(table.payloads[-1]) + 8
     assert retained / count < kept + 24
 
 
-_IP = IpInfo("192.168.4.21", "89.30.121.52", 6)
-_TCP = TransportInfo(40000, 80, "TCP")
+def test_a_raw_packet_holds_each_column_then_the_payload():
+    """A RawPacket is its row's columns read back, in column order, then
+    the payload: so a new column extends it. A MAC or address id reads as
+    its string, and an address id of -1 (no IP layer) as None."""
+    assert RawPacket._fields == (*_COLUMNS, "payload")
+    table = parse_capture(build_fixture_capture("mixed-home")).table
+    macs, addresses = table.names.macs, table.names.addresses
+    packets = table.packets()
+    assert any(packet.src_addr is None for packet in packets)
+    for row, packet in enumerate(packets):
+        for name in _COLUMNS:
+            value = getattr(table, name)[row].item()
+            if name.endswith("_mac"):
+                value = macs[value]
+            elif name.endswith("_addr"):
+                value = None if value == -1 else addresses[value]
+            assert getattr(packet, name) == value
+        assert packet.payload is table.payloads[row]
+
+
+_PACKET = RawPacket(3, 1_000_000, 57, "aa", "bb", 6, "192.168.4.21", "89.30.121.52", 6, 40000, 80, 71, False, b"GET")
 
 
 @pytest.mark.parametrize("record, field_names, text", [
-    (_IP, ("src_addr", "dst_addr", "protocol"),
-     "IpInfo(src_addr='192.168.4.21', dst_addr='89.30.121.52', protocol=6)"),
-    (_TCP, ("src_port", "dst_port", "kind"), "TransportInfo(src_port=40000, dst_port=80, kind='TCP')"),
-    (RawPacket(3, 1_000_000, "aa", "bb", _IP, _TCP, b"GET", 57),
-     ("index", "timestamp_us", "src_mac", "dst_mac", "ip", "transport", "payload", "frame_len"),
-     f"RawPacket(index=3, timestamp_us=1000000, src_mac='aa', dst_mac='bb', ip={_IP!r}, "
-     f"transport={_TCP!r}, payload=b'GET', frame_len=57)"),
+    (_PACKET,
+     ("index", "ts_us", "frame_len", "src_mac", "dst_mac", "ip_proto", "src_addr", "dst_addr", "proto", "src_port",
+      "dst_port", "head", "tls", "payload"),
+     "RawPacket(index=3, ts_us=1000000, frame_len=57, src_mac='aa', dst_mac='bb', ip_proto=6, "
+     "src_addr='192.168.4.21', dst_addr='89.30.121.52', proto=6, src_port=40000, dst_port=80, head=71, tls=False, "
+     "payload=b'GET')"),
     (AppPayload(3, "outbound", (40000, 80), b"GET"),
      ("packet_index", "direction", "port_pair", "data"),
      "AppPayload(packet_index=3, direction='outbound', port_pair=(40000, 80), data=b'GET')"),
-], ids=["IpInfo", "TransportInfo", "RawPacket", "AppPayload"])
+], ids=["RawPacket", "AppPayload"])
 def test_packet_records_are_slotted_frozen_values(record, field_names, text):
+    """A RawPacket is a named tuple, an AppPayload a slotted frozen
+    dataclass: each has no ``__dict__``, refuses a field set, and copies,
+    compares and pickles as a value."""
+    named = isinstance(record, tuple)
+    replace = record._replace if named else functools.partial(dataclasses.replace, record)
     assert not hasattr(record, "__dict__")
-    assert tuple(field.name for field in dataclasses.fields(record)) == field_names
+    assert (record._fields if named else tuple(field.name for field in dataclasses.fields(record))) == field_names
     assert repr(record) == text
     first = field_names[0]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError if named else dataclasses.FrozenInstanceError):
         setattr(record, first, getattr(record, first))
-    copy = dataclasses.replace(record)
+    copy = replace()
     assert copy == record and copy is not record
-    assert dataclasses.replace(record, **{first: None}) != record
+    assert replace(**{first: None}) != record
     assert pickle.loads(pickle.dumps(record)) == record

@@ -125,7 +125,7 @@ class TestFixtures:
             parsed = parse_capture(build_fixture_capture(scenario))
             assert parsed.packets
             assert parsed.warnings == []
-            timestamps = [p.timestamp_us for p in parsed.packets]
+            timestamps = [p.ts_us for p in parsed.packets]
             assert timestamps == sorted(timestamps)
 
     def test_bp_fixture_contains_expected_cleartext(self):
@@ -138,8 +138,8 @@ class TestFixtures:
     def test_scale_fixture_is_all_tls_port_443(self):
         parsed = parse_capture(build_fixture_capture("scale-encrypted"))
         for packet in parsed.packets:
-            assert packet.transport is not None
-            assert 443 in (packet.transport.src_port, packet.transport.dst_port)
+            assert packet.proto == 6 and packet.tls
+            assert 443 in (packet.src_port, packet.dst_port)
             assert packet.payload[0] in (0x14, 0x15, 0x16, 0x17)
             assert packet.payload[1] == 3
 

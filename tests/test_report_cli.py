@@ -600,6 +600,20 @@ class TestConfigFiles:
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.registry = {}
 
+    @pytest.mark.parametrize("name", ["vendor_patterns", "identifier_keys"])
+    @pytest.mark.parametrize("value", ["*withings*", "uid", b"uid", ""])
+    def test_one_string_is_refused_not_split_into_characters(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be a collection of strings"):
+            RunConfig(**{name: value})
+        with pytest.raises(ConfigError, match=f"{name} must be a collection of strings"):
+            dataclasses.replace(RunConfig(), **{name: value})
+
+    def test_vendor_patterns_are_kept_as_a_tuple_so_a_config_hashes(self):
+        listed = RunConfig(vendor_patterns=["*withings*"], identifier_keys=["UID"])
+        built = RunConfig(vendor_patterns=("*withings*",), identifier_keys=frozenset({"uid"}))
+        assert listed.vendor_patterns == ("*withings*",) and listed.identifier_keys == frozenset({"uid"})
+        assert listed == built and hash(listed) == hash(built)
+
     def test_registry_macs_are_normalized_at_construction(self):
         registry = {"00-24-E4-1B-20-31": "bp"}
         config = RunConfig(registry=registry)
