@@ -24,7 +24,7 @@ from typing import BinaryIO, Mapping
 
 import numpy as np
 
-from .classifiers import _CONSENSUS, CLEARTEXT, ClassifierConfig, _VerdictColumns, _verdict_columns
+from .classifiers import _CONSENSUS, CLEARTEXT, ClassifierConfig, _consensus_codes
 
 log = logging.getLogger(__name__)
 
@@ -457,12 +457,11 @@ class _Verdicts:
     a time: every grouped non-TLS payload at once, TLS rows only counted.
     ``counts[k]`` is group ``k``'s TLS count, then its count of each verdict
     in ``_CONSENSUS`` order. The cleartext rows, in grouped order, have
-    their verdicts in ``cleartext`` and their table row, packet index,
-    outbound flag, ports and ``ts_us`` in the rows of ``fields``; group
-    ``k``'s are ``bounds[k]:bounds[k + 1]``. All stay arrays, since lists
-    would be held until the capture's last stream."""
+    their table row, packet index, outbound flag and ``ts_us`` in the rows
+    of ``fields``; group ``k``'s are ``bounds[k]:bounds[k + 1]``. Both stay
+    arrays, since lists would be held until the capture's last stream."""
 
-    __slots__ = ("config", "counts", "cleartext", "fields", "bounds")
+    __slots__ = ("config", "counts", "fields", "bounds")
 
     def __init__(self, grouping: _Grouping, config: ClassifierConfig) -> None:
         self.config = config
@@ -472,17 +471,13 @@ class _Verdicts:
         owner = np.repeat(np.arange(groups), np.diff(bounds))
         tls = table.tls[grouped]
         plain = (payload_rows(table)[grouped] & ~tls).nonzero()[0]
-        verdicts = _verdict_columns((table.payloads[row] for row in grouped[plain].tolist()), config)
-        codes = verdicts.consensus
+        codes = _consensus_codes((table.payloads[row] for row in grouped[plain].tolist()), config)
         tallies = np.bincount(owner[plain] * len(_CONSENSUS) + codes, minlength=groups * len(_CONSENSUS))
         self.counts = np.column_stack((np.bincount(owner[tls], minlength=groups),
                                        tallies.reshape(groups, len(_CONSENSUS))))
-        cleartext = (codes == _CONSENSUS.index(CLEARTEXT)).nonzero()[0]
-        self.cleartext = _VerdictColumns(*(column[..., cleartext] for column in verdicts))
-        positions = plain[cleartext]
+        positions = plain[codes == _CONSENSUS.index(CLEARTEXT)]
         rows = grouped[positions]
-        self.fields = np.array((rows, table.index[rows], grouping.outbound[positions], table.src_port[rows],
-                                table.dst_port[rows], table.ts_us[rows]), np.int64)
+        self.fields = np.array((rows, table.index[rows], grouping.outbound[positions], table.ts_us[rows]), np.int64)
         self.bounds = np.searchsorted(positions, bounds)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import islice, tee
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -178,8 +178,8 @@ def classify_all(
     payloads: Sequence[AppPayload] | Iterable[AppPayload],
     config: ClassifierConfig = ClassifierConfig(),
 ) -> list[ClassificationResult]:
-    """``classify`` for each payload, in order, read from the verdict
-    columns of each batch that ``_verdict_batches`` scores."""
+    """``classify`` for each payload, in order, read from each batch that
+    ``_verdict_batches`` scores."""
     indices: list[int] = []  # the batch being scored, added by data() as the batch is read
 
     def data() -> Iterator[bytes]:
@@ -188,8 +188,13 @@ def classify_all(
             yield payload.data
 
     results: list[ClassificationResult] = []
-    for verdicts in _verdict_batches(data(), config):
-        results += verdicts.results(indices)
+    for consensus, flags, entropy, chi in _verdict_batches(data(), config):
+        results += [
+            ClassificationResult(packet_index, ascii_verdict, entropy_bits, entropy_verdict, chi_value, chi_verdict,
+                                 _CONSENSUS[code])
+            for packet_index, code, ascii_verdict, entropy_verdict, chi_verdict, entropy_bits, chi_value in zip(
+                indices, consensus.tolist(), *flags.tolist(), entropy.tolist(), chi.tolist())
+        ]
         indices.clear()
     return results
 
@@ -198,32 +203,14 @@ def classify_all(
 _CONSENSUS = (CLEARTEXT, ENCRYPTED, INDETERMINATE)
 
 
-class _VerdictColumns(NamedTuple):
-    """The verdicts of payloads, one entry per payload in order: a
-    ``consensus`` code (into ``_CONSENSUS``), a ``(3, n)`` array of ``flags``
+def _verdict_batches(
+    rows: Iterable[bytes], config: ClassifierConfig
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The verdicts of each batch of payloads in ``rows`` that
+    ``_scored_batches`` scores, one entry per payload in order: a
+    ``consensus`` code (into ``_CONSENSUS``), a ``(3, k)`` array of ``flags``
     (one row per method in ``METHODS`` order), and ``entropy`` and ``chi``
-    values. ``column[..., rows]`` selects rows of any of them."""
-
-    consensus: np.ndarray
-    flags: np.ndarray
-    entropy: np.ndarray
-    chi: np.ndarray
-
-    def results(self, packet_indices: list[int], rows: slice = slice(None)) -> list[ClassificationResult]:
-        """The ClassificationResult of each payload of ``rows``, as the
-        packets ``packet_indices`` in order."""
-        columns = (*self.flags[:, rows].tolist(), self.entropy[rows].tolist(), self.chi[rows].tolist())
-        return [
-            ClassificationResult(packet_index, ascii_verdict, entropy_bits, entropy_verdict, chi_value, chi_verdict,
-                                 _CONSENSUS[code])
-            for packet_index, code, ascii_verdict, entropy_verdict, chi_verdict, entropy_bits, chi_value in zip(
-                packet_indices, self.consensus[rows].tolist(), *columns)
-        ]
-
-
-def _verdict_batches(rows: Iterable[bytes], config: ClassifierConfig) -> Iterator[_VerdictColumns]:
-    """The verdict columns of each batch of payloads in ``rows`` that
-    ``_scored_batches`` scores.
+    values.
 
     This is the one place the verdict rule is applied: the configured
     decision method decides payloads of at least ``min_stat_len`` bytes;
@@ -238,15 +225,13 @@ def _verdict_batches(rows: Iterable[bytes], config: ClassifierConfig) -> Iterato
         short = lengths < config.min_stat_len
         cleartext = np.where(short, flags[0], decided)
         consensus = np.where(cleartext, 0, np.where(short, 2, 1)).astype(np.int8)
-        yield _VerdictColumns(consensus, flags, entropy, chi)
+        yield consensus, flags, entropy, chi
 
 
-def _verdict_columns(rows: Iterable[bytes], config: ClassifierConfig) -> _VerdictColumns:
-    """The verdict columns of every payload in ``rows``, joined from those
-    of its batches."""
-    empty = _VerdictColumns(np.empty(0, np.int8), np.empty((3, 0), bool), np.empty(0), np.empty(0))
-    batches = zip(empty, *_verdict_batches(rows, config))
-    return _VerdictColumns(*(np.concatenate(column, axis=-1) for column in batches))
+def _consensus_codes(rows: Iterable[bytes], config: ClassifierConfig) -> np.ndarray:
+    """The consensus code of every payload in ``rows``, joined from those of
+    its batches."""
+    return np.concatenate([np.empty(0, np.int8), *(batch[0] for batch in _verdict_batches(rows, config))])
 
 
 def _scored_batches(

@@ -39,7 +39,8 @@ class RunConfig(ClassifierConfig):
     kept as a read-only mapping and left out of the hash; vendor patterns
     are kept as a tuple, and identifier keys lowercased, as leak mining
     compares them. Either given as one string is an error, not a collection
-    of its characters."""
+    of its characters, and so is an item or a device label that is not a
+    string, or an empty label."""
 
     gap_threshold: float = DEFAULT_GAP_THRESHOLD
     image_window: float = DEFAULT_IMAGE_WINDOW
@@ -54,11 +55,20 @@ class RunConfig(ClassifierConfig):
             registry = canonical_registry(self.registry)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        for mac, label in registry.items():
+            if not isinstance(label, str):
+                raise ConfigError(f"device label for {mac} must be a string, not {label!r}")
+            if not label:
+                raise ConfigError(f"empty device label for {mac}")
         for name in ("vendor_patterns", "identifier_keys"):
             if isinstance(getattr(self, name), (str, bytes)):
                 raise ConfigError(f"{name} must be a collection of strings, not one string")
+            items = tuple(getattr(self, name))  # read once: it may be an iterator
+            for item in items:
+                if not isinstance(item, str):
+                    raise ConfigError(f"{name} must be a collection of strings, not holding {item!r}")
+            object.__setattr__(self, name, items)
         object.__setattr__(self, "registry", MappingProxyType(registry))
-        object.__setattr__(self, "vendor_patterns", tuple(self.vendor_patterns))
         object.__setattr__(self, "identifier_keys", frozenset(key.lower() for key in self.identifier_keys))
 
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fnmatch import translate
 from functools import cache, lru_cache
 
-from .classifiers import CLEARTEXT, ClassificationResult
-from .payload import AppPayload, HttpMessage, detect_tls
+from .payload import HttpMessage
 
 SEVERITY_WARN = "warn"
 SEVERITY_HIGH = "high"
@@ -198,20 +197,16 @@ def dictionary_match(
 
 
 def scan_cleartext_payload(
-    payload: AppPayload,
-    verdict: ClassificationResult,
+    data: bytes,
+    packet_index: int,
     dictionaries: list[Dictionary],
     run: _MiningRun | None = None,
 ) -> list[LeakFinding]:
-    """Dictionary-mine one payload that already passed cleartext
-    classification. Refuses TLS or non-cleartext payloads outright."""
-    if detect_tls(payload).is_tls:
-        raise ValueError("leak scan refused: payload is TLS")
-    if verdict.consensus != CLEARTEXT:
-        raise ValueError(f"leak scan refused: payload classified {verdict.consensus}")
+    """Dictionary-mine the bytes of one cleartext payload, as the packet
+    ``packet_index``. The caller has excluded TLS and classified the payload
+    cleartext; neither is checked here."""
     run = run or _MiningRun(dictionaries)
-    tokens = run.dictionary_tokens(payload.data)
-    return dictionary_match(tokens, dictionaries, packet_index=payload.packet_index, payload=payload.data)
+    return dictionary_match(run.dictionary_tokens(data), dictionaries, packet_index=packet_index, payload=data)
 
 
 @lru_cache(maxsize=16)

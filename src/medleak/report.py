@@ -5,13 +5,11 @@ from __future__ import annotations
 import io
 import json
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 
 from .capture import DeviceStream, parse_capture, split_by_device
-from .classifiers import ClassificationResult
 from .config import RunConfig, load_dictionaries
 from .leaks import (
     LeakFinding,
@@ -33,7 +31,7 @@ from .metadata import (
     periodicity_hint,
     resolve_hostnames,
 )
-from .payload import AppPayload, parse_http
+from .payload import parse_http
 
 SCHEMA_VERSION = 1
 
@@ -89,20 +87,6 @@ def _status(findings: list[LeakFinding]) -> str:
     return STATUS_OK
 
 
-def _cleartext_payloads(stream: DeviceStream, verdicts) -> Iterator[tuple[AppPayload, float, ClassificationResult]]:
-    """Each cleartext payload of the stream, in row order, with its capture
-    time in seconds and its verdict, from its grouping's ``verdicts``."""
-    first, after = verdicts.bounds[stream.group : stream.group + 2].tolist()
-    if first == after:
-        return
-    payloads = stream.grouping.table.payloads
-    fields = verdicts.fields[:, first:after].tolist()
-    results = verdicts.cleartext.results(fields[1], slice(first, after))
-    for row, index, outbound, src_port, dst_port, ts_us, verdict in zip(*fields, results):
-        payload = AppPayload(index, "outbound" if outbound else "inbound", (src_port, dst_port), payloads[row])
-        yield payload, ts_us / 1_000_000, verdict
-
-
 def analyze_stream(
     capture_name: str,
     stream: DeviceStream,
@@ -115,13 +99,17 @@ def analyze_stream(
     ``config``: all the grouping's streams are classified at once."""
     run = run or _MiningRun(dictionaries, config.vendor_patterns)
     verdicts = stream.grouping.verdicts(config)
+    first, after = verdicts.bounds[stream.group : stream.group + 2].tolist()
+    payloads = stream.grouping.table.payloads
     findings: list[LeakFinding] = []
     timed_messages: list[TimedMessage] = []
 
-    for payload, timestamp, verdict in _cleartext_payloads(stream, verdicts):
-        payload_findings = scan_cleartext_payload(payload, verdict, dictionaries, run)
+    # each cleartext payload of the stream, in row order
+    for row, packet_index, outbound, ts_us in zip(*verdicts.fields[:, first:after].tolist()):
+        data = payloads[row]
+        payload_findings = scan_cleartext_payload(data, packet_index, dictionaries, run)
         findings.extend(payload_findings)
-        message = parse_http(payload.data)
+        message = parse_http(data)
         if message is None:
             continue
         findings.extend(
@@ -131,19 +119,19 @@ def analyze_stream(
                 # URL and cookie tokens are payload tokens: no payload hit, no URL or cookie hit
                 dictionaries=dictionaries if payload_findings else (),
                 identifier_keys=config.identifier_keys,
-                packet_index=payload.packet_index,
-                payload=payload.data,
+                packet_index=packet_index,
+                payload=data,
                 run=run,
             )
         )
         timed_messages.append(
             TimedMessage(
-                timestamp=timestamp,
-                packet_index=payload.packet_index,
+                timestamp=ts_us / 1_000_000,
+                packet_index=packet_index,
                 message=message,
-                outbound=payload.direction == "outbound",
+                outbound=outbound == 1,
                 vendor_endpoint=run.vendor(message.host),
-                payload=payload.data,
+                payload=data,
             )
         )
 

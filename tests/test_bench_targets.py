@@ -15,14 +15,16 @@ from medleak.corpus import fixture_registry, generate_random_capture
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 # The traced names that analyze and render never call: the classifiers'
-# per-payload entry points (analyze classifies columns) and the per-stream
-# payload list (analyze reads the grouping's columns).
+# per-payload entry points (analyze classifies columns), and the per-stream
+# payload list and per-payload TLS rule (analyze reads the grouping's
+# columns, whose TLS flag the decode set).
 UNREACHED = {
     "classifiers.chi_squared",
     "classifiers.classify",
     "classifiers.classify_ascii",
     "classifiers.compare_methods",
     "classifiers.shannon_entropy",
+    "payload.detect_tls",
     "payload.extract_payloads",
 }
 

@@ -204,13 +204,13 @@ def test_standalone_calls_on_split_streams_classify_the_capture_once(fixture_dir
     the capture's grouped payloads once, for all its streams, and reports
     as analyze does."""
     calls = []
-    verdict_columns = capture._verdict_columns
+    consensus_codes = capture._consensus_codes
 
     def counted(rows, config):
         calls.append(config)
-        return verdict_columns(rows, config)
+        return consensus_codes(rows, config)
 
-    monkeypatch.setattr(capture, "_verdict_columns", counted)
+    monkeypatch.setattr(capture, "_consensus_codes", counted)
     registry = fixture_registry("mixed-home")
     table = parse_capture(build_fixture_capture("mixed-home")).table
     config, answers, dictionaries = RunConfig(registry=registry), extract_dns_answers(table), load_dictionaries()

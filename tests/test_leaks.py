@@ -5,9 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from medleak.classifiers import ClassificationResult, classify
+from medleak.classifiers import classify
 from medleak.config import parse_dictionary_text
-from medleak.corpus import deterministic_bytes
 from medleak.leaks import (
     _MATCH_TEXT_CAP,
     CONTEXT_LEN,
@@ -211,24 +210,11 @@ class TestDictionaryMatch:
 
 
 class TestScanBoundary:
-    def test_rejects_tls_payload(self):
-        payload = AppPayload(0, "outbound", (40000, 443), b"\x17\x03\x03\x00\x10" + b"\x00" * 16)
-        verdict = ClassificationResult(0, True, 0.0, True, 9999.0, True, "cleartext")
-        with pytest.raises(ValueError, match="TLS"):
-            scan_cleartext_payload(payload, verdict, DICTS)
-
-    def test_rejects_encrypted_verdict(self):
-        payload = _payload(deterministic_bytes(1, "x", 512))
-        verdict = classify(payload)
-        assert verdict.consensus == "encrypted"
-        with pytest.raises(ValueError, match="encrypted"):
-            scan_cleartext_payload(payload, verdict, DICTS)
-
     def test_accepts_cleartext_and_findings_relocate(self):
-        payload = _payload(b"POST /sync HTTP/1.1\r\nHost: hub.example\r\n\r\nb=blood_pressure&user=alice" + b"&pad=filler" * 30)
-        verdict = classify(payload)
-        assert verdict.consensus == "cleartext"
-        findings = scan_cleartext_payload(payload, verdict, DICTS)
+        payload = _payload(b"POST /sync HTTP/1.1\r\nHost: hub.example\r\n\r\nb=blood_pressure&user=alice" + b"&pad=filler" * 30, 7)
+        assert classify(payload).consensus == "cleartext"
+        findings = scan_cleartext_payload(payload.data, payload.packet_index, DICTS)
+        assert {f.packet_index for f in findings} == {payload.packet_index}
         assert findings
         assert all(relocate(f, payload.data) for f in findings)
 
@@ -246,7 +232,6 @@ _BUILT_DICTIONARIES = st.lists(
     min_size=1,
     max_size=4,
 ).map(lambda specs: [Dictionary(name, frozenset(entries)) for name, entries in specs])
-_CLEARTEXT = ClassificationResult(0, True, 0.0, True, 9999.0, True, "cleartext")
 _URL_ALPHABET = "aZk09_-;=/?&.%\xc0"  # a URL in a request line holds no whitespace
 _HTTP_ALPHABET = _URL_ALPHABET + " \t\r\n\x85\xa0"
 
@@ -260,7 +245,7 @@ class TestOneMiningPass:
     def test_scan_equals_matching_every_token(self, text, dictionaries):
         data = text.encode("latin-1")
         expected = dictionary_match(tokenize_oracle(data), dictionaries, packet_index=4, payload=data)
-        assert scan_cleartext_payload(_payload(data, 4), _CLEARTEXT, dictionaries) == expected
+        assert scan_cleartext_payload(data, 4, dictionaries) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(_MIXED_TEXT, _MIXED_TEXT, _MIXED_TEXT, _BUILT_DICTIONARIES)

@@ -20,9 +20,10 @@ from medleak.classifiers import (
     DECISION_METHODS,
     DEFAULT_CHI_THRESHOLD,
     DEFAULT_ENTROPY_THRESHOLD,
+    ClassificationResult,
     ClassifierConfig,
-    _verdict_columns,
-    _VerdictColumns,
+    _consensus_codes,
+    classify,
     compare_methods,
 )
 from medleak import capture as capture_module
@@ -54,6 +55,7 @@ from medleak.corpus import (
 )
 from medleak.leaks import Dictionary, relocate
 from medleak.metadata import extract_dns_answers
+from medleak.payload import AppPayload
 from medleak.report import (
     DEVICE_KEYS,
     ENDPOINT_KEYS,
@@ -65,7 +67,7 @@ from medleak.report import (
     render,
 )
 
-from _oracles import analyze_stream_oracle
+from _oracles import analyze_stream_oracle, detect_tls_oracle, parse_capture_oracle
 from conftest import stitch_random_captures, table_of
 
 
@@ -237,10 +239,9 @@ class TestAnalyze:
 
     def test_oracle_comparison_catches_verdicts_paired_off_by_one(self, capture_streams, monkeypatch):
         def shifted(rows, config):
-            verdicts = _verdict_columns(rows, config)
-            return _VerdictColumns(*(np.roll(column, 1, axis=-1) for column in verdicts))
+            return np.roll(_consensus_codes(rows, config), 1)
 
-        monkeypatch.setattr(capture_module, "_verdict_columns", shifted)
+        monkeypatch.setattr(capture_module, "_consensus_codes", shifted)
         assert self._streams_unlike_the_oracle(capture_streams) > 0
 
     HAND_BUILT_DEVICE = "02:11:22:33:44:55"
@@ -335,6 +336,84 @@ class TestAnalyze:
         assert expected["bundled"] != expected["custom"]
         for name in ("bundled", "custom", "bundled", "custom"):
             assert in_process(name) == expected[name], name
+
+
+@pytest.fixture
+def built_records(monkeypatch) -> list[str]:
+    """The class name of each AppPayload and ClassificationResult built from
+    here on: the ``__init__`` of each class is replaced by one that records."""
+    built = []
+    for cls in (AppPayload, ClassificationResult):
+        def recorded(self, *args, original=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", recorded)
+    return built
+
+
+class TestOnlyCleartextIsMined:
+    """analyze mines a payload only if the decode's TLS flag left it and the
+    grouping's verdicts call it cleartext; the miner, which is handed only
+    bytes and a packet index, checks neither."""
+
+    @pytest.fixture(scope="class")
+    def captures(self, tmp_path_factory):
+        """(path, bytes, registry) of random captures 0-29 and the three fixtures."""
+        directory = tmp_path_factory.mktemp("mined")
+        captures = [(f"random_{seed}.pcap", *generate_random_capture(seed)) for seed in range(30)]
+        captures += [(f"{s}.pcap", build_fixture_capture(s), fixture_registry(s)) for s in SCENARIOS]
+        for name, data, _ in captures:
+            (directory / name).write_bytes(data)
+        return [(directory / name, data, registry) for name, data, registry in captures]
+
+    @staticmethod
+    def _mined(path, data, config) -> list[tuple[int, bool, str]]:
+        """(packet index, TLS by the oracle, ``classify``'s consensus) of the
+        packet of each finding of analyze on one capture."""
+        packets = {packet.index: packet for packet in parse_capture_oracle(data).packets}
+        mined = []
+        for report in analyze([path], config).reports:
+            for finding in report.findings:
+                packet = packets[finding.packet_index]
+                payload = AppPayload(packet.index, "outbound", (packet.src_port, packet.dst_port), packet.payload)
+                mined.append((packet.index, detect_tls_oracle(payload).is_tls, classify(payload, config).consensus))
+        return mined
+
+    def test_every_finding_is_on_a_row_not_tls_and_classified_cleartext(self, captures):
+        for method in DECISION_METHODS:
+            mined = []
+            for path, data, registry in captures:
+                mined += self._mined(path, data, RunConfig(decision_method=method, registry=registry))
+            assert mined, method
+            assert [m for m in mined if m[1:] != (False, "cleartext")] == []
+
+    def test_a_leaky_request_on_port_443_or_that_reads_encrypted_is_not_mined(self, tmp_path):
+        device, gateway, here, hub = "02:11:22:33:44:55", "b8:27:eb:00:00:01", "192.168.9.5", "203.0.113.9"
+        # long enough that every decision method calls it cleartext on port 80
+        leaky = b"POST /upload HTTP/1.1\r\nHost: hub.example\r\nCookie: uid=7\r\n\r\n"
+        leaky += b"blood_pressure=120&name=alice" + b"&pad=filler" * 30
+        payloads = [(80, leaky), (443, leaky), (80, leaky[:120] + random.Random(0).randbytes(1300))]
+        records = [
+            (1_700_000_000_000_000 + position * 1_000_000, tcp_frame(device, gateway, here, hub, 41000, port, data))
+            for position, (port, data) in enumerate(payloads)
+        ]
+        path = tmp_path / "hand-built.pcap"
+        path.write_bytes(write_pcap(records))
+        for method in DECISION_METHODS:
+            config = RunConfig(decision_method=method, registry={device: "widget"})
+            assert classify(AppPayload(2, "outbound", (41000, 80), payloads[2][1]), config).consensus == "encrypted"
+            (report,) = analyze([path], config).reports
+            assert {f.packet_index for f in report.findings} == {0}
+            assert {"dictionary-medical", "dictionary-name", "user-identifier"} <= {f.category for f in report.findings}
+            assert (report.tls_count, report.cleartext_count, report.encrypted_count) == (1, 1, 1)
+
+    def test_analyze_builds_no_payload_or_verdict_object(self, fixture_dir, built_records):
+        result = analyze([fixture_dir / "mixed-home.pcap"], _config("mixed-home"))
+        assert any(report.findings for report in result.reports)
+        assert built_records == []
+        classify(AppPayload(0, "outbound", (41000, 80), b"GET / HTTP/1.1\r\n\r\n"))
+        assert built_records == ["AppPayload", "ClassificationResult"]  # the counting sees a per-payload call
 
 
 class TestRender:
@@ -607,6 +686,23 @@ class TestConfigFiles:
             RunConfig(**{name: value})
         with pytest.raises(ConfigError, match=f"{name} must be a collection of strings"):
             dataclasses.replace(RunConfig(), **{name: value})
+
+    @pytest.mark.parametrize("values, message", [
+        ({"identifier_keys": ["uid", 1]}, "identifier_keys must be a collection of strings, not holding 1"),
+        ({"vendor_patterns": ["*withings*", 1]}, "vendor_patterns must be a collection of strings, not holding 1"),
+        ({"vendor_patterns": [b"*withings*"]}, "vendor_patterns must be a collection of strings, not holding b'"),
+        ({"registry": {"00:24:E4:1B:20:31": 5}}, "device label for 00:24:e4:1b:20:31 must be a string, not 5"),
+        ({"registry": {"00:24:e4:1b:20:31": ""}}, "empty device label for 00:24:e4:1b:20:31"),
+    ])
+    def test_an_item_or_label_that_is_not_a_string_is_refused(self, values, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            RunConfig(**values)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            dataclasses.replace(RunConfig(), **values)
+
+    def test_items_given_as_iterators_are_read_once_and_kept(self):
+        config = RunConfig(vendor_patterns=iter(["*withings*"]), identifier_keys=(key for key in ["UID"]))
+        assert config.vendor_patterns == ("*withings*",) and config.identifier_keys == frozenset({"uid"})
 
     def test_vendor_patterns_are_kept_as_a_tuple_so_a_config_hashes(self):
         listed = RunConfig(vendor_patterns=["*withings*"], identifier_keys=["UID"])
