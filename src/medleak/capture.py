@@ -161,10 +161,6 @@ class PacketTable:
         payloads = [self.payloads[i] for i in rows.tolist()]
         return PacketTable(*[column[rows] for column in _column_values(self)], payloads, self.names)
 
-    def mac_id(self, mac: str) -> int:
-        """The id of a MAC string, or -1 when no row has it."""
-        return self.names.mac_ids.get(mac, -1)
-
     def packets(self) -> list[RawPacket]:
         """The RawPacket of each row, in row order. Rows that name one MAC
         or address share its string."""
@@ -393,26 +389,24 @@ class CaptureParse:
 class _Grouping:
     """A table's rows grouped by device, without copying them: ``order``
     lists the grouped row numbers of the table, and group ``k`` is the rows
-    ``order[bounds[k]:bounds[k + 1]]``, those of the device ``macs[k]``.
-    Each grouped row's direction and remote end are computed here once, for
-    every group at a time, in ``order``; so are, on first use, the payload
-    verdicts (``verdicts``), activity periods (``periods``) and HTTP-start
-    candidates (``http``) that the per-stream stages read their group's
-    slices of."""
+    ``order[bounds[k]:bounds[k + 1]]``, those of the split's ``k``-th device.
+    ``outbound``, from the split, tells in ``order`` whether the device sent
+    each row, whose remote end is computed here once for every group; so
+    are, on first use, the payload verdicts (``verdicts``), activity periods
+    (``periods``) and HTTP-start candidates (``http``) that the per-stream
+    stages read their group's slices of."""
 
     __slots__ = ("table", "order", "bounds", "outbound", "remote", "_verdicts", "_periods", "_http")
 
-    def __init__(self, table: PacketTable, order: np.ndarray, bounds: list[int], macs: list[str]) -> None:
+    def __init__(self, table: PacketTable, order: np.ndarray, bounds: list[int], outbound: np.ndarray) -> None:
         self.table = table
         self.order = order
         self.bounds = bounds
-        device = np.repeat([table.mac_id(mac) for mac in macs], np.diff(bounds))
-        # the device sent the row
-        self.outbound = table.src_mac[order] == device
+        self.outbound = outbound
         # the row's non-device end, as an id into the table's addresses (-1
         # without an IP layer): the destination of a row the device sent,
         # the source of any other
-        self.remote = np.where(self.outbound, table.dst_addr[order], table.src_addr[order])
+        self.remote = np.where(outbound, table.dst_addr[order], table.src_addr[order])
         self._verdicts: _Verdicts | None = None
         self._periods: _Periods | None = None
         self._http: tuple[np.ndarray, np.ndarray] | None = None
@@ -509,27 +503,19 @@ class _Periods:
 
 
 class DeviceStream:
-    """One device's rows (in time order when they come from
-    ``split_by_device``); the stage functions read its slices of its
-    grouping's columns.
-
-    A stream is group ``group`` of a ``grouping`` of a capture's rows. Its
-    table is taken from the capture's table, in the grouping's order, when
-    first read; the stages of ``analyze`` read the grouping's columns and
-    never ask for it. A stream given its own table (an empty one when given
-    neither) is the one group of a grouping of that table's rows. ``mac`` is
-    canonicalized by ``normalize_mac``, so a malformed MAC is a ValueError.
+    """One device's rows, in their order in the split table: group ``group``
+    of the ``grouping`` that ``split_by_device`` made of a capture's rows,
+    whose columns the stage functions read their slices of. Its table is
+    taken from the capture's table, in the grouping's order, when first
+    read; the stages of ``analyze`` never ask for it. Only the split makes
+    streams, so ``mac`` is the registry's canonical MAC.
     """
 
-    def __init__(self, device_id: str, mac: str, table: PacketTable | None = None, *,
-                 grouping: _Grouping | None = None, group: int = 0) -> None:
+    def __init__(self, device_id: str, mac: str, grouping: _Grouping, group: int) -> None:
         self.device_id = device_id
-        self.mac = normalize_mac(mac)
-        self.group = group
-        if grouping is None:
-            self.table = _Decoder("<", 1).table() if table is None else table
-            grouping = _Grouping(self.table, np.arange(len(self.table)), [0, len(self.table)], [self.mac])
+        self.mac = mac
         self.grouping = grouping
+        self.group = group
 
     @cached_property
     def table(self) -> PacketTable:
@@ -565,6 +551,8 @@ def normalize_mac(mac: str) -> str:
     Accepts ``aa:bb:cc:dd:ee:ff``, ``AA-BB-...``, and bare 12-digit hex.
     Raises ValueError for anything that is not a 6-byte hardware address.
     """
+    if not isinstance(mac, str):
+        raise ValueError(f"malformed MAC address: {mac!r}")
     if _CANONICAL_MAC.fullmatch(mac):
         return mac
     digits = re.sub(r"[:\-.]", "", mac.strip().lower())
@@ -654,13 +642,13 @@ def split_by_device(table: PacketTable, registry: Mapping[str, str]) -> tuple[li
 
     Each row lands in exactly one stream (matched by source or destination
     MAC) or in the unattributed table. When both endpoints are registered the
-    row is attributed to the source device. A stream is produced for every
-    registry entry, empty or not, in registry order, and keeps its rows in
-    their order in ``table``: a stable argsort by owner groups the rows, and
-    the streams are the groups of one ``_Grouping`` of ``table`` in that
-    order, each taking its rows when its table is first read. The registry
-    is read by ``canonical_registry``, so a malformed or repeated MAC is a
-    ValueError.
+    row is attributed to the source device: a row is outbound exactly when
+    its source owns it. A stream is produced for every registry entry, in
+    registry order, and keeps its rows in their order in ``table``: a
+    stable argsort by owner groups the rows, and the streams are the groups
+    of one ``_Grouping`` of ``table`` in that order, each taking its rows
+    when its table is first read. The registry is read by
+    ``canonical_registry``, so a malformed or repeated MAC is a ValueError.
     """
     if not registry:
         log.warning("empty device registry: all %d packets unattributed", len(table))
@@ -669,15 +657,17 @@ def split_by_device(table: PacketTable, registry: Mapping[str, str]) -> tuple[li
     nobody = len(devices)  # the owner of an unattributed row
     owner_of_mac = np.full(len(table.names.macs), nobody)
     for position, mac in enumerate(devices):
-        if (mac_id := table.mac_id(mac)) >= 0:
-            owner_of_mac[mac_id] = position
+        if mac in table.names.mac_ids:
+            owner_of_mac[table.names.mac_ids[mac]] = position
     by_source = owner_of_mac[table.src_mac]
-    owner = np.where(by_source < nobody, by_source, owner_of_mac[table.dst_mac])
+    sent = by_source < nobody  # the source device owns the row, and sent it
+    owner = np.where(sent, by_source, owner_of_mac[table.dst_mac])
     order = np.argsort(owner, kind="stable")
     bounds = [0, *np.cumsum(np.bincount(owner, minlength=nobody + 1)[:nobody]).tolist()]
-    grouping = _Grouping(table, order[: bounds[-1]], bounds, list(devices))
+    grouped = order[: bounds[-1]]
+    grouping = _Grouping(table, grouped, bounds, sent[grouped])
     streams = [
-        DeviceStream(device_id, mac, grouping=grouping, group=position)
+        DeviceStream(device_id, mac, grouping, position)
         for position, (mac, device_id) in enumerate(devices.items())
     ]
     return streams, table.take(order[bounds[-1] :])

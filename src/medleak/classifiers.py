@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import islice, tee
+from numbers import Real
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -67,9 +68,10 @@ class ClassifierConfig:
     decision_method: str = DEFAULT_DECISION_METHOD
 
     def __post_init__(self) -> None:
-        # every numeric field, a subclass's too, must be positive
+        # every numeric field, a subclass's too, must be a positive number
         for name in numeric_fields(self):
-            if not getattr(self, name) > 0:  # also rejects NaN
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and value > 0):  # also rejects NaN
                 raise ValueError(f"{name} must be a positive number")
         if self.decision_method not in DECISION_METHODS:
             raise ValueError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .capture import canonical_registry
 from .classifiers import ClassifierConfig, numeric_fields
@@ -50,6 +50,8 @@ class RunConfig(ClassifierConfig):
     registry: Mapping[str, str] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.registry, Mapping):
+            raise ConfigError(f"registry must be a mapping of MAC to device label, not {type(self.registry).__name__}")
         try:
             super().__post_init__()
             registry = canonical_registry(self.registry)
@@ -61,9 +63,12 @@ class RunConfig(ClassifierConfig):
             if not label:
                 raise ConfigError(f"empty device label for {mac}")
         for name in ("vendor_patterns", "identifier_keys"):
-            if isinstance(getattr(self, name), (str, bytes)):
+            value = getattr(self, name)
+            if isinstance(value, (str, bytes)):
                 raise ConfigError(f"{name} must be a collection of strings, not one string")
-            items = tuple(getattr(self, name))  # read once: it may be an iterator
+            if not isinstance(value, Iterable):
+                raise ConfigError(f"{name} must be a collection of strings, not {value!r}")
+            items = tuple(value)  # read once: it may be an iterator
             for item in items:
                 if not isinstance(item, str):
                     raise ConfigError(f"{name} must be a collection of strings, not holding {item!r}")

@@ -178,8 +178,8 @@ def analyze(captures, config: RunConfig) -> AnalysisResult:
             parsed = parse_capture(fh)
         warnings.extend(f"{path.name}: {w}" for w in parsed.warnings)
         streams, unattributed = split_by_device(parsed.table, config.registry)
-        if len(unattributed):
-            warnings.append(f"{path.name}: {len(unattributed)} packets unattributed")
+        if unattributed := len(unattributed):  # the count, not the rows, is kept past the split
+            warnings.append(f"{path.name}: {unattributed} packets unattributed")
         dns_answers = extract_dns_answers(parsed.table)
         for position in range(len(streams)):
             stream, streams[position] = streams[position], None  # the list keeps no analysed stream

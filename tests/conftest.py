@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 
 from medleak.config import load_dictionaries
-from medleak.capture import GLOBAL_HEADER_LEN, RECORD_HEADER_LEN, PacketTable, parse_capture
+from medleak.capture import GLOBAL_HEADER_LEN, RECORD_HEADER_LEN, DeviceStream, PacketTable, parse_capture, split_by_device
 from medleak.corpus import SCENARIOS, build_fixture_capture, fixture_registry, generate_random_capture, write_pcap
 
 
@@ -56,3 +56,11 @@ def table_of(records: list[tuple[int, bytes]]) -> PacketTable:
     parsed = parse_capture(write_pcap(records))
     assert parsed.warnings == []
     return parsed.table
+
+
+def stream_of(device_id: str, mac: str, table: PacketTable) -> DeviceStream:
+    """The one stream that ``split_by_device`` makes of ``table`` for a
+    registry of one device: the rows the device sent or received, in the
+    table's order, as the one group of their own grouping."""
+    (stream,), _ = split_by_device(table, {mac: device_id})
+    return stream

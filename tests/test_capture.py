@@ -352,6 +352,51 @@ def test_partition_conservation(seed):
     assert sorted(seen) == sorted(p.index for p in packets)
 
 
+_SPLIT_MACS = ("02:00:00:00:00:01", "02:00:00:00:00:02", "02:00:00:00:00:03")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # (source, destination, with an IP layer): a device may send to itself
+    # or broadcast, and a registry may hold both ends of a frame
+    frames=st.lists(st.tuples(st.sampled_from(_SPLIT_MACS), st.sampled_from((*_SPLIT_MACS, "ff:ff:ff:ff:ff:ff")),
+                              st.booleans()), max_size=16),
+    registered=st.lists(st.sampled_from(_SPLIT_MACS), unique=True),
+)
+def test_each_grouped_row_has_the_owner_direction_and_remote_read_from_its_frame(frames, registered):
+    """The owner, outbound flag and remote end of each row of each split
+    stream are those read from its frame's bytes, one packet at a time: a
+    registered source owns its row and sent it, else a registered
+    destination owns it and received it, and the remote end is the other
+    end's address (None without an IP layer). No other row is grouped."""
+    records = []
+    for k, (src, dst, with_ip) in enumerate(frames):
+        if with_ip:  # each end's address is its own, so the remote tells the direction
+            frame = udp_frame(src, dst, f"10.1.0.{k}", f"10.2.0.{k}", 5000, 6000, b"x")
+        else:
+            frame = ethernet_frame(src, dst, 0x88B5, b"")
+        records.append((k, frame))
+    data = write_pcap(records)
+    registry = {mac: f"device_{position}" for position, mac in enumerate(registered)}
+    want = {}
+    for packet in parse_capture_oracle(data).packets:
+        owner = next((mac for mac in (packet.src_mac, packet.dst_mac) if mac in registry), None)
+        if owner is not None:
+            outbound = packet.src_mac == owner
+            want[packet.index] = (registry[owner], outbound, packet.dst_addr if outbound else packet.src_addr)
+
+    table = parse_capture(data).table
+    streams, unattributed = split_by_device(table, registry)
+    addresses = [*table.names.addresses, None]  # id -1 reads the None
+    got = {}
+    for stream in streams:
+        for index, outbound, remote in zip(stream.table.index.tolist(), stream.outbound.tolist(),
+                                           stream.remote.tolist()):
+            got[index] = (stream.device_id, outbound, addresses[remote])
+    assert got == want
+    assert sorted(unattributed.index.tolist()) == sorted(set(range(len(frames))) - set(want))
+
+
 # --- decode against the oracle ------------------------------------------------
 
 # (magic, byte order) of the four classic pcap variants

@@ -6,14 +6,15 @@ held past its record header."""
 import gc
 import math
 import tracemalloc
+import weakref
 
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medleak import capture
-from medleak.capture import DeviceStream, PacketTable, parse_capture, split_by_device
+from medleak import capture, report
+from medleak.capture import PacketTable, parse_capture, split_by_device
 from medleak.classifiers import DECISION_METHODS
 from medleak.config import RunConfig, load_dictionaries
 from medleak.corpus import (
@@ -29,7 +30,7 @@ from medleak.metadata import activity_periods, extract_dns_answers
 from medleak.report import analyze, analyze_stream
 
 from _oracles import activity_periods_oracle, resolve_hostnames_oracle
-from conftest import stitch_random_captures
+from conftest import stitch_random_captures, stream_of
 
 
 @st.composite
@@ -53,8 +54,8 @@ def _captures(draw):
 )
 def test_analyze_reports_each_stream_as_it_is_analysed_alone(tmp_path_factory, capture, method, gap):
     """analyze scores and groups the capture once for all its streams; each
-    report equals analyze_stream run on the split stream given its own
-    table, whose grouping holds that stream's rows only."""
+    report equals analyze_stream run on the stream split again from its own
+    table alone, whose grouping holds that stream's rows only."""
     data, registry = capture
     path = tmp_path_factory.mktemp("capture") / "random.pcap"
     path.write_bytes(data)
@@ -63,7 +64,7 @@ def test_analyze_reports_each_stream_as_it_is_analysed_alone(tmp_path_factory, c
     answers = extract_dns_answers(table)
     dictionaries = load_dictionaries()
     alone = [
-        analyze_stream(path.name, DeviceStream(stream.device_id, stream.mac, stream.table), answers, config,
+        analyze_stream(path.name, stream_of(stream.device_id, stream.mac, stream.table), answers, config,
                        dictionaries)
         for stream in split_by_device(table, registry)[0]
     ]
@@ -112,7 +113,7 @@ def test_no_period_spans_two_devices(tmp_path, gap):
     streams = split_by_device(table, registry)[0]
     expected = []
     for stream in streams:
-        alone = DeviceStream(stream.device_id, stream.mac, stream.table)
+        alone = stream_of(stream.device_id, stream.mac, stream.table)
         hostnames = resolve_hostnames_oracle(alone, answers)
         expected.append(activity_periods_oracle(alone, gap, hostnames))
         assert activity_periods(stream, gap, hostnames) == expected[-1]
@@ -140,6 +141,43 @@ def test_analyze_builds_no_stream_table(fixture_dir, monkeypatch):
     result = analyze(captures, RunConfig(registry=registry))
     assert len(result.reports) == 2 * len(registry) == 4
     assert len(taken) == 2
+
+
+def test_analyze_keeps_the_count_of_unattributed_rows_not_their_table(fixture_dir, monkeypatch):
+    """analyze reads only the ``len`` of the split's unattributed rows, so
+    it lets go of them before it analyses a stream: a stand-in handed back
+    as those rows is gone by each analyze_stream call, and the warning
+    still counts them."""
+    path, registry = fixture_dir / "mixed-home.pcap", fixture_registry("mixed-home")
+    config = RunConfig(registry=registry)
+    expected = analyze([path], config)
+    assert any(warning.endswith("packets unattributed") for warning in expected.warnings)
+
+    class Rows:
+        def __init__(self, count: int) -> None:
+            self.count = count
+
+        def __len__(self) -> int:
+            return self.count
+
+    handed, alive = [], []
+    split, analyze_stream_ = report.split_by_device, report.analyze_stream
+
+    def split_by_device(table, registry):
+        streams, unattributed = split(table, registry)
+        rows = Rows(len(unattributed))
+        handed.append(weakref.ref(rows))
+        return streams, rows
+
+    def watched(*args):
+        alive.append(handed[-1]() is not None)
+        return analyze_stream_(*args)
+
+    monkeypatch.setattr(report, "split_by_device", split_by_device)
+    monkeypatch.setattr(report, "analyze_stream", watched)
+    result = analyze([path], config)
+    assert alive == [False] * len(registry) and len(handed) == 1
+    assert result.reports == expected.reports and result.warnings == expected.warnings
 
 
 def _traced(call):
@@ -176,9 +214,9 @@ def test_analyze_holds_one_streams_table_at_a_time(tmp_path):
 
 
 def test_a_stream_given_its_own_table_is_grouped_once(monkeypatch):
-    """analyze_stream reads the one-group grouping that a stream given its
-    own table (or split from a one-device registry) already has, and
-    reports as the stream split from the capture does."""
+    """analyze_stream reads the one-group grouping that a stream split from
+    its own table for a one-device registry already has, and reports as the
+    stream split from the capture does."""
     groupings = []
     init = capture._Grouping.__init__
 
@@ -191,7 +229,7 @@ def test_a_stream_given_its_own_table_is_grouped_once(monkeypatch):
     (mac, device_id), = registry.items()
     table = parse_capture(build_fixture_capture("bp-monitor-leaky")).table
     (split,), _ = split_by_device(table, registry)
-    own = DeviceStream(device_id, mac, split.table)
+    own = stream_of(device_id, mac, split.table)
     assert len(groupings) == 2
     config, answers, dictionaries = RunConfig(registry=registry), extract_dns_answers(table), load_dictionaries()
     reports = [analyze_stream("bp.pcap", stream, answers, config, dictionaries) for stream in (own, split)]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medleak.capture import DeviceStream, parse_capture, split_by_device
+from medleak.capture import parse_capture, split_by_device
 from medleak.corpus import (
     SCENARIOS,
     arp_frame,
@@ -33,7 +33,7 @@ from medleak.metadata import (
 )
 
 from _oracles import activity_periods_oracle, parse_dns_response_oracle, resolve_hostnames_oracle
-from conftest import table_of
+from conftest import stream_of, table_of
 
 DEV = "00:24:e4:1b:20:31"
 AP = "b8:27:eb:5a:10:04"
@@ -51,7 +51,7 @@ def _record(t_seconds, **frame):
 
 
 def _stream(records):
-    return DeviceStream("monitor", DEV, table_of(records))
+    return stream_of("monitor", DEV, table_of(records))
 
 
 class TestActivityPeriods:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medleak.capture import _START_BYTE, DeviceStream
+from medleak.capture import _START_BYTE
 from medleak.corpus import arp_frame, ethernet_frame, ipv4_packet, tcp_frame, udp_frame
 from medleak.payload import (
     _LINE_SPLIT,
@@ -23,7 +23,7 @@ from medleak.payload import (
 )
 
 from _oracles import detect_tls_oracle, extract_payloads_oracle
-from conftest import table_of
+from conftest import stream_of, table_of
 
 DEV = "00:24:e4:1b:20:31"
 AP = "b8:27:eb:5a:10:04"
@@ -41,7 +41,7 @@ def _record(index, payload, kind="TCP", src=DEV, dst=AP, sport=40000, dport=80, 
 
 
 def _stream(records):
-    return DeviceStream("monitor", DEV, table_of(records))
+    return stream_of("monitor", DEV, table_of(records))
 
 
 def _payload(data, sport=40000, dport=80, direction="outbound", index=0):

@@ -14,6 +14,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medleak.capture import parse_capture, split_by_device
 from medleak.classifiers import (
@@ -408,6 +410,35 @@ class TestOnlyCleartextIsMined:
             assert {"dictionary-medical", "dictionary-name", "user-identifier"} <= {f.category for f in report.findings}
             assert (report.tls_count, report.cleartext_count, report.encrypted_count) == (1, 1, 1)
 
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from(("port 80", "port 443", "record", "ack", "zeros")),
+                                   st.booleans(), st.sampled_from((tcp_frame, udp_frame))), min_size=1, max_size=10))
+    def test_leaky_rows_that_are_tls_are_never_mined(self, tmp_path_factory, rows):
+        """Generated captures mix a leaky request on port 80 with the same
+        request to or from port 443, the same bytes behind a handshake record
+        header (0x16 0x03 0x01) on port 80, empty segments and datagrams of
+        zeros, each sent or received over TCP or UDP. Under every method the
+        TLS rows classify cleartext, yet only the port-80 requests are mined."""
+        device, hub, here, there = "02:11:22:33:44:55", "b8:27:eb:00:00:01", "192.168.9.5", "203.0.113.9"
+        leaky = b"POST /upload HTTP/1.1\r\nHost: hub.example\r\nCookie: uid=7\r\n\r\n"
+        leaky += b"blood_pressure=120&name=alice" + b"&pad=filler" * 30
+        kinds = {"port 80": (80, leaky), "port 443": (443, leaky), "record": (80, b"\x16\x03\x01" + leaky),
+                 "ack": (80, b""), "zeros": (80, bytes(64))}
+        records = []
+        for position, (kind, outbound, frame) in enumerate(rows):
+            port, payload = kinds[kind]
+            ends = (device, hub, here, there, 41000, port) if outbound else (hub, device, there, here, port, 41000)
+            records.append((1_700_000_000_000_000 + position * 1_000_000, frame(*ends, payload)))
+        path = tmp_path_factory.mktemp("tls-rows") / "generated.pcap"
+        path.write_bytes(write_pcap(records))
+        for method in DECISION_METHODS:
+            config = RunConfig(decision_method=method, registry={device: "widget"})
+            for kind in ("port 443", "record"):
+                port, payload = kinds[kind]
+                assert classify(AppPayload(0, "outbound", (41000, port), payload), config).consensus == "cleartext"
+            (report,) = analyze([path], config).reports
+            assert {f.packet_index for f in report.findings} == {k for k, row in enumerate(rows) if row[0] == "port 80"}
+
     def test_analyze_builds_no_payload_or_verdict_object(self, fixture_dir, built_records):
         result = analyze([fixture_dir / "mixed-home.pcap"], _config("mixed-home"))
         assert any(report.findings for report in result.reports)
@@ -695,6 +726,23 @@ class TestConfigFiles:
         ({"registry": {"00:24:e4:1b:20:31": ""}}, "empty device label for 00:24:e4:1b:20:31"),
     ])
     def test_an_item_or_label_that_is_not_a_string_is_refused(self, values, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            RunConfig(**values)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            dataclasses.replace(RunConfig(), **values)
+
+    @pytest.mark.parametrize("values, message", [
+        ({"registry": {5: "x"}}, "malformed MAC address: 5"),
+        ({"registry": [("00:24:e4:1b:20:31", "x")]}, "registry must be a mapping of MAC to device label, not list"),
+        ({"registry": None}, "registry must be a mapping of MAC to device label, not NoneType"),
+        ({"vendor_patterns": 5}, "vendor_patterns must be a collection of strings, not 5"),
+        ({"identifier_keys": 5}, "identifier_keys must be a collection of strings, not 5"),
+        ({"gap_threshold": "60"}, "gap_threshold must be a positive number"),
+        ({"min_stat_len": None}, "min_stat_len must be a positive number"),
+    ])
+    def test_a_value_of_the_wrong_type_is_a_config_error(self, values, message):
+        """A value built in code that no check expects is refused as a
+        ConfigError, never let out as a TypeError or AttributeError."""
         with pytest.raises(ConfigError, match=re.escape(message)):
             RunConfig(**values)
         with pytest.raises(ConfigError, match=re.escape(message)):

@@ -1,8 +1,8 @@
 """The columnar PacketTable against lists of per-packet rows.
 
 Each stage that reads columns gives, on a stream backed by rows of a parsed
-capture's table, what it gives on a stream given that stream's table as its
-own, and what the per-packet oracles give. ``analyze`` reads the table and
+capture's table, what it gives on the stream split from that stream's table
+alone, and what the per-packet oracles give. ``analyze`` reads the table and
 builds RawPackets for no row.
 """
 
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medleak import capture, report
-from medleak.capture import DeviceStream, PacketTable, RawPacket, parse_capture, split_by_device
+from medleak.capture import PacketTable, RawPacket, parse_capture, split_by_device
 from medleak.config import RunConfig
 from medleak.corpus import (
     SCENARIOS,
@@ -47,7 +47,7 @@ from _oracles import (
     split_by_device_oracle,
     table_rows_oracle,
 )
-from conftest import table_of
+from conftest import stream_of, table_of
 from test_capture import _VARIANTS, AP_MAC, DEV_MAC, _capture, _hostile_frame, _ipv6_capture
 
 GAPS = (60.0, 5.0, 0.0, math.nan, math.inf)
@@ -69,7 +69,7 @@ def _assert_stages_agree(data: bytes, registry: dict[str, str]) -> None:
     dns = extract_dns_answers(parsed.table)
     assert dns == extract_dns_answers_oracle(packets)
     for stream in streams:
-        own = DeviceStream(stream.device_id, stream.mac, stream.table)
+        own = stream_of(stream.device_id, stream.mac, stream.table)
         assert extract_payloads(stream) == extract_payloads(own) == extract_payloads_oracle(own)
         for answers in (dns, {}):
             hostnames = resolve_hostnames(stream, answers)
@@ -183,7 +183,7 @@ def test_a_stream_of_unsorted_frames_runs_the_column_code_as_the_oracles(records
     table = decoded.take(np.argsort(decoded.index, kind="stable"))
     assert table.index.tolist() == list(range(len(records)))
     packets = sorted(parse_capture_oracle(write_pcap(records)).packets, key=lambda packet: packet.index)
-    stream = DeviceStream("dev", DEV, table)
+    stream = stream_of("dev", DEV, table)
     assert stream.table.packets() == table_rows_oracle(packets)
     hostnames = resolve_hostnames(stream, {})
     assert hostnames == resolve_hostnames_oracle(stream, {})
@@ -292,29 +292,35 @@ def test_a_table_is_a_collection_of_its_packets():
 
 
 def test_a_stream_reads_its_mac_in_any_spelling():
-    """A stream canonicalizes its MAC, so each row's direction and remote end
-    are those of the canonical MAC: the device's own address is never one of
-    its endpoints. A malformed MAC is refused."""
+    """The split canonicalizes a registry MAC, so a stream's MAC, and each
+    row's direction and remote end, are those of the canonical MAC in any
+    spelling: the device's own address is never one of its endpoints. A
+    malformed MAC is refused."""
     (mac, device_id), = fixture_registry("bp-monitor-leaky").items()
-    (stream,), _ = split_by_device(parse_capture(build_fixture_capture("bp-monitor-leaky")).table, {mac: device_id})
+    table = parse_capture(build_fixture_capture("bp-monitor-leaky")).table
+    stream = stream_of(device_id, mac, table)
     payloads, profiles = extract_payloads(stream), endpoint_profiles(stream, {}, PATTERNS)
     assert sum(p.direction == "outbound" for p in payloads) == 7
     assert "192.168.4.21" not in {profile.address for profile in profiles}
     for spelling in (mac.upper(), mac.replace(":", "-"), mac.replace(":", "").upper()):
-        respelt = DeviceStream(device_id, spelling, stream.table)
+        respelt = stream_of(device_id, spelling, stream.table)
         assert respelt.mac == mac
         assert extract_payloads(respelt) == payloads
         assert endpoint_profiles(respelt, {}, PATTERNS) == profiles
     with pytest.raises(ValueError, match="malformed MAC"):
-        DeviceStream(device_id, "00:24:e4:1b:20")
+        stream_of(device_id, "00:24:e4:1b:20", table)
 
 
-def test_a_stream_given_no_table_is_empty():
-    stream = DeviceStream("dev", DEV)
-    assert len(stream.table) == 0 and stream.table == []
-    assert extract_payloads(stream) == [] and activity_periods(stream) == []
-    assert resolve_hostnames(stream, {}) == {} and endpoint_profiles(stream, {}, PATTERNS) == []
-    assert repr(stream) == f"DeviceStream(device_id='dev', mac={DEV!r}, rows=0)"
+def test_a_stream_with_no_rows_is_empty():
+    """A registered device that no row names gets an empty stream, split
+    from an empty capture or from one of other devices' rows."""
+    others = table_of([(0, udp_frame(GATEWAY, "02:00:00:00:00:09", "192.168.4.1", "192.168.4.9", 53, 5000, b"x"))])
+    for table in (table_of([]), others):
+        stream = stream_of("dev", DEV, table)
+        assert len(stream.table) == 0 and stream.table == []
+        assert extract_payloads(stream) == [] and activity_periods(stream) == []
+        assert resolve_hostnames(stream, {}) == {} and endpoint_profiles(stream, {}, PATTERNS) == []
+        assert repr(stream) == f"DeviceStream(device_id='dev', mac={DEV!r}, rows=0)"
 
 
 def test_the_repr_of_a_split_stream_takes_no_table():
